@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from .cost_model import VARIANTS, choose_parameters, nint, optimize_m, table1_csv
+from .cost_model import VARIANTS, choose_parameters, optimize_m, \
+    rotation_count, table1_csv, walk_steps
 from .full_sim import MemoryCapError, run_algorithm
 from .instances import find_marked, load_instance, make_family
 from .reduced_sim import ReducedBasis, build_walk_matrix, embed_to_full, \
@@ -48,8 +48,7 @@ def _load_config(args, parser):
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser.get_default(attr) \
-                or getattr(args, attr) in (None, False):
+        if getattr(args, attr) == parser.get_default(attr):
             setattr(args, attr, value)
     return args
 
@@ -74,9 +73,8 @@ def _resolve_params(n, l, args):
     m = args.m if args.m is not None else choose_parameters(n, l).m
     if not l <= m < n:
         raise ConfigError(f"need l <= m < n, got l={l}, m={m}, n={n}")
-    t1 = args.t1 if args.t1 is not None else nint((math.pi / 2.0) * math.sqrt(m / l))
-    t2 = args.t2 if args.t2 is not None else nint(
-        (math.pi / 4.0) * (n / m) ** (l / 2.0))
+    t1 = args.t1 if args.t1 is not None else walk_steps(m, l)
+    t2 = args.t2 if args.t2 is not None else rotation_count(n, m, l)
     return m, t1, t2
 
 

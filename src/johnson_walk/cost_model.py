@@ -45,16 +45,28 @@ class ParameterChoice:
                 "exponent_target": float(self.exponent_target)}
 
 
+def walk_steps(m: int, l: int) -> int:
+    """Walk steps per rotation at walk size m: t1 = nint((pi/2) sqrt(m/l))."""
+    return nint((math.pi / 2.0) * math.sqrt(m / l))
+
+
+def rotation_count(n: int, m: int, l: int) -> int:
+    """Rotations at walk size m: t2 = nint((pi/4) (n/m)^{l/2}).
+
+    Kept apart from walk_steps because (n/m)^{l/2} overflows a float for
+    some inputs (n=10^7, m=l=200) at which t1 alone is still needed.
+    """
+    return nint((math.pi / 4.0) * (n / m) ** (l / 2.0))
+
+
 def choose_parameters(n: int, l: int) -> ParameterChoice:
-    """Walk size and iteration counts: m = nint(n^{l/(l+1)}),
-    t1 = nint((pi/2) sqrt(m/l)), t2 = nint((pi/4) (n/m)^{l/2})."""
+    """Walk size m = nint(n^{l/(l+1)}) and its iteration counts."""
     if l < 1:
         raise ValueError("l must be positive")
     m = nint(n ** (l / (l + 1)))
     if not l <= m < n:
         raise ValueError(f"n={n} too small for l={l} (m={m})")
-    t1 = nint((math.pi / 2.0) * math.sqrt(m / l))
-    t2 = nint((math.pi / 4.0) * (n / m) ** (l / 2.0))
+    t1, t2 = walk_steps(m, l), rotation_count(n, m, l)
     return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2,
                            total_queries=m + 2 * t1 * t2,
                            exponent_target=Fraction(l, l + 1))

@@ -12,20 +12,17 @@ inversion per subset row, the shift is a precomputed permutation.
 """
 from __future__ import annotations
 
-import itertools
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinat import binomial, rank_subset
+from .combinat import binomial, unrank_subset
 from .instances import ITEM, PAIRWISE, MarkedSet, ProblemInstance, find_marked
 
 DEFAULT_MEMCAP = 2 ** 27
 A_SIDE = "a"
 B_SIDE = "b"
-MIXED = "mixed"
 
 _context_cache: dict = {}
 
@@ -39,8 +36,43 @@ class MemoryCapError(RuntimeError):
     pass
 
 
+def _colex_subsets(n: int, m: int) -> np.ndarray:
+    """All m-subsets of {0..n-1}, sorted ascending, as rows in colex-rank order.
+
+    In colex order the k-subsets with largest element c come right after
+    all those with a smaller largest element, and their first k-1 entries
+    run through the (k-1)-subsets of {0..c-1}: a prefix of the previous
+    table.  Level k only needs largest elements below n-m+k.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, m + 1):
+        rows = np.concatenate([
+            np.column_stack([rows[:binomial(c, k - 1)],
+                             np.full(binomial(c, k - 1), c, dtype=np.int64)])
+            for c in range(k - 1, n - m + k)])
+    return rows
+
+
+def _binomial_table(n: int, k_max: int) -> np.ndarray:
+    """table[x, y] = C(x, y) for x <= n, y <= k_max, as int64.
+
+    Entries too large for int64 are clipped; none is ever indexed, since
+    every lookup is one term of a colex rank below C(n, m+1), which the
+    memory cap keeps small.
+    """
+    big = np.iinfo(np.int64).max
+    return np.array([[min(binomial(x, y), big) for y in range(k_max + 1)]
+                     for x in range(n + 1)], dtype=np.int64)
+
+
 class WalkContext:
-    """Precomputed index structure for the (n, m) bipartite walk space."""
+    """Precomputed index structure for the (n, m) bipartite walk space.
+
+    subsets_a is the (num_a, m) array of m-subsets in colex-rank order and
+    member[r, k] says whether element k lies in subset r.  The coins of
+    subset r are the elements outside it, in increasing order, so the
+    a-pair (r, slot) has coin k = the slot-th False of member[r].
+    """
 
     def __init__(self, n: int, m: int, memcap: int | None = None):
         if not 1 <= m < n:
@@ -56,32 +88,46 @@ class WalkContext:
                 f"state space needs {self.dim_a + self.dim_b} amplitudes, "
                 f"cap is {cap} (set JOHNSON_WALK_MEMCAP to override)")
 
-        self.subsets_a = [None] * self.num_a
-        for comb in itertools.combinations(range(n), m):
-            self.subsets_a[rank_subset(comb, n)] = comb
-        self.subsets_b = [None] * self.num_b
-        for comb in itertools.combinations(range(n), m + 1):
-            self.subsets_b[rank_subset(comb, n)] = comb
+        self.subsets_a = _colex_subsets(n, m)
+        self.member = np.zeros((self.num_a, n), dtype=bool)
+        np.put_along_axis(self.member, self.subsets_a, True, axis=1)
 
         # Flat pair index (subset_rank * num_coins + slot) on each side;
-        # shift maps the a-pair (A, k) to the b-pair (A ∪ {k}, k).
-        shift = np.empty(self.dim_a, dtype=np.int64)
-        for ra, a in enumerate(self.subsets_a):
-            a_set = set(a)
-            coins = [k for k in range(n) if k not in a_set]
-            for slot, k in enumerate(coins):
-                b = tuple(sorted(a + (k,)))
-                rb = rank_subset(b, n)
-                shift[ra * (n - m) + slot] = rb * (m + 1) + b.index(k)
-        self.shift_map = shift
+        # shift maps the a-pair (A, k) to the b-pair (A ∪ {k}, k).  With
+        # pos = #{a in A : a < k} = k - slot, the colex rank of A ∪ {k} is
+        #   sum_{i<pos} C(a_i, i+1) + C(k, pos+1) + sum_{i>=pos} C(a_i, i+2)
+        # and k sits at index pos of the sorted (m+1)-subset.
+        table = _binomial_table(n, m + 1)
+        cols = np.arange(m)
+        low = table[self.subsets_a, cols + 1]
+        high = table[self.subsets_a, cols + 2]
+        # outer[r, p] = sum_{i<p} low[r, i] + sum_{i>=p} high[r, i]
+        outer = np.zeros((self.num_a, m + 1), dtype=np.int64)
+        outer[:, 1:] = np.cumsum(low, axis=1)
+        outer[:, :-1] += np.cumsum(high[:, ::-1], axis=1)[:, ::-1]
+        del low, high
+        # coins and pos are the build's only (num_a, n-m) temporaries
+        # besides the result, so they take the narrowest dtype that holds n
+        small = np.min_scalar_type(n)
+        coins = self.at_coins(np.arange(n, dtype=small))
+        pos = coins - np.arange(n - m, dtype=small)
+        shift = np.take_along_axis(outer, pos, axis=1)
+        del outer
+        shift += table[coins, pos + 1]
+        shift *= m + 1
+        shift += pos
+        self.shift_map = shift.reshape(-1)
+
+    def at_coins(self, values) -> np.ndarray:
+        """values[k] at the coin k of every a-pair, shape (num_a, n - m)."""
+        picked = np.broadcast_to(values, self.member.shape)[~self.member]
+        return picked.reshape(self.num_a, self.n - self.m)
 
     def marked_row_mask(self, marked_sets) -> np.ndarray:
         """Boolean mask over a-side subset ranks: contains a marked subset."""
         mask = np.zeros(self.num_a, dtype=bool)
-        targets = [set(ms.indices) for ms in marked_sets]
-        for ra, a in enumerate(self.subsets_a):
-            a_set = set(a)
-            mask[ra] = any(t <= a_set for t in targets)
+        for ms in marked_sets:
+            mask |= self.member[:, list(ms.indices)].all(axis=1)
         return mask
 
 
@@ -262,12 +308,12 @@ def measure_sample(state: FullState, seed: int, draws: int | None = None):
     for idx in picks:
         if idx < ctx.dim_a:
             ra, slot = divmod(int(idx), ctx.n - ctx.m)
-            a = ctx.subsets_a[ra]
+            a = tuple(int(k) for k in ctx.subsets_a[ra])
             coins = [k for k in range(ctx.n) if k not in a]
             out.append((a, coins[slot]))
         else:
             rb, slot = divmod(int(idx) - ctx.dim_a, ctx.m + 1)
-            b = ctx.subsets_b[rb]
+            b = unrank_subset(rb, ctx.m + 1, ctx.n)
             out.append((b, b[slot]))
     return out if draws else out[0]
 

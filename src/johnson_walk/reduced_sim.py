@@ -142,21 +142,15 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
     ctx = get_context(basis.n, basis.m, memcap)
     nc = basis.constants()
     full = zero_state(ctx)
-    weights = {}
+    # weights[j, p]; the label (l, 1) does not exist and keeps weight 0
+    weights = np.zeros((basis.l + 1, 2), dtype=complex)
     for idx, (j, p) in enumerate(basis.labels):
         c = nc.c_jp[(j, p)]
         if c:
-            weights[(j, p)] = complex(state[idx]) / math.sqrt(c)
-    s_set = set(marked.indices)
-    n = basis.n
-    for ra, a in enumerate(ctx.subsets_a):
-        a_set = set(a)
-        j = len(a_set & s_set)
-        slot = 0
-        for k in range(n):
-            if k in a_set:
-                continue
-            p = 1 if k in s_set else 0
-            full.amps_a[ra, slot] = weights.get((j, p), 0.0)
-            slot += 1
+            weights[j, p] = complex(state[idx]) / math.sqrt(c)
+    marked_idx = list(marked.indices)
+    j = ctx.member[:, marked_idx].sum(axis=1)
+    in_marked = np.zeros(basis.n, dtype=np.intp)
+    in_marked[marked_idx] = 1
+    full.amps_a[:] = weights[j[:, None], ctx.at_coins(in_marked)]
     return full

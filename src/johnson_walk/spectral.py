@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .combinat import norm_constants
-from .cost_model import nint
+from .cost_model import nint, walk_steps
 from .reduced_sim import ReducedBasis, build_walk_matrix, reduced_s
 
 TWO_PI = 2.0 * math.pi
@@ -389,13 +389,13 @@ class RotationReport:
 def algorithm_rotation(n: int, m: int | None = None, l: int = 2) -> RotationReport:
     """Smallest eigenphase pair of W^t1 P and its rotation-plane vectors.
 
-    t1 = nint((pi/2) sqrt(m/l)); the pair should sit at +-2<w|s> with
-    eigenvectors near (|w> +- i |s>)/sqrt 2.
+    t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
+    at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.
     """
     if m is None:
         m = nint(n ** (l / (l + 1)))
     basis = ReducedBasis(n, m, l)
-    t1 = nint((math.pi / 2.0) * math.sqrt(m / l))
+    t1 = walk_steps(m, l)
     w_step = build_walk_matrix(basis)
     u = np.linalg.matrix_power(w_step, t1)
     w_vec = np.zeros(basis.dim)

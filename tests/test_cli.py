@@ -164,6 +164,19 @@ def test_config_file(capsys, tmp_path):
     assert json.loads(out)["full"]["n"] == 9
 
 
+def test_config_fills_only_options_left_at_default(capsys, tmp_path):
+    """An explicit --t2 0 wins over the file; an omitted --t2 takes it."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t2": 5}))
+    base = ("simulate", "--n", "9", "--seed", "1", "--config", str(cfg))
+    code, out, _ = run_cli(capsys, *base, "--t2", "0")
+    assert code == 0
+    assert json.loads(out)["reduced"]["t2"] == 0
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    assert json.loads(out)["reduced"]["t2"] == 5
+
+
 def test_config_file_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"walk_size": 4}))

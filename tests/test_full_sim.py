@@ -1,4 +1,5 @@
 """Full state-vector engine: operators, accounting, and fixtures."""
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from johnson_walk import (
     choose_parameters, find_marked, get_context, make_family, norm_constants,
     prepare_s, run_algorithm,
 )
+from johnson_walk.combinat import rank_subset, unrank_subset
 from johnson_walk.full_sim import measure_sample, zero_state
 
 
@@ -32,6 +34,61 @@ def test_context_shapes():
     assert ctx.dim_a == ctx.dim_b == 630
     # shift is a bijection between the sides
     assert sorted(ctx.shift_map) == list(range(ctx.dim_b))
+
+
+def reference_index(n, m):
+    """Subsets by colex rank and the shift map, one Python step per pair."""
+    subsets = [None] * binomial(n, m)
+    for comb in itertools.combinations(range(n), m):
+        subsets[rank_subset(comb, n)] = comb
+    shift = []
+    for a in subsets:
+        for k in range(n):
+            if k not in a:
+                b = tuple(sorted(a + (k,)))
+                shift.append(rank_subset(b, n) * (m + 1) + b.index(k))
+    return subsets, shift
+
+
+def assert_index_matches_reference(ctx):
+    subsets, shift = reference_index(ctx.n, ctx.m)
+    assert np.array_equal(ctx.subsets_a,
+                          np.array(subsets).reshape(ctx.num_a, ctx.m))
+    assert ctx.shift_map.dtype == np.int64
+    assert np.array_equal(ctx.shift_map, shift)
+    return subsets
+
+
+def assert_mask_matches_reference(ctx, subsets, marked_sets):
+    expect = [any(set(ms.indices) <= set(a) for ms in marked_sets)
+              for a in subsets]
+    assert np.array_equal(ctx.marked_row_mask(marked_sets), expect)
+
+
+def test_index_matches_reference_up_to_14():
+    for n in range(2, 15):
+        for m in range(1, n):
+            assert_index_matches_reference(WalkContext(n, m))
+
+
+def test_marked_row_mask_matches_reference():
+    for n, m in [(6, 2), (9, 4), (10, 5), (12, 3)]:
+        ctx = WalkContext(n, m)
+        subsets = assert_index_matches_reference(ctx)
+        for marked_sets in ([MarkedSet((0, n - 1))],
+                            [MarkedSet((1, 2)), MarkedSet((2, n - 2))],
+                            [MarkedSet((0,)), MarkedSet((1, 3, 4))]):
+            assert_mask_matches_reference(ctx, subsets, marked_sets)
+
+
+def test_index_beyond_64_elements():
+    ctx = WalkContext(100, 1, memcap=10 ** 6)
+    subsets = assert_index_matches_reference(ctx)
+    assert_mask_matches_reference(ctx, subsets, [MarkedSet((70,))])
+    assert_mask_matches_reference(ctx, subsets,
+                                  [MarkedSet((3,)), MarkedSet((99,))])
+    # C(70, 35) does not fit in int64, though no rank here comes near it
+    assert_index_matches_reference(WalkContext(70, 68))
 
 
 def test_memory_cap_enforced():
@@ -196,9 +253,13 @@ def test_measure_point_mass():
     state = zero_state(ctx)
     state.amps_a[3, 1] = 1.0
     subset, coin = measure_sample(state, seed=0)
-    assert subset == ctx.subsets_a[3]
-    coins = [k for k in range(6) if k not in ctx.subsets_a[3]]
+    assert subset == unrank_subset(3, 2, 6)
+    coins = [k for k in range(6) if k not in subset]
     assert coin == coins[1]
+    state = zero_state(ctx)
+    state.amps_b[7, 2] = 1.0
+    assert measure_sample(state, seed=0) == (unrank_subset(7, 3, 6),
+                                             unrank_subset(7, 3, 6)[2])
 
 
 def test_measure_uniform_frequencies():

@@ -1,4 +1,5 @@
 """Reduced engine: walk matrix, start state, and full-engine agreement."""
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from johnson_walk import (
     choose_parameters, embed_to_full, find_marked, make_family,
     norm_constants, prepare_s, reduced_s, run_algorithm, run_reduced,
 )
+from johnson_walk.combinat import rank_subset
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step
+from johnson_walk.instances import MarkedSet
 
 
 def test_basis_labels_and_weights():
@@ -121,6 +124,37 @@ def test_embed_is_isometry():
         ey = embed_to_full(y, basis, marked)
         inner_full = np.vdot(ex.amps_a, ey.amps_a) + np.vdot(ex.amps_b, ey.amps_b)
         assert abs(inner_full - float(x @ y)) < 1e-12
+
+
+def reference_embed_a(state, basis, marked):
+    """a-side amplitudes of embed_to_full, one Python step per (A, k) pair."""
+    nc = norm_constants(basis.n, basis.m, basis.l)
+    weights = {}
+    for idx, (j, p) in enumerate(basis.labels):
+        if nc.c_jp[(j, p)]:
+            weights[(j, p)] = complex(state[idx]) / math.sqrt(nc.c_jp[(j, p)])
+    amps = np.zeros((math.comb(basis.n, basis.m), basis.n - basis.m),
+                    dtype=complex)
+    for a in itertools.combinations(range(basis.n), basis.m):
+        j = len(set(a) & set(marked.indices))
+        coins = [k for k in range(basis.n) if k not in a]
+        for slot, k in enumerate(coins):
+            p = 1 if k in marked.indices else 0
+            amps[rank_subset(a, basis.n), slot] = weights.get((j, p), 0.0)
+    return amps
+
+
+def test_embed_matches_reference_loop():
+    """Every (j, p) weight lands on exactly the pairs the loop puts it on."""
+    rng = np.random.default_rng(11)
+    for n, m, l in [(5, 2, 1), (7, 3, 2), (9, 4, 2), (10, 3, 3), (10, 6, 4)]:
+        basis = ReducedBasis(n, m, l)
+        marked = MarkedSet(tuple(sorted(
+            int(k) for k in rng.choice(n, size=l, replace=False))))
+        state = rng.normal(size=basis.dim)
+        emb = embed_to_full(state, basis, marked)
+        assert np.array_equal(emb.amps_a, reference_embed_a(state, basis, marked))
+        assert not emb.amps_b.any()
 
 
 def test_embed_basis_vector_is_marked_block():
