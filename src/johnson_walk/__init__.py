@@ -1,13 +1,14 @@
 """Exact simulation and analysis of the quantum walk for l-subset finding.
 
-Two engines compute the same algorithm: full_sim carries the complete
-state vector over (subset, coin) pairs and is the ground truth at small
-n; reduced_sim works in the (2l+1)-dimensional symmetric subspace and
-is exact at n up to 10^6 and beyond.  spectral verifies the
-eigenstructure both engines rely on, cost_model picks parameters and
-fits query-complexity exponents, and instances supplies the problem
-generators and the classical brute-force scan.
+Two engines run the same (W^t1 P)^t2 loop, from algorithm: full_sim
+carries the complete state vector over (subset, coin) pairs and is the
+ground truth at small n; reduced_sim works in the (2l+1)-dimensional
+symmetric subspace and is exact at n up to 10^6 and beyond.  spectral
+verifies the eigenstructure both engines rely on, cost_model picks
+parameters and fits query-complexity exponents, and instances supplies
+the problem generators and the classical brute-force scan.
 """
+from .algorithm import RunReport
 from .combinat import (
     NormConstants,
     a_side_labels,
@@ -29,6 +30,7 @@ from .cost_model import (
     mss_walk_size,
     nint,
     optimize_m,
+    oracle_queries,
     subset_query_count,
     table1,
     table1_csv,
@@ -37,7 +39,6 @@ from .full_sim import (
     DEFAULT_MEMCAP,
     FullState,
     MemoryCapError,
-    RunReport,
     WalkContext,
     apply_coin1,
     apply_coin2,

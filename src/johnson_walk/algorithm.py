@@ -1,0 +1,67 @@
+"""The algorithm both engines run, and the report they return.
+
+The algorithm is one loop: flip the phase of the marked subsets (P),
+then take t1 walk steps (W), and repeat t2 times.  Each engine supplies
+its own start state and its own flip and step operations; this module
+imports neither engine.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class RunReport:
+    n: int
+    m: int
+    l: int
+    t1: int
+    t2: int
+    mode: str
+    engine: str
+    success_probability: float
+    overlap_w: float
+    query_count: int
+    flags: tuple = ()
+    final_state: object = field(default=None, repr=False, compare=False)
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n, "m": self.m, "l": self.l,
+            "t1": self.t1, "t2": self.t2, "mode": self.mode,
+            "engine": self.engine,
+            "success_probability": self.success_probability,
+            "overlap_w": self.overlap_w,
+            "query_count": self.query_count,
+            "flags": list(self.flags),
+        }
+
+
+def run_walk(state, t1: int, t2: int, flip, step):
+    """Apply (W^t1 P)^t2 to state, where P = flip and W = step.
+
+    Each operation takes the state and returns the new one.
+    """
+    if t1 < 0 or t2 < 0:
+        raise ValueError("t1, t2 must be nonnegative")
+    for _ in range(t2):
+        # rightmost factor of W^t1 P acts first: flip, then walk
+        state = flip(state)
+        for _ in range(t1):
+            state = step(state)
+    return state
+
+
+def scan_flags(found) -> tuple:
+    """Report flags for a marked-set scan result (None: no scan was made).
+
+    A run is "unguaranteed" unless the scan finds exactly one marked set;
+    without a scan, a unique marked set is assumed.
+    """
+    if found is None:
+        return ("assumed_unique",)
+    if found.kind == "unique":
+        return ()
+    if found.kind == "none":
+        return ("unguaranteed", "no_marked")
+    return ("unguaranteed",)

@@ -13,12 +13,12 @@ import sys
 
 import numpy as np
 
+from .combinat import binomial
 from .cost_model import VARIANTS, choose_parameters, optimize_m, \
     rotation_count, table1_csv, walk_steps
 from .full_sim import MemoryCapError, run_algorithm
-from .instances import find_marked, load_instance, make_family
-from .reduced_sim import ReducedBasis, build_walk_matrix, embed_to_full, \
-    reduced_s, run_reduced
+from .instances import ITEM, find_marked, load_instance, make_family
+from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
 from .serialize import csv_line, dumps_report
 from .spectral import algorithm_rotation, delta_decomposition, walk_spectrum
 
@@ -38,19 +38,17 @@ def _emit(text: str, output: str | None):
         print(text)
 
 
-def _load_config(args, parser):
-    """Overlay --config file values onto fields left at their defaults."""
-    if not getattr(args, "config", None):
-        return args
+def _load_config(args) -> dict:
+    """The --config file's values, keyed by the options they set."""
     with open(args.config) as fh:
         cfg = json.load(fh)
+    values = {}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser.get_default(attr):
-            setattr(args, attr, value)
-    return args
+        values[attr] = value
+    return values
 
 
 def _build_instance(args):
@@ -78,66 +76,36 @@ def _resolve_params(n, l, args):
     return m, t1, t2
 
 
-def _reduced_report(inst, m, t1, t2):
-    found = find_marked(inst)
-    basis = ReducedBasis(inst.n, m, inst.l)
-    if found.kind == "none":
-        # P is the identity: the state never leaves |s>, nothing to find
-        rep = run_reduced(basis, t1, 0)
-        rep.t2 = t2
-        rep.success_probability = 0.0
-        rep.overlap_w = 0.0
-        rep.query_count = m + 2 * t1 * t2
-        rep.flags = rep.flags + ("no_marked",)
-        return rep, found
-    rep = run_reduced(basis, t1, t2)
-    rep.mode = inst.mode
-    if found.kind != "unique":
-        rep.flags = rep.flags + ("unguaranteed",)
-    return rep, found
-
-
 _SCAN_LIMIT = 500_000  # largest C(n, l) the brute-force scan will walk
 
 
-def _scan_feasible(n, l):
-    from .combinat import binomial
-
-    return binomial(n, l) <= _SCAN_LIMIT
-
-
 def cmd_simulate(args) -> int:
-    if args.engine == "reduced" and not getattr(args, "instance", None) \
-            and args.n is not None and not _scan_feasible(args.n, args.l):
-        # the reduced dynamics depend only on (n, m, l); at this scale no
-        # concrete value table can be scanned, so a unique marked set is
-        # assumed and flagged
-        m, t1, t2 = _resolve_params(args.n, args.l, args)
-        rep = run_reduced(ReducedBasis(args.n, m, args.l), t1, t2)
-        rep.flags = rep.flags + ("assumed_unique",)
-        out = {"command": "simulate", "family": args.family, "seed": args.seed,
-               "engine": "reduced", "reduced": rep.to_dict()}
-        _emit(dumps_report(out), args.output)
-        return 0
-
-    inst = _build_instance(args)
-    m, t1, t2 = _resolve_params(inst.n, inst.l, args)
-    out = {"command": "simulate", "family": inst.family_tag, "seed": inst.seed,
-           "engine": args.engine}
-    if args.engine in ("full", "both"):
+    # the reduced dynamics depend only on (n, m, l): past the scan limit no
+    # value table is built, and a unique marked set is assumed and flagged
+    scan = args.engine != "reduced" or getattr(args, "instance", None) \
+        or args.n is None or binomial(args.n, args.l) <= _SCAN_LIMIT
+    inst = _build_instance(args) if scan else None
+    n, l = (inst.n, inst.l) if inst else (args.n, args.l)
+    m, t1, t2 = _resolve_params(n, l, args)
+    found = find_marked(inst) if inst else None
+    out = {"command": "simulate",
+           "family": inst.family_tag if inst else args.family,
+           "seed": inst.seed if inst else args.seed, "engine": args.engine}
+    if args.engine != "full":  # first: it refuses several marked sets
+        basis = ReducedBasis(n, m, l)
+        reduced = run_reduced(basis, t1, t2, found,
+                              inst.mode if inst else ITEM)
+    if args.engine != "reduced":
         full = run_algorithm(inst, m, t1, t2)
         out["full"] = full.to_dict()
-    if args.engine in ("reduced", "both"):
-        reduced, found = _reduced_report(inst, m, t1, t2)
+    if args.engine != "full":
         out["reduced"] = reduced.to_dict()
-        if args.engine == "both" and found.kind == "unique":
-            embedded = embed_to_full(reduced.final_state,
-                                     ReducedBasis(inst.n, m, inst.l),
-                                     found.marked)
-            fs = full.final_state
-            dev = max(float(np.max(np.abs(embedded.amps_a - fs.amps_a))),
-                      float(np.max(np.abs(embedded.amps_b - fs.amps_b))))
-            out["max_state_deviation"] = dev
+    if args.engine == "both" and found.kind == "unique":
+        embedded = embed_to_full(reduced.final_state, basis, found.marked)
+        fs = full.final_state
+        dev = max(float(np.max(np.abs(embedded.amps_a - fs.amps_a))),
+                  float(np.max(np.abs(embedded.amps_b - fs.amps_b))))
+        out["max_state_deviation"] = dev
     _emit(dumps_report(out), args.output)
     return 0
 
@@ -149,11 +117,12 @@ def cmd_spectrum(args) -> int:
     m = args.m if args.m is not None else choose_parameters(n, l).m
     if not l <= m < n:
         raise ConfigError(f"need l <= m < n, got l={l}, m={m}, n={n}")
+    rotation = algorithm_rotation(n, m, l)  # first: it refuses a tiny <w|s>
     out = {
         "command": "spectrum",
         "walk_spectrum": walk_spectrum(n, m, l).to_dict(),
         "delta_decomposition": delta_decomposition(n, m, l).to_dict(),
-        "rotation": algorithm_rotation(n, m, l).to_dict(),
+        "rotation": rotation.to_dict(),
     }
     _emit(dumps_report(out), args.output)
     return 0
@@ -199,8 +168,7 @@ def cmd_cost(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    sign = -1.0 if args.inject_c2_sign_error else 1.0
-    results = run_all(_c2_offdiag_sign=sign)
+    results = run_all()
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
@@ -208,16 +176,18 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; config values replace the defaults of the options
+    they name, so an option given on the command line still wins."""
     parser = argparse.ArgumentParser(
         prog="johnson-walk",
         description="Exact quantum-walk subset-finding simulator and analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subparser_map = {}
 
     def common(p):
         p.add_argument("--config", help="JSON file with RunConfig fields")
         p.add_argument("--output", help="write to file instead of stdout")
+        p.set_defaults(**(config or {}))
 
     p = sub.add_parser("simulate", help="run (W^t1 P)^t2 on an instance")
     p.add_argument("--family", default="element-distinctness")
@@ -259,20 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("verify", help="run the named invariant suite")
-    p.add_argument("--inject-c2-sign-error", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
-
-    for action in sub.choices.items():
-        parser.subparser_map[action[0]] = action[1]
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _load_config(args, parser.subparser_map[args.command])
+        if getattr(args, "config", None):
+            args = build_parser(_load_config(args)).parse_args(argv)
         return args.func(args)
     except MemoryCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

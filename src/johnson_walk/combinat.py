@@ -63,12 +63,6 @@ class NormConstants:
     c_total: int = 0
     d_total: int = 0
 
-    def ratio(self, j: int, p: int) -> float:
-        """c_{j,p} / c_total as a float (exact integer ratio, rounded once)."""
-        from fractions import Fraction
-
-        return float(Fraction(self.c_jp[(j, p)], self.c_total))
-
 
 def _falling(x: int, k: int) -> int:
     out = 1

@@ -1,9 +1,10 @@
 """Parameter selection and query-cost models.
 
 Walk parameters (m, t1, t2) for subset finding, the exact query count
-m + 2 t1 t2, and the clique/subgraph cost formulas with their exponent
-table.  Costs are leading-order with unit constants; the contract is
-the exponent fit, not the absolute count.
+(m + 2 t1 t2 with item oracles, C(m, 2) + 2m t1 t2 with edge oracles),
+and the clique/subgraph cost formulas with their exponent table.
+Costs are leading-order with unit constants; the contract is the
+exponent fit, not the absolute count.
 
 Note on t2: each application of W^t1 P advances the rotation angle by
 about 2 (m/n)^{l/2}, and the start state must be carried a quarter
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .instances import ITEM
 
 SIMPLE = "simple"
 RECURSIVE = "recursive"
@@ -68,13 +71,24 @@ def choose_parameters(n: int, l: int) -> ParameterChoice:
         raise ValueError(f"n={n} too small for l={l} (m={m})")
     t1, t2 = walk_steps(m, l), rotation_count(n, m, l)
     return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2,
-                           total_queries=m + 2 * t1 * t2,
+                           total_queries=oracle_queries(m, t1, t2),
                            exponent_target=Fraction(l, l + 1))
+
+
+def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:
+    """Exact oracle budget of the full algorithm at walk size m.
+
+    Item oracles: m to load the start subset, then 2 per walk step (one
+    element leaves, one joins).  Edge oracles: C(m, 2), then 2m per step.
+    """
+    if mode == ITEM:
+        return m + 2 * t1 * t2
+    return m * (m - 1) // 2 + 2 * m * t1 * t2
 
 
 def subset_query_count(params: ParameterChoice) -> int:
     """Exact oracle budget m + 2 t1 t2 of the full algorithm."""
-    return params.m + 2 * params.t1 * params.t2
+    return oracle_queries(params.m, params.t1, params.t2)
 
 
 def mss_walk_size(n: int, l: int) -> int:

@@ -13,12 +13,13 @@ inversion per subset row, the shift is a precomputed permutation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import binomial, unrank_subset
-from .instances import ITEM, PAIRWISE, MarkedSet, ProblemInstance, find_marked
+from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 
 DEFAULT_MEMCAP = 2 ** 27
 A_SIDE = "a"
@@ -226,59 +227,22 @@ def apply_phase_flip(state: FullState, marked) -> FullState:
     return state
 
 
-@dataclass
-class RunReport:
-    n: int
-    m: int
-    l: int
-    t1: int
-    t2: int
-    mode: str
-    engine: str
-    success_probability: float
-    overlap_w: float
-    query_count: int
-    flags: tuple = ()
-    final_state: object = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l,
-            "t1": self.t1, "t2": self.t2, "mode": self.mode,
-            "engine": self.engine,
-            "success_probability": self.success_probability,
-            "overlap_w": self.overlap_w,
-            "query_count": self.query_count,
-            "flags": list(self.flags),
-        }
-
-
 def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int,
                   memcap: int | None = None) -> RunReport:
     """Run (W^t1 P)^t2 on the uniform start state, exactly.
 
     success_probability sums |amp|^2 over m-subsets containing a marked
     set; overlap_w is the squared overlap with the uniform marked-block
-    state.  Runs are flagged "unguaranteed" unless the scan finds
-    exactly one marked subset.
+    state.  The query count is the state's running counter.
     """
     found = find_marked(instance)
-    flags = []
-    if found.kind != "unique":
-        flags.append("unguaranteed")
-    if found.kind == "none":
-        flags.append("no_marked")
-
-    state = prepare_s(instance, m, memcap)
-    for _ in range(t2):
-        # rightmost factor of W^t1 P acts first: flip, then walk
-        if found.count:
-            apply_phase_flip(state, list(found.all_marked))
-        for _ in range(t1):
-            apply_walk_step(state, instance)
+    marked = list(found.all_marked)
+    state = run_walk(prepare_s(instance, m, memcap), t1, t2,
+                     flip=lambda s: apply_phase_flip(s, marked),
+                     step=lambda s: apply_walk_step(s, instance))
 
     if found.count:
-        mask = state.ctx.marked_row_mask(list(found.all_marked))
+        mask = state.ctx.marked_row_mask(marked)
         block = state.amps_a[mask, :]
         success = float(np.sum(np.abs(block) ** 2))
         overlap_w = float(np.abs(block.sum()) ** 2 / block.size) if block.size else 0.0
@@ -288,7 +252,7 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int,
     return RunReport(n=instance.n, m=m, l=instance.l, t1=t1, t2=t2,
                      mode=instance.mode, engine="full",
                      success_probability=success, overlap_w=overlap_w,
-                     query_count=state.query_count, flags=tuple(flags),
+                     query_count=state.query_count, flags=scan_flags(found),
                      final_state=state)
 
 

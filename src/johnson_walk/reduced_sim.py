@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import NormConstants, a_side_labels, b_side_labels, \
     norm_constants, symmetric_ratio
-from .full_sim import FullState, RunReport, get_context, zero_state
-from .instances import MarkedSet
+from .cost_model import oracle_queries
+from .full_sim import FullState, get_context, zero_state
+from .instances import ITEM, MarkedSet
 
 
 @dataclass(frozen=True)
@@ -65,17 +67,14 @@ def coin1_matrix(basis: ReducedBasis) -> np.ndarray:
     return c1
 
 
-def coin2_matrix_b(basis: ReducedBasis, _offdiag_sign: float = 1.0) -> np.ndarray:
+def coin2_matrix_b(basis: ReducedBasis) -> np.ndarray:
     """Diffusion over coins inside the subset, on the b-side labels."""
     l, beta = basis.l, basis.beta
     labels = b_side_labels(l)
     c2 = np.eye(basis.dim)
     for j in range(1, l + 1):
         i0, i1 = labels.index((j, 0)), labels.index((j, 1))
-        block = _reflection_block(beta * j)
-        block[0, 1] *= _offdiag_sign
-        block[1, 0] *= _offdiag_sign
-        c2[np.ix_([i0, i1], [i0, i1])] = block
+        c2[np.ix_([i0, i1], [i0, i1])] = _reflection_block(beta * j)
     return c2
 
 
@@ -90,10 +89,10 @@ def shift_permutation(basis: ReducedBasis) -> np.ndarray:
     return s
 
 
-def build_walk_matrix(basis: ReducedBasis, _c2_offdiag_sign: float = 1.0) -> np.ndarray:
+def build_walk_matrix(basis: ReducedBasis) -> np.ndarray:
     """One walk step (S C2 S) C1 as a real orthogonal (2l+1) matrix."""
     c1 = coin1_matrix(basis)
-    c2 = coin2_matrix_b(basis, _c2_offdiag_sign)
+    c2 = coin2_matrix_b(basis)
     s = shift_permutation(basis)
     return s.T @ c2 @ s @ c1
 
@@ -112,28 +111,30 @@ def apply_phase_flip_reduced(state: np.ndarray, basis: ReducedBasis) -> np.ndarr
     return out
 
 
-def run_reduced(basis: ReducedBasis, t1: int, t2: int) -> RunReport:
+def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
+                mode: str = ITEM) -> RunReport:
     """Apply (W^t1 P)^t2 to the start state by repeated multiplication.
 
-    The query count is modeled (m + 2 t1 t2): no oracle exists in the
-    reduced picture, it is what the full algorithm would spend.
+    found is the instance's marked-set scan (None: a unique marked set is
+    assumed).  The subspace models one marked set, so several are refused;
+    with none, P is the identity.  The query count is modeled: it is what
+    the full algorithm would spend with the given oracle mode.
     """
-    if t1 < 0 or t2 < 0:
-        raise ValueError("t1, t2 must be nonnegative")
+    if found is not None and found.kind == "multiple":
+        raise ValueError(
+            f"the scan found {found.count} marked sets, but the reduced engine "
+            f"models exactly one; use the full engine (--engine full)")
+    marked = found is None or found.kind == "unique"
     w = build_walk_matrix(basis)
-    state = reduced_s(basis).astype(float)
-    w_idx = basis.index(basis.l, 0)
-    for _ in range(t2):
-        # rightmost factor of W^t1 P acts first: flip, then walk
-        state[w_idx] *= -1.0
-        for _ in range(t1):
-            state = w @ state
-    overlap_w = float(state[w_idx] ** 2)
+    flip = (lambda s: apply_phase_flip_reduced(s, basis)) if marked else (lambda s: s)
+    state = run_walk(reduced_s(basis), t1, t2, flip, w.__matmul__)
+    overlap_w = float(state[basis.index(basis.l, 0)] ** 2) if marked else 0.0
     return RunReport(n=basis.n, m=basis.m, l=basis.l, t1=t1, t2=t2,
-                     mode="item", engine="reduced",
+                     mode=mode, engine="reduced",
                      success_probability=overlap_w, overlap_w=overlap_w,
-                     query_count=basis.m + 2 * t1 * t2,
-                     flags=("modeled_queries",), final_state=state)
+                     query_count=oracle_queries(basis.m, t1, t2, mode),
+                     flags=("modeled_queries",) + scan_flags(found),
+                     final_state=state)
 
 
 def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,

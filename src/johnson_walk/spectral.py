@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .combinat import norm_constants
+from .combinat import symmetric_ratio
 from .cost_model import nint, walk_steps
 from .reduced_sim import ReducedBasis, build_walk_matrix, reduced_s
 
@@ -395,6 +395,9 @@ def algorithm_rotation(n: int, m: int | None = None, l: int = 2) -> RotationRepo
     if m is None:
         m = nint(n ** (l / (l + 1)))
     basis = ReducedBasis(n, m, l)
+    ws = math.sqrt(symmetric_ratio(n, m, l, l, 0))
+    if ws == 0.0:
+        raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
     t1 = walk_steps(m, l)
     w_step = build_walk_matrix(basis)
     u = np.linalg.matrix_power(w_step, t1)
@@ -407,8 +410,6 @@ def algorithm_rotation(n: int, m: int | None = None, l: int = 2) -> RotationRepo
     th_a, th_b = spectrum.thetas[order[0]], spectrum.thetas[order[1]]
     theta_plus, theta_minus = (th_a, th_b) if th_a > 0 else (th_b, th_a)
 
-    nc = norm_constants(n, m, l)
-    ws = math.sqrt(nc.ratio(l, 0))
     ratio_plus = abs(theta_plus) / (2.0 * ws)
     ratio_minus = abs(theta_minus) / (2.0 * ws)
 

@@ -3,12 +3,6 @@
 Each check returns a pass/fail verdict with a one-line diagnostic, so
 a failure names the broken invariant instead of just crashing.  The
 whole suite runs at desk scale in well under a minute.
-
-The _c2_offdiag_sign argument threads a deliberate sign error into the
-second coin of the reduced engine; it exists so the test suite can
-confirm that a broken operator is actually caught here (the mutated
-walk matrix is still orthogonal, but no longer fixes the start state
-or matches the full engine).
 """
 from __future__ import annotations
 
@@ -18,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import a_side_labels, b_side_labels, binomial, norm_constants, \
-    rank_subset, unrank_subset
-from .cost_model import choose_parameters, optimize_m, table1
+from .combinat import binomial, norm_constants, rank_subset, unrank_subset
+from .cost_model import choose_parameters, optimize_m, oracle_queries, table1
 from .full_sim import apply_coin1, apply_coin2, apply_phase_flip, apply_shift, \
-    get_context, prepare_s, run_algorithm, zero_state
+    get_context, run_algorithm, zero_state
 from .instances import MarkedSet, find_marked, make_family
 from .reduced_sim import ReducedBasis, build_walk_matrix, embed_to_full, \
     reduced_s, run_reduced
@@ -111,42 +104,36 @@ def check_reflections(seed: int = 0, trials: int = 50) -> CheckResult:
                        f"worst deviation {worst:.3e}")
 
 
-def check_walk_fixes_start(_c2_offdiag_sign: float = 1.0) -> CheckResult:
+def check_walk_fixes_start() -> CheckResult:
     """W |s> = |s> in the reduced picture across a small grid."""
     worst = 0.0
     for n, m, l in [(9, 4, 2), (12, 5, 2), (20, 7, 3), (30, 11, 1)]:
         basis = ReducedBasis(n, m, l)
-        w = build_walk_matrix(basis, _c2_offdiag_sign)
+        w = build_walk_matrix(basis)
         s = reduced_s(basis)
         worst = max(worst, float(np.max(np.abs(w @ s - s))))
     return CheckResult("walk-fixes-start-state", worst <= 1e-12,
                        f"max |W s - s| = {worst:.3e}")
 
 
-def check_walk_orthogonal(_c2_offdiag_sign: float = 1.0) -> CheckResult:
+def check_walk_orthogonal() -> CheckResult:
     worst = 0.0
     for n, m, l in [(9, 4, 2), (50, 14, 3), (1000, 100, 2)]:
         basis = ReducedBasis(n, m, l)
-        w = build_walk_matrix(basis, _c2_offdiag_sign)
+        w = build_walk_matrix(basis)
         worst = max(worst, float(np.max(np.abs(w.T @ w - np.eye(basis.dim)))))
     return CheckResult("walk-matrix-orthogonal", worst <= 1e-12,
                        f"max |W^T W - I| = {worst:.3e}")
 
 
-def check_full_reduced_agreement(_c2_offdiag_sign: float = 1.0) -> CheckResult:
+def check_full_reduced_agreement() -> CheckResult:
     """Both engines run (W^t1 P)^t2 at n=9, m=4, l=2 and must agree."""
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    found = find_marked(inst)
     basis = ReducedBasis(9, 4, 2)
     full = run_algorithm(inst, 4, 2, 2)
-    w = build_walk_matrix(basis, _c2_offdiag_sign)
-    state = reduced_s(basis)
-    w_idx = basis.index(2, 0)
-    for _ in range(2):
-        state[w_idx] *= -1.0
-        for _ in range(2):
-            state = w @ state
-    embedded = embed_to_full(state, basis, marked)
+    reduced = run_reduced(basis, 2, 2, found, inst.mode)
+    embedded = embed_to_full(reduced.final_state, basis, found.marked)
     dev = float(max(np.max(np.abs(embedded.amps_a - full.final_state.amps_a)),
                     np.max(np.abs(embedded.amps_b - full.final_state.amps_b))))
     return CheckResult("full-reduced-agreement", dev <= 1e-9,
@@ -155,11 +142,14 @@ def check_full_reduced_agreement(_c2_offdiag_sign: float = 1.0) -> CheckResult:
 
 def check_query_accounting() -> CheckResult:
     bad = []
-    for n, l, seed in [(9, 2, 1), (10, 2, 3), (8, 3, 5)]:
+    for family, n, l, seed in [("l-distinctness", 9, 2, 1),
+                               ("l-distinctness", 10, 2, 3),
+                               ("l-distinctness", 8, 3, 5),
+                               ("l-clique", 8, 3, 5)]:
         p = choose_parameters(n, l)
-        inst = make_family("l-distinctness", n=n, l=l, seed=seed)
+        inst = make_family(family, n=n, l=l, seed=seed)
         rep = run_algorithm(inst, p.m, p.t1, p.t2)
-        if rep.query_count != p.m + 2 * p.t1 * p.t2:
+        if rep.query_count != oracle_queries(p.m, p.t1, p.t2, inst.mode):
             bad.append((n, l, rep.query_count))
     return CheckResult("query-accounting-exact", not bad,
                        f"mismatches: {bad}" if bad else "all counters exact")
@@ -278,16 +268,7 @@ ALL_CHECKS = (
     check_final_overlap,
 )
 
-_MUTABLE = {"check_walk_orthogonal", "check_walk_fixes_start",
-            "check_full_reduced_agreement"}
 
-
-def run_all(_c2_offdiag_sign: float = 1.0):
-    """Run every named check; the sign hook reaches the reduced-coin checks."""
-    results = []
-    for check in ALL_CHECKS:
-        if check.__name__ in _MUTABLE:
-            results.append(check(_c2_offdiag_sign))
-        else:
-            results.append(check())
-    return results
+def run_all():
+    """Run every named check."""
+    return [check() for check in ALL_CHECKS]

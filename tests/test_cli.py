@@ -92,6 +92,35 @@ def test_config_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_spectrum_underflowed_overlap_exit_2(capsys):
+    """<w|s>^2 underflows to 0.0 here; no inf may reach the JSON."""
+    code, out, err = run_cli(capsys, "spectrum", "--n", "10000000",
+                             "--m", "200", "--l", "200")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "underflow" in err
+
+
+@pytest.mark.parametrize("engine", ["reduced", "both"])
+def test_reduced_refuses_several_marked_sets(capsys, tmp_path, engine):
+    """Two disjoint collisions: the reduced engine models only one."""
+    path = tmp_path / "two_collisions.json"
+    path.write_text(json.dumps({
+        "n": 9, "l": 2, "mode": "item", "values": [1, 1, 2, 2, 3, 4, 5, 6, 7],
+        "property": {"family": "element-distinctness", "params": {}},
+        "seed": None}))
+    argv = ("simulate", "--instance", str(path), "--m", "4", "--t1", "2",
+            "--t2", "2")
+    code, out, err = run_cli(capsys, *argv, "--engine", engine)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "found 2 marked sets" in err and "--engine full" in err
+    code, out, _ = run_cli(capsys, *argv, "--engine", "full")
+    assert code == 0
+    assert "unguaranteed" in json.loads(out)["full"]["flags"]
+
+
 def test_memcap_exit_3(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "40", "--l", "2",
                            "--engine", "full")
@@ -165,7 +194,8 @@ def test_config_file(capsys, tmp_path):
 
 
 def test_config_fills_only_options_left_at_default(capsys, tmp_path):
-    """An explicit --t2 0 wins over the file; an omitted --t2 takes it."""
+    """An explicit --t2 0 wins over the file; an omitted --t2 takes it.
+    An explicit value equal to its default (--seed 0) wins too."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"t2": 5}))
     base = ("simulate", "--n", "9", "--seed", "1", "--config", str(cfg))
@@ -175,6 +205,12 @@ def test_config_fills_only_options_left_at_default(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *base)
     assert code == 0
     assert json.loads(out)["reduced"]["t2"] == 5
+    seed_cfg = tmp_path / "seed.json"
+    seed_cfg.write_text(json.dumps({"seed": 5}))
+    code, out, _ = run_cli(capsys, "simulate", "--n", "9", "--seed", "0",
+                           "--config", str(seed_cfg))
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
 
 
 def test_config_file_unknown_key(capsys, tmp_path):

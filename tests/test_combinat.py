@@ -146,7 +146,7 @@ def test_norm_constants_no_overflow():
     # hundreds of digits; everything must stay exact
     nc = norm_constants(500, 120, 3)
     assert sum(nc.c_jp.values()) == nc.c_total
-    assert nc.ratio(3, 0) > 0.0
+    assert nc.c_jp[(3, 0)] / nc.c_total > 0.0
 
 
 def test_norm_constants_validation():

@@ -175,7 +175,7 @@ def test_w_s_overlap_expressions():
     """sqrt(c_{l,0}/c) equals the factorial form and ~ (m/n)^{l/2}."""
     for n, m, l in [(100, 40, 2), (1000, 178, 3), (10 ** 4, 464, 2)]:
         nc = norm_constants(n, m, l)
-        ws = math.sqrt(nc.ratio(l, 0))
+        ws = math.sqrt(nc.c_jp[(l, 0)] / nc.c_total)
         factorial_form = math.sqrt(
             math.factorial(n - l) * math.factorial(m)
             / (math.factorial(n) * math.factorial(m - l)))

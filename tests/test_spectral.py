@@ -245,7 +245,7 @@ def test_rotation_t1_fixture():
     rep = algorithm_rotation(9, 4, 2)
     assert rep.t1 == 2
     nc = norm_constants(9, 4, 2)
-    assert abs(rep.w_s_overlap - math.sqrt(nc.ratio(2, 0))) < 1e-15
+    assert abs(rep.w_s_overlap - math.sqrt(nc.c_jp[(2, 0)] / nc.c_total)) < 1e-15
 
 
 def test_root_count_conservation():

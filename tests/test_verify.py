@@ -1,4 +1,7 @@
-"""The verify invariant suite and its built-in mutation check."""
+"""The verify invariant suite, and a mutation it must catch."""
+import numpy as np
+
+from johnson_walk import reduced_sim
 from johnson_walk.verify import run_all
 
 
@@ -8,8 +11,20 @@ def test_all_checks_pass():
     assert [r.name for r in results if not r.passed] == []
 
 
-def test_c2_sign_error_fails_exactly_the_state_checks():
-    """The mutated walk matrix stays orthogonal, so only the two checks
-    that compare it against the start state or the full engine fail."""
-    failed = [r.name for r in run_all(_c2_offdiag_sign=-1.0) if not r.passed]
-    assert failed == ["walk-fixes-start-state", "full-reduced-agreement"]
+def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
+    """Negate every off-diagonal entry of the reduced second coin.
+
+    The mutated walk matrix stays orthogonal, so the checks that fail are
+    the ones that compare the walk against the start state, the full
+    engine, or the overlap the algorithm must reach.
+    """
+    coin2 = reduced_sim.coin2_matrix_b
+
+    def mutated(basis):
+        c2 = coin2(basis)
+        return 2.0 * np.diag(np.diag(c2)) - c2
+
+    monkeypatch.setattr(reduced_sim, "coin2_matrix_b", mutated)
+    failed = [r.name for r in run_all() if not r.passed]
+    assert failed == ["walk-fixes-start-state", "full-reduced-agreement",
+                      "large-n-final-overlap"]
