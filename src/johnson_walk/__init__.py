@@ -31,7 +31,6 @@ from .cost_model import (
     nint,
     optimize_m,
     oracle_queries,
-    subset_query_count,
     table1,
     table1_csv,
 )

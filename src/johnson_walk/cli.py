@@ -15,9 +15,9 @@ import numpy as np
 
 from .combinat import binomial
 from .cost_model import VARIANTS, choose_parameters, optimize_m, \
-    rotation_count, table1_csv, walk_steps
+    table1_csv, walk_size
 from .full_sim import MemoryCapError, run_algorithm
-from .instances import ITEM, find_marked, load_instance, make_family
+from .instances import FAMILIES, find_marked, load_instance, make_family
 from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
 from .serialize import csv_line, dumps_report
 from .spectral import algorithm_rotation, delta_decomposition, walk_spectrum
@@ -38,65 +38,69 @@ def _emit(text: str, output: str | None):
         print(text)
 
 
-def _load_config(args) -> dict:
-    """The --config file's values, keyed by the options they set."""
+def _config_tokens(args) -> list:
+    """The --config file's values as option tokens, so that argparse checks
+    them as it checks the command line.  A flag takes true or false, an
+    option of several values a list, any other option a number or string;
+    null leaves an option at its default."""
     with open(args.config) as fh:
         cfg = json.load(fh)
-    values = {}
+    if not isinstance(cfg, dict):
+        raise ConfigError("a config file holds one JSON object")
+    tokens = []
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "func") or not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        values[attr] = value
-    return values
-
-
-def _build_instance(args):
-    if getattr(args, "instance", None):
-        return load_instance(args.instance)
-    if args.n is None:
-        raise ConfigError("either --instance or --n is required")
-    params = {"n": args.n, "seed": args.seed, "planted": not args.no_plant}
-    if args.family != "element-distinctness":
-        params["l"] = args.l
-    elif args.l != 2:
-        raise ConfigError("element-distinctness is an l=2 family")
-    return make_family(args.family, **params)
-
-
-def _resolve_params(n, l, args):
-    if args.m is None and args.t1 is None and args.t2 is None:
-        p = choose_parameters(n, l)
-        return p.m, p.t1, p.t2
-    m = args.m if args.m is not None else choose_parameters(n, l).m
-    if not l <= m < n:
-        raise ConfigError(f"need l <= m < n, got l={l}, m={m}, n={n}")
-    t1 = args.t1 if args.t1 is not None else walk_steps(m, l)
-    t2 = args.t2 if args.t2 is not None else rotation_count(n, m, l)
-    return m, t1, t2
+        if value is None:
+            continue
+        option = "--" + attr.replace("_", "-")
+        flag = isinstance(getattr(args, attr), bool)  # a store_true option
+        values = value if isinstance(value, list) and not flag else [value]
+        if not all(isinstance(v, bool) == flag and isinstance(v, (int, float, str))
+                   for v in values):
+            raise ConfigError(f"bad value {value!r} for config key {key!r}")
+        tokens += ([option] if value else []) if flag else [option, *map(str, values)]
+    return tokens
 
 
 _SCAN_LIMIT = 500_000  # largest C(n, l) the brute-force scan will walk
 
 
+def _build_instance(args, family):
+    """The instance to run, or None past the scan limit with the reduced
+    engine: its dynamics depend only on (n, m, l), so no value table is
+    built, a unique marked set is assumed and flagged, and with --family
+    left out any l runs in the default family's item mode."""
+    if args.instance:
+        return load_instance(args.instance)
+    if args.n is None:
+        raise ConfigError("either --instance or --n is required")
+    if args.family == "custom":
+        raise ConfigError("the custom family needs --instance")
+    if args.family == "element-distinctness" and args.l != 2:
+        raise ConfigError("element-distinctness is an l=2 family")
+    if args.engine == "reduced" and binomial(args.n, args.l) > _SCAN_LIMIT:
+        return None
+    return make_family(family, n=args.n, l=args.l, seed=args.seed,
+                       planted=not args.no_plant)
+
+
 def cmd_simulate(args) -> int:
-    # the reduced dynamics depend only on (n, m, l): past the scan limit no
-    # value table is built, and a unique marked set is assumed and flagged
-    scan = args.engine != "reduced" or getattr(args, "instance", None) \
-        or args.n is None or binomial(args.n, args.l) <= _SCAN_LIMIT
-    inst = _build_instance(args) if scan else None
-    n, l = (inst.n, inst.l) if inst else (args.n, args.l)
-    m, t1, t2 = _resolve_params(n, l, args)
+    family = args.family or "element-distinctness"
+    inst = _build_instance(args, family)
+    n, l, mode = (inst.n, inst.l, inst.mode) if inst else \
+        (args.n, args.l, FAMILIES[family].mode)
+    p = choose_parameters(n, l, args.m, args.t1, args.t2)
     found = find_marked(inst) if inst else None
     out = {"command": "simulate",
-           "family": inst.family_tag if inst else args.family,
+           "family": inst.family_tag if inst else family,
            "seed": inst.seed if inst else args.seed, "engine": args.engine}
     if args.engine != "full":  # first: it refuses several marked sets
-        basis = ReducedBasis(n, m, l)
-        reduced = run_reduced(basis, t1, t2, found,
-                              inst.mode if inst else ITEM)
+        basis = ReducedBasis(n, p.m, l)
+        reduced = run_reduced(basis, p.t1, p.t2, found, mode)
     if args.engine != "reduced":
-        full = run_algorithm(inst, m, t1, t2)
+        full = run_algorithm(inst, p.m, p.t1, p.t2)
         out["full"] = full.to_dict()
     if args.engine != "full":
         out["reduced"] = reduced.to_dict()
@@ -114,9 +118,7 @@ def cmd_spectrum(args) -> int:
     if args.n is None:
         raise ConfigError("--n is required")
     n, l = args.n, args.l
-    m = args.m if args.m is not None else choose_parameters(n, l).m
-    if not l <= m < n:
-        raise ConfigError(f"need l <= m < n, got l={l}, m={m}, n={n}")
+    m = walk_size(n, l, args.m)
     rotation = algorithm_rotation(n, m, l)  # first: it refuses a tiny <w|s>
     out = {
         "command": "spectrum",
@@ -176,9 +178,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; config values replace the defaults of the options
-    they name, so an option given on the command line still wins."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="johnson-walk",
         description="Exact quantum-walk subset-finding simulator and analyzer")
@@ -187,10 +187,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file with RunConfig fields")
         p.add_argument("--output", help="write to file instead of stdout")
-        p.set_defaults(**(config or {}))
 
     p = sub.add_parser("simulate", help="run (W^t1 P)^t2 on an instance")
-    p.add_argument("--family", default="element-distinctness")
+    p.add_argument("--family", choices=tuple(FAMILIES))
     p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int, default=2)
@@ -234,10 +233,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the CLI.  --config values go in as option tokens right after the
+    subcommand, so an option given on the command line still wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args = build_parser(_load_config(args)).parse_args(argv)
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return args.func(args)
     except MemoryCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

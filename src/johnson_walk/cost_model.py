@@ -48,6 +48,17 @@ class ParameterChoice:
                 "exponent_target": float(self.exponent_target)}
 
 
+def walk_size(n: int, l: int, m: int | None = None) -> int:
+    """Walk size m = nint(n^{l/(l+1)}) unless m is given; l <= m < n."""
+    if not 1 <= l < n:
+        raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
+    if m is None:
+        m = nint(n ** (l / (l + 1)))
+    if not l <= m < n:
+        raise ValueError(f"need l <= m < n, got l={l}, m={m}, n={n}")
+    return m
+
+
 def walk_steps(m: int, l: int) -> int:
     """Walk steps per rotation at walk size m: t1 = nint((pi/2) sqrt(m/l))."""
     return nint((math.pi / 2.0) * math.sqrt(m / l))
@@ -56,20 +67,24 @@ def walk_steps(m: int, l: int) -> int:
 def rotation_count(n: int, m: int, l: int) -> int:
     """Rotations at walk size m: t2 = nint((pi/4) (n/m)^{l/2}).
 
-    Kept apart from walk_steps because (n/m)^{l/2} overflows a float for
-    some inputs (n=10^7, m=l=200) at which t1 alone is still needed.
+    (n/m)^{l/2} overflows a float at some valid (n, m, l), such as n=10^7,
+    m=l=200, where only a given t2 lets choose_parameters go on.
     """
-    return nint((math.pi / 4.0) * (n / m) ** (l / 2.0))
+    try:
+        return nint((math.pi / 4.0) * (n / m) ** (l / 2.0))
+    except OverflowError:
+        raise ValueError(f"(n/m)^(l/2) overflows a float at n={n}, m={m}, "
+                         f"l={l}; give t2") from None
 
 
-def choose_parameters(n: int, l: int) -> ParameterChoice:
-    """Walk size m = nint(n^{l/(l+1)}) and its iteration counts."""
-    if l < 1:
-        raise ValueError("l must be positive")
-    m = nint(n ** (l / (l + 1)))
-    if not l <= m < n:
-        raise ValueError(f"n={n} too small for l={l} (m={m})")
-    t1, t2 = walk_steps(m, l), rotation_count(n, m, l)
+def choose_parameters(n: int, l: int, m: int | None = None,
+                      t1: int | None = None,
+                      t2: int | None = None) -> ParameterChoice:
+    """The walk parameters at (n, l): each of m, t1, t2 that is given is
+    kept, each other one comes from walk_size, walk_steps, rotation_count."""
+    m = walk_size(n, l, m)
+    t1 = walk_steps(m, l) if t1 is None else t1
+    t2 = rotation_count(n, m, l) if t2 is None else t2
     return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2,
                            total_queries=oracle_queries(m, t1, t2),
                            exponent_target=Fraction(l, l + 1))
@@ -84,11 +99,6 @@ def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:
     if mode == ITEM:
         return m + 2 * t1 * t2
     return m * (m - 1) // 2 + 2 * m * t1 * t2
-
-
-def subset_query_count(params: ParameterChoice) -> int:
-    """Exact oracle budget m + 2 t1 t2 of the full algorithm."""
-    return oracle_queries(params.m, params.t1, params.t2)
 
 
 def mss_walk_size(n: int, l: int) -> int:

@@ -22,8 +22,6 @@ from .combinat import binomial, unrank_subset
 from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 
 DEFAULT_MEMCAP = 2 ** 27
-A_SIDE = "a"
-B_SIDE = "b"
 
 _context_cache: dict = {}
 
@@ -75,10 +73,10 @@ class WalkContext:
     a-pair (r, slot) has coin k = the slot-th False of member[r].
     """
 
-    def __init__(self, n: int, m: int, memcap: int | None = None):
+    def __init__(self, n: int, m: int):
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= m < n, got n={n}, m={m}")
-        cap = memcap if memcap is not None else memory_cap()
+        cap = memory_cap()
         self.n, self.m = n, m
         self.num_a = binomial(n, m)
         self.num_b = binomial(n, m + 1)
@@ -132,13 +130,10 @@ class WalkContext:
         return mask
 
 
-def get_context(n: int, m: int, memcap: int | None = None) -> WalkContext:
+def get_context(n: int, m: int) -> WalkContext:
     key = (n, m)
-    if key not in _context_cache or memcap is not None:
-        ctx = WalkContext(n, m, memcap)
-        if memcap is None:
-            _context_cache[key] = ctx
-        return ctx
+    if key not in _context_cache:
+        _context_cache[key] = WalkContext(n, m)
     return _context_cache[key]
 
 
@@ -148,12 +143,11 @@ class FullState:
     ctx: WalkContext
     amps_a: np.ndarray
     amps_b: np.ndarray
-    side: str
     query_count: int = 0
 
     def copy(self) -> "FullState":
         return FullState(self.ctx, self.amps_a.copy(), self.amps_b.copy(),
-                         self.side, self.query_count)
+                         self.query_count)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps_a) ** 2)
@@ -163,18 +157,17 @@ class FullState:
 def zero_state(ctx: WalkContext) -> FullState:
     a = np.zeros((ctx.num_a, ctx.n - ctx.m), dtype=complex)
     b = np.zeros((ctx.num_b, ctx.m + 1), dtype=complex)
-    return FullState(ctx, a, b, A_SIDE)
+    return FullState(ctx, a, b)
 
 
-def prepare_s(instance: ProblemInstance, m: int,
-              memcap: int | None = None) -> FullState:
+def prepare_s(instance: ProblemInstance, m: int) -> FullState:
     """Uniform superposition over all legal (A, k) pairs on the m-side.
 
     Costs m oracle queries in item mode, C(m, 2) in pairwise mode.
     """
     if not instance.l <= m < instance.n:
         raise ValueError(f"need l <= m < n, got l={instance.l}, m={m}, n={instance.n}")
-    ctx = get_context(instance.n, m, memcap)
+    ctx = get_context(instance.n, m)
     state = zero_state(ctx)
     state.amps_a[:] = 1.0 / np.sqrt(ctx.dim_a)
     state.query_count = m if instance.mode == ITEM else binomial(m, 2)
@@ -203,8 +196,6 @@ def apply_shift(state: FullState) -> FullState:
     new_b[ctx.shift_map] = state.amps_a.reshape(-1)
     state.amps_a = new_a
     state.amps_b = new_b.reshape(state.amps_b.shape)
-    if state.side in (A_SIDE, B_SIDE):
-        state.side = B_SIDE if state.side == A_SIDE else A_SIDE
     return state
 
 
@@ -227,8 +218,7 @@ def apply_phase_flip(state: FullState, marked) -> FullState:
     return state
 
 
-def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int,
-                  memcap: int | None = None) -> RunReport:
+def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunReport:
     """Run (W^t1 P)^t2 on the uniform start state, exactly.
 
     success_probability sums |amp|^2 over m-subsets containing a marked
@@ -237,7 +227,7 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int,
     """
     found = find_marked(instance)
     marked = list(found.all_marked)
-    state = run_walk(prepare_s(instance, m, memcap), t1, t2,
+    state = run_walk(prepare_s(instance, m), t1, t2,
                      flip=lambda s: apply_phase_flip(s, marked),
                      step=lambda s: apply_walk_step(s, instance))
 

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .combinat import binomial
 
@@ -154,10 +155,12 @@ def _draw_distinct(rng, n, lo, hi):
     return rng.sample(range(lo, hi), n)
 
 
-def _build(n, l, mode, values, family, params, predicate, seed):
-    return ProblemInstance(n=n, l=l, mode=mode, values=tuple(values),
+def _build(family, n, l, values, params, seed):
+    """An instance of a FAMILIES entry: its mode and predicate come from there."""
+    fam = FAMILIES[family]
+    return ProblemInstance(n=n, l=l, mode=fam.mode, values=tuple(values),
                            family_tag=family, property_params=dict(params),
-                           predicate=predicate, seed=seed)
+                           predicate=fam.predicate(params), seed=seed)
 
 
 def _plant_loop(make_candidate, want_unique):
@@ -177,28 +180,20 @@ def _plant_loop(make_candidate, want_unique):
 
 
 def make_family(family: str, **params) -> ProblemInstance:
-    """Build a ProblemInstance from one of the named generators.
+    """Build a ProblemInstance from one of the FAMILIES generators.
 
-    Families: element-distinctness, l-distinctness, zero-sum-xor,
-    sum-mod-q, consecutive, l-clique, custom.  All generators take an
-    explicit seed and a planted flag; planted instances are guaranteed
-    (by scan) to have exactly one marked subset, unplanted ones none.
+    All generators but custom's take an explicit seed and a planted flag;
+    planted instances are guaranteed (by scan) to have exactly one marked
+    subset, unplanted ones none.
     """
-    builders = {
-        "element-distinctness": _gen_element_distinctness,
-        "l-distinctness": _gen_l_distinctness,
-        "zero-sum-xor": _gen_zero_sum_xor,
-        "sum-mod-q": _gen_sum_mod_q,
-        "consecutive": _gen_consecutive,
-        "l-clique": _gen_clique,
-        "custom": _gen_custom,
-    }
-    if family not in builders:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(builders)}")
-    return builders[family](**params)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    return FAMILIES[family].generate(**params)
 
 
-def _gen_element_distinctness(n, seed=0, planted=True):
+def _gen_element_distinctness(n, l=2, seed=0, planted=True):
+    if l != 2:
+        raise ValueError("element-distinctness is an l=2 family")
     return _gen_l_distinctness(n, l=2, seed=seed, planted=planted,
                                family="element-distinctness")
 
@@ -215,9 +210,7 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
             where = rng.sample(range(n), l)
             for i in where[1:]:
                 vals[i] = vals[where[0]]
-        pred = _pred_all_equal
-        return _build(n, l, ITEM, vals, family,
-                      {"planted": planted}, pred, seed)
+        return _build(family, n, l, vals, {"planted": planted}, seed)
     return _plant_loop(candidate, planted)
 
 
@@ -239,9 +232,8 @@ def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
             vals[keep[-1]] = acc
         _scrub_accidental(vals, l, lambda sub: _xor_all(vals, sub) == 0,
                           lambda: rng.getrandbits(m_bits), keep)
-        return _build(n, l, ITEM, vals, "zero-sum-xor",
-                      {"m_bits": m_bits, "planted": planted},
-                      _pred_zero_sum_xor, seed)
+        return _build("zero-sum-xor", n, l, vals,
+                      {"m_bits": m_bits, "planted": planted}, seed)
     return _plant_loop(candidate, planted)
 
 
@@ -294,9 +286,8 @@ def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
         _scrub_accidental(vals, l,
                           lambda sub: sum(vals[i] for i in sub) % q == 0,
                           lambda: rng.randrange(q), keep)
-        return _build(n, l, ITEM, vals, "sum-mod-q",
-                      {"q": q, "planted": planted},
-                      _make_pred_sum_mod_q(q), seed)
+        return _build("sum-mod-q", n, l, vals, {"q": q, "planted": planted},
+                      seed)
     return _plant_loop(candidate, planted)
 
 
@@ -311,8 +302,7 @@ def _gen_consecutive(n, l=3, seed=0, planted=True):
             start = rng.randrange(hi - l)
             for off, i in enumerate(where):
                 vals[i] = start + off
-        return _build(n, l, ITEM, vals, "consecutive",
-                      {"planted": planted}, _pred_consecutive, seed)
+        return _build("consecutive", n, l, vals, {"planted": planted}, seed)
     return _plant_loop(candidate, planted)
 
 
@@ -330,10 +320,9 @@ def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=0.25):
             where = clique if clique is not None else tuple(sorted(rng.sample(range(n), l)))
             for a, b in itertools.combinations(where, 2):
                 vals[pair_index(a, b)] = 1
-        return _build(n, l, PAIRWISE, vals, "l-clique",
+        return _build("l-clique", n, l, vals,
                       {"edge_prob": edge_prob, "planted": planted,
-                       "clique": list(clique) if clique else None},
-                      _pred_clique, seed)
+                       "clique": list(clique) if clique else None}, seed)
     return _plant_loop(candidate, planted)
 
 
@@ -342,13 +331,38 @@ def _gen_custom(n, l, values, mode=ITEM, satisfying=None, predicate=None, seed=N
     (index, value) tuples, or a raw callable (not serializable)."""
     if (satisfying is None) == (predicate is None):
         raise ValueError("custom family needs exactly one of satisfying/predicate")
-    params = {}
-    if satisfying is not None:
-        if mode != ITEM:
-            raise ValueError("list-form custom properties are item-mode only")
-        predicate = _make_pred_explicit(satisfying)
-        params["satisfying"] = [sorted([list(p) for p in s]) for s in satisfying]
-    return _build(n, l, mode, values, "custom", params, predicate, seed)
+    if predicate is not None:
+        return ProblemInstance(n=n, l=l, mode=mode, values=tuple(values),
+                               family_tag="custom", property_params={},
+                               predicate=predicate, seed=seed)
+    if mode != ITEM:
+        raise ValueError("list-form custom properties are item-mode only")
+    return _build("custom", n, l, values, {"satisfying": [
+        sorted([list(p) for p in s]) for s in satisfying]}, seed)
+
+
+class Family(NamedTuple):
+    generate: Callable      # keyword parameters -> ProblemInstance
+    mode: str               # oracle mode: ITEM or PAIRWISE
+    predicate: Callable     # property params, as stored -> predicate
+
+
+FAMILIES = {
+    "element-distinctness": Family(_gen_element_distinctness, ITEM,
+                                   lambda params: _pred_all_equal),
+    "l-distinctness": Family(_gen_l_distinctness, ITEM,
+                             lambda params: _pred_all_equal),
+    "zero-sum-xor": Family(_gen_zero_sum_xor, ITEM,
+                           lambda params: _pred_zero_sum_xor),
+    "sum-mod-q": Family(_gen_sum_mod_q, ITEM,
+                        lambda params: _make_pred_sum_mod_q(params["q"])),
+    "consecutive": Family(_gen_consecutive, ITEM,
+                          lambda params: _pred_consecutive),
+    "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _pred_clique),
+    # a custom property stored in JSON is the list form, item-mode only
+    "custom": Family(_gen_custom, ITEM,
+                     lambda params: _make_pred_explicit(params["satisfying"])),
+}
 
 
 # --- JSON round trip ---------------------------------------------------
@@ -373,28 +387,14 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 def instance_from_json(d: dict) -> ProblemInstance:
     """Rebuild an instance from its JSON form (values taken verbatim)."""
     family = d["property"]["family"]
-    params = dict(d["property"]["params"])
-    n, l, mode = d["n"], d["l"], d["mode"]
-    values = d["values" if mode == ITEM else "pairs"]
-    preds = {
-        "element-distinctness": _pred_all_equal,
-        "l-distinctness": _pred_all_equal,
-        "zero-sum-xor": _pred_zero_sum_xor,
-        "sum-mod-q": None,
-        "consecutive": _pred_consecutive,
-        "l-clique": _pred_clique,
-        "custom": None,
-    }
-    if family not in preds:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} in instance file")
-    if family == "sum-mod-q":
-        pred = _make_pred_sum_mod_q(params["q"])
-    elif family == "custom":
-        pred = _make_pred_explicit([[tuple(p) for p in s]
-                                    for s in params["satisfying"]])
-    else:
-        pred = preds[family]
-    return _build(n, l, mode, values, family, params, pred, d.get("seed"))
+    mode = FAMILIES[family].mode
+    if d["mode"] != mode:
+        raise ValueError(f"family {family!r} has mode {mode!r}, not {d['mode']!r}")
+    values = d["values" if mode == ITEM else "pairs"]
+    return _build(family, d["n"], d["l"], values, d["property"]["params"],
+                  d.get("seed"))
 
 
 def load_instance(path) -> ProblemInstance:

@@ -137,10 +137,9 @@ def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
                      final_state=state)
 
 
-def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
-                  memcap: int | None = None) -> FullState:
+def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet) -> FullState:
     """Expand each (j, p) amplitude uniformly over its c_{j,p} legal pairs."""
-    ctx = get_context(basis.n, basis.m, memcap)
+    ctx = get_context(basis.n, basis.m)
     nc = basis.constants()
     full = zero_state(ctx)
     # weights[j, p]; the label (l, 1) does not exist and keeps weight 0

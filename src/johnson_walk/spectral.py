@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .combinat import symmetric_ratio
-from .cost_model import nint, walk_steps
+from .cost_model import walk_steps
 from .reduced_sim import ReducedBasis, build_walk_matrix, reduced_s
 
 TWO_PI = 2.0 * math.pi
@@ -386,14 +386,12 @@ class RotationReport:
         }
 
 
-def algorithm_rotation(n: int, m: int | None = None, l: int = 2) -> RotationReport:
+def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     """Smallest eigenphase pair of W^t1 P and its rotation-plane vectors.
 
     t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
     at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.
     """
-    if m is None:
-        m = nint(n ** (l / (l + 1)))
     basis = ReducedBasis(n, m, l)
     ws = math.sqrt(symmetric_ratio(n, m, l, l, 0))
     if ws == 0.0:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from johnson_walk.cli import main
+from johnson_walk.cost_model import oracle_queries
 from johnson_walk.serialize import dumps_report, format_float
 
 
@@ -121,6 +122,54 @@ def test_reduced_refuses_several_marked_sets(capsys, tmp_path, engine):
     assert "unguaranteed" in json.loads(out)["full"]["flags"]
 
 
+def test_simulate_large_reduced_takes_the_family_oracle(capsys):
+    """Past the scan limit no instance is built; the mode still comes from
+    the family: l-clique is charged edge queries."""
+    code, out, _ = run_cli(capsys, "simulate", "--engine", "reduced",
+                           "--family", "l-clique", "--n", "100000000",
+                           "--l", "3")
+    assert code == 0
+    rep = json.loads(out)["reduced"]
+    assert (rep["m"], rep["t1"], rep["t2"]) == (10 ** 6, 907, 785)
+    assert rep["mode"] == "pairwise"
+    assert rep["query_count"] == oracle_queries(10 ** 6, 907, 785,
+                                                "pairwise") == 1923989500000
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "custom", "--n", "9"),
+    ("--family", "element-distinctness", "--engine", "reduced",
+     "--n", "100000000", "--l", "3"),
+])
+def test_simulate_refuses_family_without_table_exit_2(capsys, argv):
+    """custom needs --instance; the l=2 rule holds past the scan limit."""
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_simulate_unknown_family_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--family", "nonsense", "--engine", "reduced",
+              "--n", "100000000", "--l", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_t2_exit_2(capsys):
+    """(n/m)^{l/2} overflows a float here; a given t2 is never computed."""
+    argv = ("simulate", "--engine", "reduced", "--n", "10000000",
+            "--m", "200", "--l", "200")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "overflows" in err
+    code, out, _ = run_cli(capsys, *argv, "--t2", "1")
+    assert code == 0
+    assert json.loads(out)["reduced"]["t2"] == 1
+
+
 def test_memcap_exit_3(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "40", "--l", "2",
                            "--engine", "full")
@@ -218,6 +267,30 @@ def test_config_file_unknown_key(capsys, tmp_path):
     cfg.write_text(json.dumps({"walk_size": 4}))
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2
+
+
+@pytest.mark.parametrize("content", ['{"engine": "bogus"}', '{"n": 9.5}'])
+def test_config_values_checked_like_options(capsys, tmp_path, content):
+    """argparse checks a --config value's type and choices, exit 2."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "9", "--config", str(cfg)])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "invalid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ['[1, 2]', '{"no_plant": 1}',
+                                     '{"seed": {}}', '{"engine": true}'])
+def test_config_bad_shape_exit_2(capsys, tmp_path, content):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    code, out, err = run_cli(capsys, "simulate", "--n", "9",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_float_serialization_17_digits(capsys):

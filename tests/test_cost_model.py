@@ -7,8 +7,9 @@ import pytest
 
 from johnson_walk import (
     choose_parameters, clique_cost, mss_walk_size, nint, optimize_m,
-    subset_query_count, table1, table1_csv,
+    table1, table1_csv,
 )
+from johnson_walk.cost_model import rotation_count, walk_size, walk_steps
 
 
 def test_nint_ties_away_from_zero():
@@ -49,16 +50,46 @@ def test_choose_parameters_rejects_tiny_n():
 
 def test_subset_query_count():
     p = choose_parameters(9, 2)
-    assert subset_query_count(p) == p.m + 2 * p.t1 * p.t2 == 12
-    zero = p.__class__(n=9, l=2, m=4, t1=2, t2=0, total_queries=4,
-                       exponent_target=Fraction(2, 3))
-    assert subset_query_count(zero) == 4
+    assert p.total_queries == p.m + 2 * p.t1 * p.t2 == 12
+    assert choose_parameters(9, 2, t2=0).total_queries == 4
+
+
+def test_choose_parameters_keeps_given_values():
+    """A value that is given is kept; one that is not comes from the rule."""
+    n, l = 10 ** 6, 2
+    rule = choose_parameters(n, l)
+    assert (rule.m, rule.t1, rule.t2) == (
+        walk_size(n, l), walk_steps(rule.m, l), rotation_count(n, rule.m, l))
+    p = choose_parameters(n, l, m=500)
+    assert (p.m, p.t1, p.t2) == (500, walk_steps(500, l),
+                                 rotation_count(n, 500, l))
+    p = choose_parameters(n, l, t1=7)
+    assert (p.m, p.t1, p.t2) == (rule.m, 7, rule.t2)
+    p = choose_parameters(n, l, t2=0)
+    assert (p.m, p.t1, p.t2) == (rule.m, rule.t1, 0)
+    assert p.total_queries == rule.m
+    p = choose_parameters(n, l, m=500, t1=3, t2=4)
+    assert (p.m, p.t1, p.t2, p.total_queries) == (500, 3, 4, 500 + 2 * 3 * 4)
+
+
+def test_choose_parameters_rejects_bad_walk_size():
+    for m in (1, 10 ** 6, 10 ** 7):
+        with pytest.raises(ValueError, match="l <= m < n"):
+            choose_parameters(10 ** 6, 2, m=m)
+
+
+def test_rotation_count_overflow_is_a_value_error():
+    """(n/m)^{l/2} overflows here; a given t2 is never computed."""
+    with pytest.raises(ValueError, match="overflows"):
+        choose_parameters(10 ** 7, 200, m=200)
+    p = choose_parameters(10 ** 7, 200, m=200, t2=1)
+    assert (p.m, p.t1, p.t2) == (200, walk_steps(200, 200), 1)
 
 
 @pytest.mark.parametrize("l,target", [(1, 0.5), (2, 2 / 3), (3, 0.75)])
 def test_query_scaling_slopes(l, target):
     ns = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
-    qs = [subset_query_count(choose_parameters(n, l)) for n in ns]
+    qs = [choose_parameters(n, l).total_queries for n in ns]
     slope = np.polyfit(np.log(ns), np.log(qs), 1)[0]
     assert abs(slope - target) <= 0.02
 

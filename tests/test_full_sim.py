@@ -82,7 +82,7 @@ def test_marked_row_mask_matches_reference():
 
 
 def test_index_beyond_64_elements():
-    ctx = WalkContext(100, 1, memcap=10 ** 6)
+    ctx = WalkContext(100, 1)
     subsets = assert_index_matches_reference(ctx)
     assert_mask_matches_reference(ctx, subsets, [MarkedSet((70,))])
     assert_mask_matches_reference(ctx, subsets,
@@ -91,12 +91,14 @@ def test_index_beyond_64_elements():
     assert_index_matches_reference(WalkContext(70, 68))
 
 
-def test_memory_cap_enforced():
+def test_memory_cap_enforced(monkeypatch):
     with pytest.raises(MemoryCapError):
         WalkContext(40, 20)
+    monkeypatch.setenv("JOHNSON_WALK_MEMCAP", "100")
     with pytest.raises(MemoryCapError):
-        WalkContext(9, 4, memcap=100)
-    WalkContext(9, 4, memcap=2000)
+        WalkContext(9, 4)
+    monkeypatch.setenv("JOHNSON_WALK_MEMCAP", "2000")
+    WalkContext(9, 4)
 
 
 def test_memcap_env_override(monkeypatch):
