@@ -38,8 +38,7 @@ print(f"amplification over baseline: {full.success_probability / baseline:.2f}x"
 
 # embed the 5-component reduced state back into the 1260-amplitude space
 embedded = embed_to_full(reduced.final_state, basis, found.marked)
-dev = max(np.max(np.abs(embedded.amps_a - full.final_state.amps_a)),
-          np.max(np.abs(embedded.amps_b - full.final_state.amps_b)))
+dev = np.max(np.abs(embedded.amps - full.final_state.amps))
 print(f"max amplitude deviation between engines: {dev:.3e}")
 
 # the walk step fixes the uniform start state exactly

@@ -70,8 +70,8 @@ _SCAN_LIMIT = 500_000  # largest C(n, l) the brute-force scan will walk
 def _build_instance(args, family):
     """The instance to run, or None past the scan limit with the reduced
     engine: its dynamics depend only on (n, m, l), so no value table is
-    built, a unique marked set is assumed and flagged, and with --family
-    left out any l runs in the default family's item mode."""
+    built, a unique marked set is assumed and flagged, and the oracle mode
+    is the family's."""
     if args.instance:
         return load_instance(args.instance)
     if args.n is None:
@@ -80,6 +80,8 @@ def _build_instance(args, family):
         raise ConfigError("the custom family needs --instance")
     if args.family == "element-distinctness" and args.l != 2:
         raise ConfigError("element-distinctness is an l=2 family")
+    if args.family == "l-clique" and args.l < 3:
+        raise ConfigError("l-clique is an l >= 3 family")
     if args.engine == "reduced" and binomial(args.n, args.l) > _SCAN_LIMIT:
         return None
     return make_family(family, n=args.n, l=args.l, seed=args.seed,
@@ -87,7 +89,9 @@ def _build_instance(args, family):
 
 
 def cmd_simulate(args) -> int:
-    family = args.family or "element-distinctness"
+    # left out, the family is distinctness at the run's l
+    family = args.family or ("element-distinctness" if args.l == 2
+                             else "l-distinctness")
     inst = _build_instance(args, family)
     n, l, mode = (inst.n, inst.l, inst.mode) if inst else \
         (args.n, args.l, FAMILIES[family].mode)
@@ -106,10 +110,8 @@ def cmd_simulate(args) -> int:
         out["reduced"] = reduced.to_dict()
     if args.engine == "both" and found.kind == "unique":
         embedded = embed_to_full(reduced.final_state, basis, found.marked)
-        fs = full.final_state
-        dev = max(float(np.max(np.abs(embedded.amps_a - fs.amps_a))),
-                  float(np.max(np.abs(embedded.amps_b - fs.amps_b))))
-        out["max_state_deviation"] = dev
+        dev = np.abs(embedded.amps - full.final_state.amps)
+        out["max_state_deviation"] = float(np.max(dev))
     _emit(dumps_report(out), args.output)
     return 0
 

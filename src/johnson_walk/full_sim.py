@@ -1,14 +1,18 @@
 """Exact state-vector engine for the subset walk.
 
-The state lives on (subset, coin) pairs on both sides of the bipartite
-subset graph: size-m subsets with coins outside, and size-(m+1)
-subsets with coins inside.  Function values are a fixed classical
+The walk runs on (subset, coin) pairs of the bipartite subset graph:
+size-m subsets with coins outside (the a-side), and size-(m+1) subsets
+with coins inside (the b-side).  Function values are a fixed classical
 table, so they are never materialized in the state; oracle queries are
 counted where the algorithm would make them.
 
-Amplitudes are dense complex arrays of shape (num_subsets, num_coins);
-subsets are indexed by colex rank.  Coin diffusion is blockwise mean
-inversion per subset row, the shift is a precomputed permutation.
+A walk step S C2 S C1 maps the a-side to itself, and the start state,
+the step and the phase flip are real.  So the state is one real array
+of shape (num_subsets, num_coins) over the a-pairs, subsets indexed by
+colex rank, and the b-side is a transient buffer inside a step.  Coin
+diffusion is blockwise mean inversion per subset row, the shift a
+precomputed bijection between the a-pairs and the b-pairs.  The kernels
+take complex arrays as well.
 """
 from __future__ import annotations
 
@@ -18,21 +22,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
-from .combinat import binomial, unrank_subset
+from .combinat import binomial
 from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 
-DEFAULT_MEMCAP = 2 ** 27
+# Bytes; admits n <= 26 at the parameter rule's m for l=2 (1.47 GiB at
+# n=26, m=9; 2.32 GiB at n=27, m=9).
+DEFAULT_MEMCAP = 2 ** 31
 
 _context_cache: dict = {}
 
 
 def memory_cap() -> int:
+    """The byte cap on walk_bytes, from JOHNSON_WALK_MEMCAP or the default."""
     env = os.environ.get("JOHNSON_WALK_MEMCAP")
     return int(env) if env else DEFAULT_MEMCAP
 
 
 class MemoryCapError(RuntimeError):
     pass
+
+
+def walk_bytes(n: int, m: int) -> int:
+    """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
+    (int64) and member (bool) per subset, then shift_map (int64), the
+    float64 state and one float64 step buffer, dim_a = dim_b entries each."""
+    num_a = binomial(n, m)
+    return num_a * (8 * m + n) + 3 * 8 * num_a * (n - m)
 
 
 def _colex_subsets(n: int, m: int) -> np.ndarray:
@@ -76,16 +91,16 @@ class WalkContext:
     def __init__(self, n: int, m: int):
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= m < n, got n={n}, m={m}")
-        cap = memory_cap()
+        need, cap = walk_bytes(n, m), memory_cap()
+        if need > cap:
+            raise MemoryCapError(
+                f"the walk at n={n}, m={m} needs {need} bytes, cap is {cap} "
+                f"(set JOHNSON_WALK_MEMCAP to override)")
         self.n, self.m = n, m
         self.num_a = binomial(n, m)
         self.num_b = binomial(n, m + 1)
         self.dim_a = self.num_a * (n - m)
-        self.dim_b = self.num_b * (m + 1)
-        if self.dim_a + self.dim_b > cap:
-            raise MemoryCapError(
-                f"state space needs {self.dim_a + self.dim_b} amplitudes, "
-                f"cap is {cap} (set JOHNSON_WALK_MEMCAP to override)")
+        self.dim_b = self.num_b * (m + 1)  # equals dim_a: shift is a bijection
 
         self.subsets_a = _colex_subsets(n, m)
         self.member = np.zeros((self.num_a, n), dtype=bool)
@@ -131,33 +146,25 @@ class WalkContext:
 
 
 def get_context(n: int, m: int) -> WalkContext:
-    key = (n, m)
-    if key not in _context_cache:
-        _context_cache[key] = WalkContext(n, m)
-    return _context_cache[key]
+    """The WalkContext for (n, m); only the most recent one is kept."""
+    if (n, m) not in _context_cache:
+        _context_cache.clear()
+        _context_cache[(n, m)] = WalkContext(n, m)
+    return _context_cache[(n, m)]
 
 
 @dataclass
 class FullState:
-    """Amplitudes over the bipartite pair space plus the oracle-query counter."""
+    """Amplitudes over the a-pairs plus the oracle-query counter."""
     ctx: WalkContext
-    amps_a: np.ndarray
-    amps_b: np.ndarray
+    amps: np.ndarray
     query_count: int = 0
 
     def copy(self) -> "FullState":
-        return FullState(self.ctx, self.amps_a.copy(), self.amps_b.copy(),
-                         self.query_count)
+        return FullState(self.ctx, self.amps.copy(), self.query_count)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps_a) ** 2)
-                             + np.sum(np.abs(self.amps_b) ** 2)))
-
-
-def zero_state(ctx: WalkContext) -> FullState:
-    a = np.zeros((ctx.num_a, ctx.n - ctx.m), dtype=complex)
-    b = np.zeros((ctx.num_b, ctx.m + 1), dtype=complex)
-    return FullState(ctx, a, b)
+        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
 
 def prepare_s(instance: ProblemInstance, m: int) -> FullState:
@@ -168,44 +175,47 @@ def prepare_s(instance: ProblemInstance, m: int) -> FullState:
     if not instance.l <= m < instance.n:
         raise ValueError(f"need l <= m < n, got l={instance.l}, m={m}, n={instance.n}")
     ctx = get_context(instance.n, m)
-    state = zero_state(ctx)
-    state.amps_a[:] = 1.0 / np.sqrt(ctx.dim_a)
-    state.query_count = m if instance.mode == ITEM else binomial(m, 2)
-    return state
+    amps = np.full((ctx.num_a, ctx.n - ctx.m), 1.0 / np.sqrt(ctx.dim_a))
+    return FullState(ctx, amps, m if instance.mode == ITEM else binomial(m, 2))
+
+
+def _invert_about_row_means(x: np.ndarray) -> np.ndarray:
+    """x -= 2 * (mean of its row), in place; the row sums are one matvec."""
+    x -= (x @ np.full(x.shape[1], 2.0 / x.shape[1]))[:, None]
+    return x
 
 
 def apply_coin1(state: FullState) -> FullState:
-    """Grover diffusion over coins k outside each m-subset (b-side untouched)."""
-    mean = state.amps_a.mean(axis=1, keepdims=True)
-    state.amps_a -= 2.0 * mean
+    """Grover diffusion over the coins k outside each m-subset."""
+    _invert_about_row_means(state.amps)
     return state
 
 
-def apply_coin2(state: FullState) -> FullState:
-    """Grover diffusion over coins k inside each (m+1)-subset (a-side untouched)."""
-    mean = state.amps_b.mean(axis=1, keepdims=True)
-    state.amps_b -= 2.0 * mean
-    return state
+def apply_coin2(buf: np.ndarray) -> np.ndarray:
+    """Grover diffusion over the coins k inside each (m+1)-subset, in place
+    on a b-side buffer of shape (num_b, m + 1)."""
+    return _invert_about_row_means(buf)
 
 
-def apply_shift(state: FullState) -> FullState:
-    """Swap each pair (A, k) with (A ∪ {k}, k); one oracle query per step."""
-    ctx = state.ctx
-    new_a = state.amps_b.reshape(-1)[ctx.shift_map].reshape(state.amps_a.shape)
-    new_b = np.zeros_like(state.amps_b).reshape(-1)
-    new_b[ctx.shift_map] = state.amps_a.reshape(-1)
-    state.amps_a = new_a
-    state.amps_b = new_b.reshape(state.amps_b.shape)
-    return state
+def apply_shift(ctx: WalkContext, amps: np.ndarray,
+                back: bool = False) -> np.ndarray:
+    """S, which swaps each pair (A, k) with (A ∪ {k}, k): a-side amplitudes
+    to a new b-side buffer, or with back=True the reverse.  shift_map is a
+    bijection between the sides, so the scatter fills all of np.empty."""
+    if back:
+        return amps.reshape(-1)[ctx.shift_map].reshape(ctx.num_a, ctx.n - ctx.m)
+    buf = np.empty(ctx.dim_b, dtype=amps.dtype)
+    buf[ctx.shift_map] = amps.reshape(-1)
+    return buf.reshape(ctx.num_b, ctx.m + 1)
 
 
 def apply_walk_step(state: FullState, instance: ProblemInstance) -> FullState:
     """One walk step S C2 S C1; +2 queries (item) or +2m (pairwise)."""
+    ctx = state.ctx
     apply_coin1(state)
-    apply_shift(state)
-    apply_coin2(state)
-    apply_shift(state)
-    state.query_count += 2 if instance.mode == ITEM else 2 * state.ctx.m
+    buf = apply_coin2(apply_shift(ctx, state.amps))
+    state.amps = apply_shift(ctx, buf, back=True)
+    state.query_count += 2 if instance.mode == ITEM else 2 * ctx.m
     return state
 
 
@@ -214,7 +224,7 @@ def apply_phase_flip(state: FullState, marked) -> FullState:
     if isinstance(marked, MarkedSet):
         marked = [marked]
     mask = state.ctx.marked_row_mask(marked)
-    state.amps_a[mask, :] *= -1.0
+    state.amps[mask, :] *= -1.0
     return state
 
 
@@ -222,8 +232,9 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunRep
     """Run (W^t1 P)^t2 on the uniform start state, exactly.
 
     success_probability sums |amp|^2 over m-subsets containing a marked
-    set; overlap_w is the squared overlap with the uniform marked-block
-    state.  The query count is the state's running counter.
+    set; overlap_w is |<A_{l,0}|psi>|^2, the marked block's sum squared
+    over its size, since that block of |s> is uniform.  The query count is
+    the state's running counter.
     """
     found = find_marked(instance)
     marked = list(found.all_marked)
@@ -233,7 +244,7 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunRep
 
     if found.count:
         mask = state.ctx.marked_row_mask(marked)
-        block = state.amps_a[mask, :]
+        block = state.amps[mask, :]
         success = float(np.sum(np.abs(block) ** 2))
         overlap_w = float(np.abs(block.sum()) ** 2 / block.size) if block.size else 0.0
     else:
@@ -252,25 +263,12 @@ def measure_sample(state: FullState, seed: int, draws: int | None = None):
     Returns a single (subset, coin) for draws=None, else a list.
     """
     ctx = state.ctx
-    flat = np.concatenate([np.abs(state.amps_a.reshape(-1)) ** 2,
-                           np.abs(state.amps_b.reshape(-1)) ** 2])
+    flat = np.abs(state.amps.reshape(-1)) ** 2
     flat /= flat.sum()
     rng = np.random.default_rng(seed)
     picks = rng.choice(flat.size, size=draws if draws else 1, p=flat)
 
-    out = []
-    for idx in picks:
-        if idx < ctx.dim_a:
-            ra, slot = divmod(int(idx), ctx.n - ctx.m)
-            a = tuple(int(k) for k in ctx.subsets_a[ra])
-            coins = [k for k in range(ctx.n) if k not in a]
-            out.append((a, coins[slot]))
-        else:
-            rb, slot = divmod(int(idx) - ctx.dim_a, ctx.m + 1)
-            b = unrank_subset(rb, ctx.m + 1, ctx.n)
-            out.append((b, b[slot]))
+    out = [(tuple(int(k) for k in ctx.subsets_a[r]),
+            int(np.flatnonzero(~ctx.member[r])[slot]))
+           for r, slot in zip(*np.divmod(picks, ctx.n - ctx.m))]
     return out if draws else out[0]
-
-
-# overlap_w above is |<A_{l,0}|psi>|^2: the marked block of |s> is uniform,
-# so the inner product is the block sum over sqrt(block size).

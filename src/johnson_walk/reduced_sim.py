@@ -17,7 +17,7 @@ from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import NormConstants, a_side_labels, b_side_labels, \
     norm_constants, symmetric_ratio
 from .cost_model import oracle_queries
-from .full_sim import FullState, get_context, zero_state
+from .full_sim import FullState, get_context
 from .instances import ITEM, MarkedSet
 
 
@@ -141,16 +141,14 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet) -> 
     """Expand each (j, p) amplitude uniformly over its c_{j,p} legal pairs."""
     ctx = get_context(basis.n, basis.m)
     nc = basis.constants()
-    full = zero_state(ctx)
     # weights[j, p]; the label (l, 1) does not exist and keeps weight 0
-    weights = np.zeros((basis.l + 1, 2), dtype=complex)
+    weights = np.zeros((basis.l + 1, 2), dtype=np.result_type(state, 1.0))
     for idx, (j, p) in enumerate(basis.labels):
         c = nc.c_jp[(j, p)]
         if c:
-            weights[j, p] = complex(state[idx]) / math.sqrt(c)
+            weights[j, p] = state[idx] / math.sqrt(c)
     marked_idx = list(marked.indices)
     j = ctx.member[:, marked_idx].sum(axis=1)
     in_marked = np.zeros(basis.n, dtype=np.intp)
     in_marked[marked_idx] = 1
-    full.amps_a[:] = weights[j[:, None], ctx.at_coins(in_marked)]
-    return full
+    return FullState(ctx, weights[j[:, None], ctx.at_coins(in_marked)])

@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .combinat import binomial, norm_constants, rank_subset, unrank_subset
 from .cost_model import choose_parameters, optimize_m, oracle_queries, table1
-from .full_sim import apply_coin1, apply_coin2, apply_phase_flip, apply_shift, \
-    get_context, run_algorithm, zero_state
+from .full_sim import FullState, apply_coin1, apply_coin2, apply_phase_flip, \
+    apply_shift, get_context, run_algorithm
 from .instances import MarkedSet, find_marked, make_family
 from .reduced_sim import ReducedBasis, build_walk_matrix, embed_to_full, \
     reduced_s, run_reduced
@@ -30,16 +31,20 @@ class CheckResult:
     detail: str
 
 
-def _random_full_state(ctx, rng):
-    state = zero_state(ctx)
-    state.amps_a = rng.normal(size=state.amps_a.shape) \
-        + 1j * rng.normal(size=state.amps_a.shape)
-    state.amps_b = rng.normal(size=state.amps_b.shape) \
-        + 1j * rng.normal(size=state.amps_b.shape)
-    scale = state.norm()
-    state.amps_a /= scale
-    state.amps_b /= scale
-    return state
+def reflection_cases(ctx, marked) -> dict:
+    """name -> (shape, op, its inverse) for each reflection of the walk: C1
+    and P on a-states, C2 on b-buffers, S out and back from either side.
+    By linearity that covers S^2 = C1^2 = C2^2 = P^2 = 1 on the whole pair
+    space.  An op may change its input."""
+    def on_a(op):
+        return lambda x: op(FullState(ctx, x)).amps
+
+    c1, flip = on_a(apply_coin1), on_a(lambda s: apply_phase_flip(s, marked))
+    out, back = partial(apply_shift, ctx), partial(apply_shift, ctx, back=True)
+    a, b = (ctx.num_a, ctx.n - ctx.m), (ctx.num_b, ctx.m + 1)
+    return {"C1": (a, c1, c1), "P": (a, flip, flip),
+            "C2": (b, apply_coin2, apply_coin2),
+            "S from a": (a, out, back), "S from b": (b, back, out)}
 
 
 def check_binomial_pascal(n_max: int = 64) -> CheckResult:
@@ -88,18 +93,14 @@ def check_reflections(seed: int = 0, trials: int = 50) -> CheckResult:
     """S^2 = C1^2 = C2^2 = P^2 = 1 and norm preservation on random states."""
     rng = np.random.default_rng(seed)
     ctx = get_context(7, 3)
-    marked = MarkedSet((1, 4))
     worst = 0.0
     for _ in range(trials):
-        ref = _random_full_state(ctx, rng)
-        for op in (apply_coin1, apply_coin2, apply_shift,
-                   lambda s: apply_phase_flip(s, marked)):
-            state = op(ref.copy())
-            worst = max(worst, abs(state.norm() - 1.0))
-            state = op(state)
-            worst = max(worst,
-                        float(np.max(np.abs(state.amps_a - ref.amps_a))),
-                        float(np.max(np.abs(state.amps_b - ref.amps_b))))
+        for shape, op, undo in reflection_cases(ctx, MarkedSet((1, 4))).values():
+            ref = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref /= np.linalg.norm(ref)
+            once = op(ref.copy())
+            worst = max(worst, abs(float(np.linalg.norm(once)) - 1.0),
+                        float(np.max(np.abs(undo(once) - ref))))
     return CheckResult("reflection-involution-suite", worst <= 1e-10,
                        f"worst deviation {worst:.3e}")
 
@@ -134,8 +135,7 @@ def check_full_reduced_agreement() -> CheckResult:
     full = run_algorithm(inst, 4, 2, 2)
     reduced = run_reduced(basis, 2, 2, found, inst.mode)
     embedded = embed_to_full(reduced.final_state, basis, found.marked)
-    dev = float(max(np.max(np.abs(embedded.amps_a - full.final_state.amps_a)),
-                    np.max(np.abs(embedded.amps_b - full.final_state.amps_b))))
+    dev = float(np.max(np.abs(embedded.amps - full.final_state.amps)))
     return CheckResult("full-reduced-agreement", dev <= 1e-9,
                        f"max amplitude deviation {dev:.3e}")
 

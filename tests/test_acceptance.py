@@ -16,15 +16,16 @@ import numpy as np
 import scipy.stats
 
 from johnson_walk import (
-    MarkedSet, ReducedBasis, algorithm_rotation, apply_coin1, apply_coin2,
-    apply_phase_flip, apply_shift, apply_walk_step, build_walk_matrix,
+    MarkedSet, ReducedBasis, algorithm_rotation, apply_phase_flip,
+    apply_walk_step, build_walk_matrix,
     choose_parameters, circular_phase_gap, eigendecompose_unitary,
     embed_to_full, find_marked, make_family, norm_constants, prepare_s,
     reduced_s, run_algorithm, run_reduced, table1,
     up_eigenphases, optimize_m, walk_spectrum,
 )
-from johnson_walk.full_sim import get_context, zero_state
+from johnson_walk.full_sim import get_context
 from johnson_walk.reduced_sim import apply_phase_flip_reduced
+from johnson_walk.verify import reflection_cases
 
 
 def verdict(num, ok, detail):
@@ -51,9 +52,7 @@ def test_criterion_1_full_reduced_equivalence():
             apply_phase_flip(full, marked)
             red = apply_phase_flip_reduced(red, basis)
         emb = embed_to_full(red, basis, marked)
-        worst = max(worst,
-                    float(np.max(np.abs(emb.amps_a - full.amps_a))),
-                    float(np.max(np.abs(emb.amps_b - full.amps_b))))
+        worst = max(worst, float(np.max(np.abs(emb.amps - full.amps))))
     elapsed = time.time() - start
     ok = worst <= 1e-9 and elapsed < 5.0
     assert verdict(1, ok, f"max deviation {worst:.3e} over 50 steps, "
@@ -270,29 +269,22 @@ def test_criterion_8_small_scale_amplification():
 
 
 def test_criterion_9_reflection_suite():
-    """S, C1, C2, P: involutions and norm preservation, 50 states each."""
+    """S, C1, C2, P: involutions and norm preservation, 50 states each.
+
+    C1 and P act on a-states, C2 on b-buffers, and S goes out and back
+    from either side; by linearity that covers the whole pair space.
+    """
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
-    marked = MarkedSet((0, 5))
-    ops = {"C1": apply_coin1, "C2": apply_coin2, "S": apply_shift,
-           "P": lambda s: apply_phase_flip(s, marked)}
+    cases = reflection_cases(ctx, MarkedSet((0, 5)))
     worst = 0.0
-    for op in ops.values():
+    for shape, op, undo in cases.values():
         for _ in range(50):
-            ref = zero_state(ctx)
-            ref.amps_a = rng.normal(size=ref.amps_a.shape) \
-                + 1j * rng.normal(size=ref.amps_a.shape)
-            ref.amps_b = rng.normal(size=ref.amps_b.shape) \
-                + 1j * rng.normal(size=ref.amps_b.shape)
-            nrm = ref.norm()
-            ref.amps_a /= nrm
-            ref.amps_b /= nrm
+            ref = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref /= np.linalg.norm(ref)
             once = op(ref.copy())
-            worst = max(worst, abs(once.norm() - 1.0))
-            twice = op(once)
-            worst = max(worst,
-                        float(np.max(np.abs(twice.amps_a - ref.amps_a))),
-                        float(np.max(np.abs(twice.amps_b - ref.amps_b))))
+            worst = max(worst, abs(float(np.linalg.norm(once)) - 1.0),
+                        float(np.max(np.abs(undo(once) - ref))))
     ok = worst <= 1e-10
-    assert verdict(9, ok, f"worst deviation {worst:.3e} over 4 operators "
-                          f"x 50 states")
+    assert verdict(9, ok, f"worst deviation {worst:.3e} over "
+                          f"{len(cases)} operators x 50 states")

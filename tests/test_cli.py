@@ -149,6 +149,34 @@ def test_simulate_refuses_family_without_table_exit_2(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "9", "--engine", "both"),
+    ("--n", "9", "--l", "1", "--engine", "full"),
+    ("--engine", "reduced", "--n", "100000000", "--l", "2"),
+])
+def test_simulate_l_clique_refuses_l_below_3_exit_2(capsys, argv):
+    """A 1- or 2-clique is a vertex or an edge, too common to plant a
+    unique one; the rule holds past the scan limit too."""
+    code, out, err = run_cli(capsys, "simulate", "--family", "l-clique", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: l-clique is an l >= 3 family\n"
+
+
+@pytest.mark.parametrize("argv, family", [
+    (("--engine", "reduced", "--n", "100000000", "--l", "3"), "l-distinctness"),
+    (("--engine", "reduced", "--n", "1000000", "--l", "2"),
+     "element-distinctness"),
+    (("--engine", "full", "--n", "9", "--l", "3"), "l-distinctness"),
+])
+def test_simulate_default_family_follows_l(capsys, argv, family):
+    """With --family left out the run is labelled (and, when an instance
+    is built, generated) by the distinctness family of its l."""
+    code, out, _ = run_cli(capsys, "simulate", *argv)
+    assert code == 0
+    assert json.loads(out)["family"] == family
+
+
 def test_simulate_unknown_family_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--family", "nonsense", "--engine", "reduced",

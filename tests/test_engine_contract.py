@@ -55,8 +55,7 @@ def test_engines_agree(run):
     marked = found.marked or MarkedSet(tuple(range(l)))
     embedded = embed_to_full(reduced.final_state, basis, marked)
     fs = full.final_state
-    assert np.max(np.abs(embedded.amps_a - fs.amps_a)) <= 1e-9
-    assert np.max(np.abs(embedded.amps_b - fs.amps_b)) <= 1e-9
+    assert np.max(np.abs(embedded.amps - fs.amps)) <= 1e-9
     assert reduced.success_probability == pytest.approx(
         full.success_probability, abs=1e-9)
     assert reduced.overlap_w == pytest.approx(full.overlap_w, abs=1e-9)

@@ -6,25 +6,25 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    MarkedSet, MemoryCapError, WalkContext, apply_coin1, apply_coin2,
-    apply_phase_flip, apply_shift, apply_walk_step, binomial,
+    DEFAULT_MEMCAP, MarkedSet, MemoryCapError, WalkContext, apply_coin1,
+    apply_coin2, apply_phase_flip, apply_shift, apply_walk_step, binomial,
     choose_parameters, find_marked, get_context, make_family, norm_constants,
     prepare_s, run_algorithm,
 )
 from johnson_walk.combinat import rank_subset, unrank_subset
-from johnson_walk.full_sim import measure_sample, zero_state
+from johnson_walk.full_sim import FullState, _context_cache, measure_sample, \
+    walk_bytes
 
 
-def random_state(ctx, rng):
-    state = zero_state(ctx)
-    state.amps_a = rng.normal(size=state.amps_a.shape) \
-        + 1j * rng.normal(size=state.amps_a.shape)
-    state.amps_b = rng.normal(size=state.amps_b.shape) \
-        + 1j * rng.normal(size=state.amps_b.shape)
-    nrm = state.norm()
-    state.amps_a /= nrm
-    state.amps_b /= nrm
-    return state
+def zero_state(ctx):
+    return FullState(ctx, np.zeros((ctx.num_a, ctx.n - ctx.m)))
+
+
+def random_unit(shape, rng, dtype=complex):
+    x = rng.normal(size=shape)
+    if dtype == complex:
+        x = x + 1j * rng.normal(size=shape)
+    return x / np.linalg.norm(x)
 
 
 def test_context_shapes():
@@ -66,9 +66,14 @@ def assert_mask_matches_reference(ctx, subsets, marked_sets):
 
 
 def test_index_matches_reference_up_to_14():
+    """Also: dim_a == dim_b and shift_map hits every b-pair once, so the
+    step's np.empty b-side buffer is fully written by one scatter."""
     for n in range(2, 15):
         for m in range(1, n):
-            assert_index_matches_reference(WalkContext(n, m))
+            ctx = WalkContext(n, m)
+            assert_index_matches_reference(ctx)
+            assert ctx.dim_a == ctx.dim_b
+            assert np.array_equal(np.sort(ctx.shift_map), np.arange(ctx.dim_b))
 
 
 def test_marked_row_mask_matches_reference():
@@ -92,13 +97,32 @@ def test_index_beyond_64_elements():
 
 
 def test_memory_cap_enforced(monkeypatch):
+    """The cap is in bytes: index, float64 state and one step buffer."""
     with pytest.raises(MemoryCapError):
         WalkContext(40, 20)
-    monkeypatch.setenv("JOHNSON_WALK_MEMCAP", "100")
+    # subsets_a 126*4*8, member 126*9, shift_map, state and buffer 630*8 each
+    need = 126 * 4 * 8 + 126 * 9 + 3 * 630 * 8
+    assert walk_bytes(9, 4) == need == 20286
+    monkeypatch.setenv("JOHNSON_WALK_MEMCAP", str(need - 1))
     with pytest.raises(MemoryCapError):
         WalkContext(9, 4)
-    monkeypatch.setenv("JOHNSON_WALK_MEMCAP", "2000")
+    monkeypatch.setenv("JOHNSON_WALK_MEMCAP", str(need))
     WalkContext(9, 4)
+
+
+def test_default_cap_admits_n_26():
+    """At the rule's m, the default byte cap admits n=26 and refuses n=27."""
+    assert walk_bytes(26, choose_parameters(26, 2).m) <= DEFAULT_MEMCAP
+    assert walk_bytes(27, choose_parameters(27, 2).m) > DEFAULT_MEMCAP
+
+
+def test_context_cache_keeps_the_last_context():
+    first = get_context(6, 2)
+    assert get_context(6, 2) is first
+    second = get_context(7, 3)
+    assert list(_context_cache) == [(7, 3)]
+    assert get_context(7, 3) is second
+    assert get_context(6, 2) is not first
 
 
 def test_memcap_env_override(monkeypatch):
@@ -110,8 +134,9 @@ def test_memcap_env_override(monkeypatch):
 def test_prepare_s_uniform():
     inst = make_family("element-distinctness", n=4, seed=0)
     state = prepare_s(inst, 2)
-    assert state.amps_a.size == 12
-    assert np.allclose(state.amps_a, 1.0 / math.sqrt(12.0))
+    assert state.amps.size == 12
+    assert state.amps.dtype == np.float64
+    assert np.allclose(state.amps, 1.0 / math.sqrt(12.0))
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -139,25 +164,84 @@ def test_walk_fixes_start_state():
     ref = state.copy()
     for _ in range(3):
         apply_walk_step(state, inst)
-    assert np.max(np.abs(state.amps_a - ref.amps_a)) < 1e-12
-    assert np.max(np.abs(state.amps_b - ref.amps_b)) < 1e-12
+    assert np.max(np.abs(state.amps - ref.amps)) < 1e-12
 
 
 def test_reflection_suite():
-    """S^2 = C1^2 = C2^2 = P^2 = 1, norms preserved, 50 states each."""
+    """S^2 = C1^2 = C2^2 = P^2 = 1, norms preserved, 50 states each.
+
+    C1 and P act on a-states, C2 on b-buffers, and S goes out to the
+    b-side and back, and back to the a-side and out again.  By linearity
+    this covers the whole pair space.
+    """
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
     marked = MarkedSet((0, 5))
-    ops = [apply_coin1, apply_coin2, apply_shift,
-           lambda s: apply_phase_flip(s, marked)]
-    for op in ops:
+    shape_a, shape_b = (ctx.num_a, 4), (ctx.num_b, 4)
+
+    def on_a(op):
+        return lambda x: op(FullState(ctx, x.copy())).amps
+
+    flip = on_a(lambda s: apply_phase_flip(s, marked))
+    ops = {"C1": (shape_a, on_a(apply_coin1), on_a(apply_coin1)),
+           "P": (shape_a, flip, flip),
+           "C2": (shape_b, lambda x: apply_coin2(x.copy()),
+                  lambda x: apply_coin2(x.copy())),
+           "S a->b->a": (shape_a, lambda x: apply_shift(ctx, x),
+                         lambda x: apply_shift(ctx, x, back=True)),
+           "S b->a->b": (shape_b, lambda x: apply_shift(ctx, x, back=True),
+                         lambda x: apply_shift(ctx, x))}
+    for name, (shape, op, undo) in ops.items():
         for _ in range(50):
-            ref = random_state(ctx, rng)
-            once = op(ref.copy())
-            assert abs(once.norm() - 1.0) <= 1e-10
-            twice = op(once)
-            assert np.max(np.abs(twice.amps_a - ref.amps_a)) <= 1e-10
-            assert np.max(np.abs(twice.amps_b - ref.amps_b)) <= 1e-10
+            ref = random_unit(shape, rng)
+            once = op(ref)
+            assert abs(np.linalg.norm(once) - 1.0) <= 1e-10, name
+            assert np.max(np.abs(undo(once) - ref)) <= 1e-10, name
+
+
+def dense_walk_step(n, m):
+    """S C2 S C1 as one dense matrix over the pairs, a-pairs first, each
+    side in (colex rank, coin) order; built from itertools and
+    rank_subset, not from the WalkContext."""
+    def side(size, coins_of):
+        pairs = [(sub, k) for sub in itertools.combinations(range(n), size)
+                 for k in coins_of(sub)]
+        return sorted(pairs, key=lambda p: (rank_subset(p[0], n), p[1]))
+
+    pairs = side(m, lambda a: [k for k in range(n) if k not in a]) \
+        + side(m + 1, lambda b: b)
+    at = {pair: i for i, pair in enumerate(pairs)}
+    dim = len(pairs)
+    c1, c2, shift = np.eye(dim), np.eye(dim), np.zeros((dim, dim))
+    for (sub, k), i in at.items():
+        coin = c1 if len(sub) == m else c2
+        for (other, _), j in at.items():
+            if other == sub:
+                coin[i, j] -= 2.0 / (n - m if len(sub) == m else m + 1)
+        if len(sub) == m:
+            j = at[(tuple(sorted(sub + (k,))), k)]
+            shift[i, j] = shift[j, i] = 1.0
+    return shift @ c2 @ shift @ c1, binomial(n, m) * (n - m)
+
+
+def test_walk_step_matches_dense_matrix():
+    """At n=7, m=3 the step equals the dense S C2 S C1 on random real and
+    complex a-states, and the dense step leaves the b-side empty."""
+    n, m = 7, 3
+    walk, dim_a = dense_walk_step(n, m)
+    inst = make_family("element-distinctness", n=n, seed=0)
+    ctx = get_context(n, m)
+    rng = np.random.default_rng(4)
+    for dtype in (float, complex):
+        for _ in range(5):
+            amps = random_unit((ctx.num_a, n - m), rng, dtype)
+            full = np.zeros(walk.shape[0], dtype=dtype)
+            full[:dim_a] = amps.reshape(-1)
+            expect = walk @ full
+            state = apply_walk_step(FullState(ctx, amps.copy()), inst)
+            assert state.amps.dtype == dtype
+            assert np.max(np.abs(expect[dim_a:])) <= 1e-12
+            assert np.max(np.abs(state.amps.reshape(-1) - expect[:dim_a])) <= 1e-12
 
 
 def test_phase_flip_expectation():
@@ -167,7 +251,7 @@ def test_phase_flip_expectation():
     state = prepare_s(inst, 4)
     ref = state.copy()
     apply_phase_flip(state, marked)
-    inner = np.vdot(ref.amps_a, state.amps_a)
+    inner = np.vdot(ref.amps, state.amps)
     nc = norm_constants(9, 4, 2)
     assert abs(inner - (1.0 - 2.0 * nc.c_jp[(2, 0)] / nc.c_total)) < 1e-12
 
@@ -178,10 +262,10 @@ def test_phase_flip_no_amplitude_unchanged():
     state = zero_state(ctx)
     # amplitude only on subsets not containing {4, 5}
     mask = ctx.marked_row_mask([marked])
-    state.amps_a[~mask, :] = 1.0
-    before = state.amps_a.copy()
+    state.amps[~mask, :] = 1.0
+    before = state.amps.copy()
     apply_phase_flip(state, marked)
-    assert np.array_equal(before, state.amps_a)
+    assert np.array_equal(before, state.amps)
 
 
 def test_run_t2_zero_baseline():
@@ -198,7 +282,7 @@ def test_run_no_marked_stays_at_s():
     assert "no_marked" in rep.flags
     assert rep.success_probability == 0.0
     uniform = 1.0 / math.sqrt(rep.final_state.ctx.dim_a)
-    assert np.max(np.abs(rep.final_state.amps_a - uniform)) < 1e-10
+    assert np.max(np.abs(rep.final_state.amps - uniform)) < 1e-10
 
 
 def test_run_fixture_942():
@@ -253,15 +337,11 @@ def test_report_serialization():
 def test_measure_point_mass():
     ctx = get_context(6, 2)
     state = zero_state(ctx)
-    state.amps_a[3, 1] = 1.0
+    state.amps[3, 1] = 1.0
     subset, coin = measure_sample(state, seed=0)
     assert subset == unrank_subset(3, 2, 6)
     coins = [k for k in range(6) if k not in subset]
     assert coin == coins[1]
-    state = zero_state(ctx)
-    state.amps_b[7, 2] = 1.0
-    assert measure_sample(state, seed=0) == (unrank_subset(7, 3, 6),
-                                             unrank_subset(7, 3, 6)[2])
 
 
 def test_measure_uniform_frequencies():

@@ -105,8 +105,7 @@ def test_stepwise_embedding_agreement():
             apply_phase_flip(full, marked)
             red = apply_phase_flip_reduced(red, basis)
         emb = embed_to_full(red, basis, marked)
-        dev = max(np.max(np.abs(emb.amps_a - full.amps_a)),
-                  np.max(np.abs(emb.amps_b - full.amps_b)))
+        dev = np.max(np.abs(emb.amps - full.amps))
         assert dev <= 1e-9, f"step {t}: deviation {dev}"
 
 
@@ -122,7 +121,7 @@ def test_embed_is_isometry():
         y /= np.linalg.norm(y)
         ex = embed_to_full(x, basis, marked)
         ey = embed_to_full(y, basis, marked)
-        inner_full = np.vdot(ex.amps_a, ey.amps_a) + np.vdot(ex.amps_b, ey.amps_b)
+        inner_full = np.vdot(ex.amps, ey.amps)
         assert abs(inner_full - float(x @ y)) < 1e-12
 
 
@@ -132,9 +131,8 @@ def reference_embed_a(state, basis, marked):
     weights = {}
     for idx, (j, p) in enumerate(basis.labels):
         if nc.c_jp[(j, p)]:
-            weights[(j, p)] = complex(state[idx]) / math.sqrt(nc.c_jp[(j, p)])
-    amps = np.zeros((math.comb(basis.n, basis.m), basis.n - basis.m),
-                    dtype=complex)
+            weights[(j, p)] = float(state[idx]) / math.sqrt(nc.c_jp[(j, p)])
+    amps = np.zeros((math.comb(basis.n, basis.m), basis.n - basis.m))
     for a in itertools.combinations(range(basis.n), basis.m):
         j = len(set(a) & set(marked.indices))
         coins = [k for k in range(basis.n) if k not in a]
@@ -153,8 +151,8 @@ def test_embed_matches_reference_loop():
             int(k) for k in rng.choice(n, size=l, replace=False))))
         state = rng.normal(size=basis.dim)
         emb = embed_to_full(state, basis, marked)
-        assert np.array_equal(emb.amps_a, reference_embed_a(state, basis, marked))
-        assert not emb.amps_b.any()
+        assert emb.amps.dtype == np.float64
+        assert np.array_equal(emb.amps, reference_embed_a(state, basis, marked))
 
 
 def test_embed_basis_vector_is_marked_block():
@@ -165,10 +163,10 @@ def test_embed_basis_vector_is_marked_block():
     e_w[basis.index(2, 0)] = 1.0
     emb = embed_to_full(e_w, basis, marked)
     mask = emb.ctx.marked_row_mask([marked])
-    block = emb.amps_a[mask, :]
+    block = emb.amps[mask, :]
     assert block.size == 105
     assert np.allclose(block, 1.0 / math.sqrt(105.0))
-    assert np.max(np.abs(emb.amps_a[~mask, :])) == 0.0
+    assert np.max(np.abs(emb.amps[~mask, :])) == 0.0
 
 
 def test_w_s_overlap_expressions():
