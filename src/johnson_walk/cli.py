@@ -163,7 +163,8 @@ def cmd_cost(args) -> int:
     if args.optimize:
         if args.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
-        res = optimize_m(args.n or 10 ** 6, args.l, args.variant)
+        res = optimize_m(10 ** 6 if args.n is None else args.n, args.l,
+                         args.variant)
         _emit(dumps_report({"command": "cost", **res.to_dict()}), args.output)
         return 0
     raise ConfigError("cost requires --table1 or --optimize")

@@ -196,6 +196,8 @@ def optimize_m(n: int, l: int, variant: str) -> OptimizeResult:
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    if not 1 <= l < n:
+        raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
     m_star, cost = _minimize_bracketed(n, l, variant)
     n_fit = max(n, 10 ** 8)
     cost_lo = clique_cost(n_fit, _canonical_m(n_fit, l, variant), l, variant)

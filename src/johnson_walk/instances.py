@@ -306,8 +306,19 @@ def _gen_consecutive(n, l=3, seed=0, planted=True):
     return _plant_loop(candidate, planted)
 
 
-def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=0.25):
+def _clique_edge_prob(n, l):
+    """0.25, lowered where a G(n, 0.25) graph would hold more than 3.5
+    l-cliques by chance (l=3 from n=13 on), so that a unique planted clique,
+    or none, stays likely: C(n, l) p^C(l, 2) = 3.5."""
+    return min(0.25, (3.5 / binomial(n, l)) ** (1.0 / binomial(l, 2)))
+
+
+def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=None):
+    if not 2 <= l < n:
+        raise ValueError(f"need 2 <= l < n, got l={l}, n={n}")
     rng = random.Random(seed)
+    if edge_prob is None:
+        edge_prob = _clique_edge_prob(n, l)
     if clique is not None:
         clique = tuple(sorted(clique))
         if len(clique) != l:

@@ -1,10 +1,10 @@
 """Eigenstructure of the walk step and of the phase-flipped walk.
 
 Three layers: a dense eigensolver for small unitary/orthogonal
-matrices (real Schur pairing for real inputs), the walk-spectrum and
-reflection-decomposition reports, and the cotangent-condition
-machinery that locates the eigenphases of U * (1 - 2|w><w|) between
-the poles at the eigenphases of U.
+matrices (numpy's eig, its eigenvectors orthonormalized by QR), the
+walk-spectrum and reflection-decomposition reports, and the
+cotangent-condition machinery that locates the eigenphases of
+U * (1 - 2|w><w|) between the poles at the eigenphases of U.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .combinat import symmetric_ratio
 from .cost_model import walk_steps
@@ -39,15 +38,23 @@ class UnitaryEigen:
     def dim(self) -> int:
         return len(self.phases)
 
+    def eigenspace_weight(self, phase: float, target: np.ndarray) -> float:
+        """|target|^2 in the eigenspace at e^{i phase}, eigenvalues within
+        1e-8 of it: one eigenvector's |overlap|^2 if the phase is simple."""
+        near = np.abs(np.exp(1j * self.phases) - np.exp(1j * phase)) <= 1e-8
+        return float(np.sum(np.abs(self.vectors[:, near].conj().T @ target) ** 2))
+
 
 def eigendecompose_unitary(u: np.ndarray, w: np.ndarray | None = None,
                            atol: float = 1e-10) -> UnitaryEigen:
     """Dense eigendecomposition with orthonormal eigenvectors.
 
-    Real orthogonal inputs go through the real Schur form, pairing each
-    rotation block into e^{+-i theta} with vectors (q1 -+ i q2)/sqrt(2);
-    complex unitaries use the complex Schur form (diagonal for normal
-    matrices, so the Schur basis is the eigenbasis).
+    numpy's eig, sorted by phase, then QR of the eigenvector matrix.  A
+    unitary matrix is normal, so eig's eigenvectors of distinct
+    eigenvalues are orthogonal to within rounding over their gap, and QR,
+    removing from each column its parts along the earlier ones, moves an
+    eigenvector only by that much; the vectors of a repeated eigenvalue
+    become an orthonormal basis of its eigenspace.
     """
     u = np.asarray(u)
     d = u.shape[0]
@@ -55,33 +62,11 @@ def eigendecompose_unitary(u: np.ndarray, w: np.ndarray | None = None,
     if defect > atol:
         raise ValueError(f"input is not unitary: max |U^H U - I| = {defect:.3e}")
 
-    if np.isrealobj(u) or np.max(np.abs(u.imag)) == 0.0:
-        t, z = scipy.linalg.schur(np.real(u), output="real")
-        phases, vectors = [], []
-        i = 0
-        while i < d:
-            if i + 1 < d and abs(t[i + 1, i]) > 1e-12:
-                theta = math.atan2(t[i + 1, i], t[i, i])
-                q1, q2 = z[:, i], z[:, i + 1]
-                vectors.append((q1 - 1j * q2) / math.sqrt(2.0))
-                phases.append(theta)
-                vectors.append((q1 + 1j * q2) / math.sqrt(2.0))
-                phases.append(-theta)
-                i += 2
-            else:
-                phases.append(0.0 if t[i, i] > 0 else math.pi)
-                vectors.append(z[:, i].astype(complex))
-                i += 1
-        phases = np.array(phases)
-        vectors = np.array(vectors).T
-    else:
-        t, z = scipy.linalg.schur(u.astype(complex), output="complex")
-        phases = np.angle(np.diag(t))
-        vectors = z
-
+    values, vectors = np.linalg.eig(u)
+    phases = np.angle(values)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
-    vectors = vectors[:, order]
+    vectors = np.linalg.qr(vectors[:, order])[0]
 
     recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     residual = float(np.max(np.abs(recon - u)))
@@ -93,6 +78,15 @@ def eigendecompose_unitary(u: np.ndarray, w: np.ndarray | None = None,
 
 
 # --- walk spectrum ------------------------------------------------------
+
+def _reduced_basis(n: int, m: int, l: int) -> ReducedBasis:
+    """The (j, p) basis, refused at n - m < l: there the classes with
+    j < l - (n - m) are empty and the reduced walk is not orthogonal."""
+    if n - m < l:
+        raise ValueError(f"the spectrum needs n - m >= l, got n={n}, m={m}, "
+                         f"l={l}: some (j, p) classes are empty")
+    return ReducedBasis(n, m, l)
+
 
 @dataclass
 class WalkSpectrumReport:
@@ -131,28 +125,25 @@ def walk_spectrum(n: int, m: int, l: int) -> WalkSpectrumReport:
     The exact form |sin(theta_j / 2)| = sqrt(j (alpha + beta - j alpha beta))
     is anchored by the 3-cycle case (n=3, m=1, l=1, phases 0, +-2pi/3).
     """
-    basis = ReducedBasis(n, m, l)
+    basis = _reduced_basis(n, m, l)
     w = build_walk_matrix(basis)
     eigen = eigendecompose_unitary(w)
-    theta = np.sort(eigen.phases[eigen.phases > 1e-12])
+    # the phases are 0 and l pairs +-theta_j; a pair at pi is a double -1
+    theta = np.sort(np.abs(eigen.phases))[1::2]
     alpha, beta = basis.alpha, basis.beta
     js = np.arange(1, l + 1)
     closed = np.sqrt(js * (alpha + beta - js * alpha * beta))
     asym = 2.0 * np.sqrt(js / m)
-    residual = float(np.max(np.abs(np.abs(np.sin(theta / 2.0)) - closed))) if l else 0.0
+    residual = float(np.max(np.abs(np.abs(np.sin(theta / 2.0)) - closed)))
 
-    # extreme pair: numeric vectors at +-theta_l vs (e_{l-1,1} -+ ... ) / sqrt 2
+    # extreme pair: eigenspaces at +-theta_l vs (e_{l-1,1} -+ ... ) / sqrt 2
     tgt_plus = np.zeros(basis.dim, dtype=complex)
     tgt_plus[basis.index(l - 1, 1)] = 1.0 / math.sqrt(2.0)
     tgt_plus[basis.index(l, 0)] = 1j / math.sqrt(2.0)
     tgt_minus = tgt_plus.conj()
-    i_plus = int(np.argmin(np.abs(eigen.phases - theta[-1])))
-    i_minus = int(np.argmin(np.abs(eigen.phases + theta[-1])))
-    v_plus, v_minus = eigen.vectors[:, i_plus], eigen.vectors[:, i_minus]
-    straight = min(abs(np.vdot(tgt_plus, v_plus)) ** 2,
-                   abs(np.vdot(tgt_minus, v_minus)) ** 2)
-    swapped = min(abs(np.vdot(tgt_minus, v_plus)) ** 2,
-                  abs(np.vdot(tgt_plus, v_minus)) ** 2)
+    weight, top = eigen.eigenspace_weight, theta[-1]
+    straight = min(weight(top, tgt_plus), weight(-top, tgt_minus))
+    swapped = min(weight(top, tgt_minus), weight(-top, tgt_plus))
     fidelity = max(straight, swapped)
 
     return WalkSpectrumReport(
@@ -204,7 +195,7 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     """
     from .reduced_sim import coin1_matrix, coin2_matrix_b, shift_permutation
 
-    basis = ReducedBasis(n, m, l)
+    basis = _reduced_basis(n, m, l)
     c1 = coin1_matrix(basis)
     s = shift_permutation(basis)
     sc2s = s.T @ coin2_matrix_b(basis) @ s
@@ -306,6 +297,11 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray,
             poles.append(float(phase))
             pole_weight.append(float(weight[j]))
             members.append([j])
+    # one eigenvalue at -1 can sit at both ends of the sorted phases
+    if len(poles) > 1 and abs(_wrap_phase(poles[0] - poles[-1])) < 1e-10:
+        poles.pop()
+        pole_weight[0] += pole_weight.pop()
+        members[0] += members.pop()
     poles = np.array(poles)
     pole_weight = np.array(pole_weight)
 
@@ -392,7 +388,7 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
     at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.
     """
-    basis = ReducedBasis(n, m, l)
+    basis = _reduced_basis(n, m, l)
     ws = math.sqrt(symmetric_ratio(n, m, l, l, 0))
     if ws == 0.0:
         raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
@@ -404,6 +400,9 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
 
     eigen = eigendecompose_unitary(u, w=w_vec)
     spectrum = up_eigenphases(eigen, w_vec)
+    if len(spectrum.thetas) < 2:
+        raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "
+                         f"|w> lies in one eigenspace of W^t1 (t1={t1})")
     order = np.argsort(np.abs(spectrum.thetas))
     th_a, th_b = spectrum.thetas[order[0]], spectrum.thetas[order[1]]
     theta_plus, theta_minus = (th_a, th_b) if th_a > 0 else (th_b, th_a)
@@ -415,17 +414,14 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     up = u @ (np.eye(basis.dim) - 2.0 * np.outer(w_vec, w_vec))
     up_eigen = eigendecompose_unitary(up)
     s_vec = reduced_s(basis)
-    fid = []
-    for theta, sign in ((theta_plus, +1.0), (theta_minus, -1.0)):
-        idx = int(np.argmin(np.abs(up_eigen.phases - theta)))
-        vec = up_eigen.vectors[:, idx]
-        target = (w_vec + sign * 1j * s_vec) / math.sqrt(2.0)
-        fid.append(abs(np.vdot(target, vec)) ** 2)
+    fidelity = min(up_eigen.eigenspace_weight(
+        theta, (w_vec + sign * 1j * s_vec) / math.sqrt(2.0))
+        for theta, sign in ((theta_plus, 1.0), (theta_minus, -1.0)))
     return RotationReport(
         n=n, m=m, l=l, t1=t1,
         theta_plus=float(theta_plus), theta_minus=float(theta_minus),
         w_s_overlap=ws,
         ratio_plus=float(ratio_plus), ratio_minus=float(ratio_minus),
-        eigvec_fidelity=float(min(fid)),
+        eigvec_fidelity=fidelity,
         error_scale=1.0 / m + m / n,
     )

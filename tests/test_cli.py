@@ -1,6 +1,11 @@
 """CLI: subcommands, exit codes, determinism, and serialization format."""
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +107,48 @@ def test_spectrum_underflowed_overlap_exit_2(capsys):
     assert len(err.strip().splitlines()) == 1 and "underflow" in err
 
 
+@pytest.mark.parametrize("n", range(2, 16))
+def test_spectrum_grid_exit_0_or_one_line_2(capsys, n):
+    """Every 1 <= l <= m < n gives a report or one error line and exit 2.
+    The grid holds walks with theta_l = pi (a double eigenvalue -1, on the
+    eigensolver's branch cut), with n - m < l, and with one active root."""
+    for m in range(1, n):
+        for l in range(1, m + 1):
+            code, out, err = run_cli(capsys, "spectrum", "--n", str(n),
+                                     "--m", str(m), "--l", str(l))
+            if code == 0:
+                assert err == "", (n, m, l)
+                assert json.loads(out)["walk_spectrum"]["closed_form_exact"]
+            else:
+                assert code == 2 and out == "", (n, m, l)
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_spectrum_theta_l_at_pi(capsys):
+    """n=4, m=2, l=2: sin(theta_2 / 2) = 1, so -1 is a double eigenvalue.
+    theta lists pi once, and each extreme-pair target keeps a quarter of
+    its weight in that eigenspace (the null space of W + 1)."""
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "4", "--m", "2",
+                           "--l", "2")
+    assert code == 0
+    rep = json.loads(out)["walk_spectrum"]
+    assert rep["theta"] == pytest.approx([1.9106332362490184, math.pi],
+                                         abs=1e-12)
+    assert rep["extreme_pair_fidelity"] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "4", "--l", "2"),
+     "the spectrum needs n - m >= l, got n=4, m=3, l=2"),
+    (("--n", "3", "--m", "2", "--l", "1"),
+     "W^t1 P has no rotation pair at n=3, m=2, l=1"),
+])
+def test_spectrum_refusals_name_the_cause(capsys, argv, message):
+    code, out, err = run_cli(capsys, "spectrum", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("engine", ["reduced", "both"])
 def test_reduced_refuses_several_marked_sets(capsys, tmp_path, engine):
     """Two disjoint collisions: the reduced engine models only one."""
@@ -177,6 +224,19 @@ def test_simulate_default_family_follows_l(capsys, argv, family):
     assert json.loads(out)["family"] == family
 
 
+def test_simulate_l_clique_at_n_16(capsys):
+    """At edge probability 0.25 an n=16 graph holds about 8.75 chance
+    triangles, too many to plant a unique one; the generator lowers it."""
+    code, out, _ = run_cli(capsys, "simulate", "--family", "l-clique",
+                           "--l", "3", "--n", "16", "--engine", "both",
+                           "--seed", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["max_state_deviation"] <= 1e-9
+    assert rep["full"]["success_probability"] == pytest.approx(
+        rep["reduced"]["success_probability"], abs=1e-9)
+
+
 def test_simulate_unknown_family_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--family", "nonsense", "--engine", "reduced",
@@ -239,6 +299,15 @@ def test_cost_optimize(capsys):
     code, out, _ = run_cli(capsys, "cost", "--optimize", "--l", "5",
                            "--variant", "mss")
     assert abs(json.loads(out)["fitted_exponent"] - 1.6) <= 0.02
+
+
+@pytest.mark.parametrize("argv", [("--l", "0"), ("--l", "-1"),
+                                  ("--l", "2", "--n", "0"),
+                                  ("--l", "3", "--n", "3")])
+def test_cost_optimize_bad_l_or_n_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "cost", "--optimize", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: need 1 <= l < n") and err.count("\n") == 1
 
 
 def test_cost_requires_action(capsys):
@@ -337,3 +406,21 @@ def test_simulate_json_has_17_digit_floats(capsys):
                         "--engine", "full", "--seed", "1")
     match = re.search(r'"success_probability": ([0-9.]+)', out)
     assert match and len(match.group(1).replace(".", "")) >= 17
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("spectrum", "--n", "10000000"),
+    ("cost", "--optimize"),
+    ("simulate", "--engine", "both", "--n", "9"),
+], ids=lambda argv: argv[0])
+def test_runs_without_scipy(argv):
+    """scipy is a test dependency only: with it unimportable, each
+    subcommand that does linear algebra still exits 0."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from johnson_walk.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from johnson_walk import (
-    ITEM, PAIRWISE, MarkedSet, ProblemInstance, find_marked,
+    ITEM, PAIRWISE, MarkedSet, ProblemInstance, binomial, find_marked,
     instance_from_json, instance_to_json, load_instance, make_family,
     pair_index,
 )
@@ -169,3 +169,18 @@ def test_multiple_classification():
     assert res.kind == "multiple"
     assert res.count == 3
     assert len(res.all_marked) == 3
+
+
+def test_clique_edge_prob_keeps_one_plant_likely():
+    """0.25 up to n=12 at l=3, so those instances are unchanged; past it
+    the edge probability falls so that C(n, 3) p^3 = 3.5 chance triangles
+    are expected, and n=16 and n=20 plant one triangle, or none."""
+    for n in range(6, 13):
+        inst = make_family("l-clique", n=n, l=3, seed=1)
+        assert inst.property_params["edge_prob"] == 0.25
+    for n in (16, 20):
+        for planted, kind in ((True, "unique"), (False, "none")):
+            inst = make_family("l-clique", n=n, l=3, seed=1, planted=planted)
+            assert find_marked(inst).kind == kind
+            p = inst.property_params["edge_prob"]
+            assert binomial(n, 3) * p ** 3 == pytest.approx(3.5)

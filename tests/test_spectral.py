@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from johnson_walk import (
@@ -10,6 +11,7 @@ from johnson_walk import (
     circular_phase_gap, delta_decomposition, eigendecompose_unitary,
     norm_constants, up_eigenphases, walk_spectrum,
 )
+from johnson_walk.cost_model import walk_steps
 
 
 def random_orthogonal(d, rng):
@@ -17,6 +19,69 @@ def random_orthogonal(d, rng):
     if np.linalg.det(u) < 0:
         u[:, 0] *= -1
     return u
+
+
+def _solver_cases() -> dict:
+    """Unitaries for the reference comparison: random ones, and ones whose
+    eigenvalues repeat exactly, at +-1 or in repeated rotation blocks."""
+    rng = np.random.default_rng(21)
+    q = random_orthogonal(8, rng)
+    z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    v = np.linalg.qr(z)[0]
+    h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+
+    def rot(t):
+        return [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+
+    return {
+        "identity": np.eye(5),
+        "three-cycle": np.roll(np.eye(3), 1, axis=0),
+        "exact +-1": q @ np.diag([1.0, -1, 1, -1, -1, 1, 1, -1]) @ q.T,
+        "repeated rotation blocks": q @ scipy.linalg.block_diag(
+            rot(0.7), rot(0.7), rot(2.1), [[1.0]], [[-1.0]]) @ q.T,
+        "complex repeated": (v * np.exp(1j * np.array(
+            [0.4, 0.4, 0.4, -2.0, math.pi, math.pi]))) @ v.conj().T,
+        "orthogonal 3": random_orthogonal(3, rng),
+        "orthogonal 11": random_orthogonal(11, rng),
+        "unitary 5": scipy.linalg.expm(1j * (h + h.conj().T)),
+    }
+
+
+SOLVER_CASES = _solver_cases()
+
+
+def _projector(values, vectors, at):
+    near = np.abs(values - at) <= 1e-8
+    return vectors[:, near] @ vectors[:, near].conj().T
+
+
+@pytest.mark.parametrize("name", SOLVER_CASES)
+def test_eigendecompose_matches_schur_reference(name):
+    """Phases and eigenspace projectors against scipy's complex Schur form,
+    which is diagonal for a normal matrix."""
+    u = SOLVER_CASES[name]
+    t, z = scipy.linalg.schur(u.astype(complex), output="complex")
+    ref = np.diag(t)
+    eig = eigendecompose_unitary(u)
+    assert circular_phase_gap(eig.phases, np.angle(ref)) <= 1e-12
+    ours = np.exp(1j * eig.phases)
+    for at in ref:
+        dev = _projector(ours, eig.vectors, at) - _projector(ref, z, at)
+        assert np.max(np.abs(dev)) <= 1e-10
+    gram = eig.vectors.conj().T @ eig.vectors
+    assert np.max(np.abs(gram - np.eye(len(u)))) <= 1e-10
+    assert eig.reconstruction_residual <= 1e-12
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_eigenvectors_orthonormal_at_n_1e8(l):
+    """W and W^t1 at n = 10^8, where the walk's phases are ~1e-3 apart."""
+    n = 10 ** 8
+    m = choose_parameters(n, l).m
+    w = build_walk_matrix(ReducedBasis(n, m, l))
+    for u in (w, np.linalg.matrix_power(w, walk_steps(m, l))):
+        v = eigendecompose_unitary(u).vectors
+        assert np.linalg.norm(v.conj().T @ v - np.eye(len(u)), 2) <= 1e-10
 
 
 def test_eigendecompose_identity():

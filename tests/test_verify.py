@@ -2,7 +2,7 @@
 import numpy as np
 
 from johnson_walk import reduced_sim
-from johnson_walk.verify import run_all
+from johnson_walk.verify import haar_orthogonal, run_all
 
 
 def test_all_checks_pass():
@@ -28,3 +28,15 @@ def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
     failed = [r.name for r in run_all() if not r.passed]
     assert failed == ["walk-fixes-start-state", "full-reduced-agreement",
                       "large-n-final-overlap"]
+
+
+def test_haar_orthogonal():
+    """Orthogonal at every size, and Haar: over O(4) the trace has mean 0
+    and second moment 1.  Without the sign fix the mean is about -0.8."""
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 16):
+        u = haar_orthogonal(d, rng)
+        assert np.max(np.abs(u.T @ u - np.eye(d))) <= 1e-12
+    traces = np.array([np.trace(haar_orthogonal(4, rng)) for _ in range(4000)])
+    assert abs(traces.mean()) <= 0.1
+    assert abs(np.mean(traces ** 2) - 1.0) <= 0.15
