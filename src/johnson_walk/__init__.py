@@ -54,6 +54,7 @@ from .instances import (
     ITEM,
     PAIRWISE,
     FindResult,
+    GenerationError,
     MarkedSet,
     ProblemInstance,
     find_marked,

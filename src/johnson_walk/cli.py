@@ -3,7 +3,8 @@
 Single runs emit JSON, sweeps and tables emit CSV; all floats carry 17
 significant digits so identical configurations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 bad
-configuration, 3 state space over the memory cap.
+configuration (including an instance the generator cannot draw and a
+root the finder cannot bracket), 3 state space over the memory cap.
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from .combinat import binomial
 from .cost_model import VARIANTS, choose_parameters, optimize_m, \
     table1_csv, walk_size
 from .full_sim import MemoryCapError, run_algorithm
-from .instances import FAMILIES, find_marked, load_instance, make_family
+from .instances import FAMILIES, GenerationError, check_family_l, \
+    find_marked, load_instance, make_family
 from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
 from .serialize import csv_line, dumps_report
-from .spectral import algorithm_rotation, delta_decomposition, walk_spectrum
+from .spectral import RootBracketError, algorithm_rotation, \
+    delta_decomposition, walk_spectrum
 
 EXIT_CONFIG = 2
 EXIT_MEMCAP = 3
@@ -80,8 +83,7 @@ def _build_instance(args, family):
         raise ConfigError("the custom family needs --instance")
     if args.family == "element-distinctness" and args.l != 2:
         raise ConfigError("element-distinctness is an l=2 family")
-    if args.family == "l-clique" and args.l < 3:
-        raise ConfigError("l-clique is an l >= 3 family")
+    check_family_l(family, args.l)
     if args.engine == "reduced" and binomial(args.n, args.l) > _SCAN_LIMIT:
         return None
     return make_family(family, n=args.n, l=args.l, seed=args.seed,
@@ -248,7 +250,8 @@ def main(argv=None) -> int:
     except MemoryCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MEMCAP
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError, json.JSONDecodeError,
+            GenerationError, RootBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

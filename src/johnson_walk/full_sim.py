@@ -9,10 +9,11 @@ counted where the algorithm would make them.
 A walk step S C2 S C1 maps the a-side to itself, and the start state,
 the step and the phase flip are real.  So the state is one real array
 of shape (num_subsets, num_coins) over the a-pairs, subsets indexed by
-colex rank, and the b-side is a transient buffer inside a step.  Coin
-diffusion is blockwise mean inversion per subset row, the shift a
-precomputed bijection between the a-pairs and the b-pairs.  The kernels
-take complex arrays as well.
+colex rank; no b-side buffer exists.  Coin 1 inverts each subset row
+about its mean, coin 2 (applied as S C2 S) the a-pairs (A, k) that share
+one union A ∪ {k}, found by its precomputed colex rank.  The shift S, a
+bijection between the a-pairs and the b-pairs, is the reference the step
+is checked against.  The kernels take complex arrays as well.
 """
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ class MemoryCapError(RuntimeError):
 
 def walk_bytes(n: int, m: int) -> int:
     """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
-    (int64) and member (bool) per subset, then shift_map (int64), the
-    float64 state and one float64 step buffer, dim_a = dim_b entries each."""
+    (int64) and member (bool) per subset, then union_rank (int64), the
+    float64 state and the step's float64 gather temporary, dim_a entries
+    each."""
     num_a = binomial(n, m)
     return num_a * (8 * m + n) + 3 * 8 * num_a * (n - m)
 
@@ -86,6 +88,8 @@ class WalkContext:
     member[r, k] says whether element k lies in subset r.  The coins of
     subset r are the elements outside it, in increasing order, so the
     a-pair (r, slot) has coin k = the slot-th False of member[r].
+    union_rank holds, per a-pair in flat order (r * (n - m) + slot), the
+    colex rank of the (m+1)-subset A ∪ {k}.
     """
 
     def __init__(self, n: int, m: int):
@@ -106,11 +110,8 @@ class WalkContext:
         self.member = np.zeros((self.num_a, n), dtype=bool)
         np.put_along_axis(self.member, self.subsets_a, True, axis=1)
 
-        # Flat pair index (subset_rank * num_coins + slot) on each side;
-        # shift maps the a-pair (A, k) to the b-pair (A ∪ {k}, k).  With
-        # pos = #{a in A : a < k} = k - slot, the colex rank of A ∪ {k} is
+        # With pos = #{a in A : a < k} = k - slot, the colex rank of A ∪ {k} is
         #   sum_{i<pos} C(a_i, i+1) + C(k, pos+1) + sum_{i>=pos} C(a_i, i+2)
-        # and k sits at index pos of the sorted (m+1)-subset.
         table = _binomial_table(n, m + 1)
         cols = np.arange(m)
         low = table[self.subsets_a, cols + 1]
@@ -125,12 +126,18 @@ class WalkContext:
         small = np.min_scalar_type(n)
         coins = self.at_coins(np.arange(n, dtype=small))
         pos = coins - np.arange(n - m, dtype=small)
-        shift = np.take_along_axis(outer, pos, axis=1)
+        union = np.take_along_axis(outer, pos, axis=1)
         del outer
-        shift += table[coins, pos + 1]
-        shift *= m + 1
-        shift += pos
-        self.shift_map = shift.reshape(-1)
+        union += table[coins, pos + 1]
+        self.union_rank = union.reshape(-1)
+
+    @property
+    def shift_map(self) -> np.ndarray:
+        """Flat b-pair index (union rank * (m + 1) + position of k in the
+        union) of each a-pair: S maps (A, k) to (A ∪ {k}, k).  Computed on
+        demand; k sits at index pos = k - slot of the sorted union."""
+        pos = self.at_coins(np.arange(self.n)) - np.arange(self.n - self.m)
+        return self.union_rank * (self.m + 1) + pos.reshape(-1)
 
     def at_coins(self, values) -> np.ndarray:
         """values[k] at the coin k of every a-pair, shape (num_a, n - m)."""
@@ -179,43 +186,47 @@ def prepare_s(instance: ProblemInstance, m: int) -> FullState:
     return FullState(ctx, amps, m if instance.mode == ITEM else binomial(m, 2))
 
 
-def _invert_about_row_means(x: np.ndarray) -> np.ndarray:
-    """x -= 2 * (mean of its row), in place; the row sums are one matvec."""
-    x -= (x @ np.full(x.shape[1], 2.0 / x.shape[1]))[:, None]
-    return x
-
-
 def apply_coin1(state: FullState) -> FullState:
-    """Grover diffusion over the coins k outside each m-subset."""
-    _invert_about_row_means(state.amps)
+    """Grover diffusion over the coins k outside each m-subset: each row
+    loses twice its mean, in place; the row sums are one matvec."""
+    x = state.amps
+    x -= (x @ np.full(x.shape[1], 2.0 / x.shape[1]))[:, None]
     return state
 
 
-def apply_coin2(buf: np.ndarray) -> np.ndarray:
-    """Grover diffusion over the coins k inside each (m+1)-subset, in place
-    on a b-side buffer of shape (num_b, m + 1)."""
-    return _invert_about_row_means(buf)
+def apply_coin2(ctx: WalkContext, amps: np.ndarray) -> np.ndarray:
+    """Grover diffusion over the coins k inside each (m+1)-subset, seen from
+    the a-side: S C2 S, in place on a-side amplitudes.  Each a-pair (A, k)
+    loses 2/(m+1) times the sum over the m+1 a-pairs with its union A ∪ {k}."""
+    weights = amps.reshape(-1)
+    sums = np.bincount(ctx.union_rank, weights=weights.real, minlength=ctx.num_b)
+    if np.iscomplexobj(amps):
+        sums = sums + 1j * np.bincount(ctx.union_rank, weights=weights.imag,
+                                       minlength=ctx.num_b)
+    sums *= 2.0 / (ctx.m + 1)
+    amps -= sums[ctx.union_rank].reshape(amps.shape)
+    return amps
 
 
 def apply_shift(ctx: WalkContext, amps: np.ndarray,
                 back: bool = False) -> np.ndarray:
     """S, which swaps each pair (A, k) with (A ∪ {k}, k): a-side amplitudes
-    to a new b-side buffer, or with back=True the reverse.  shift_map is a
+    to a new b-side buffer of shape (num_b, m + 1), or with back=True the
+    reverse; the reference apply_coin2 is checked against.  shift_map is a
     bijection between the sides, so the scatter fills all of np.empty."""
+    shift_map = ctx.shift_map
     if back:
-        return amps.reshape(-1)[ctx.shift_map].reshape(ctx.num_a, ctx.n - ctx.m)
+        return amps.reshape(-1)[shift_map].reshape(ctx.num_a, ctx.n - ctx.m)
     buf = np.empty(ctx.dim_b, dtype=amps.dtype)
-    buf[ctx.shift_map] = amps.reshape(-1)
+    buf[shift_map] = amps.reshape(-1)
     return buf.reshape(ctx.num_b, ctx.m + 1)
 
 
 def apply_walk_step(state: FullState, instance: ProblemInstance) -> FullState:
-    """One walk step S C2 S C1; +2 queries (item) or +2m (pairwise)."""
-    ctx = state.ctx
+    """One walk step S C2 S C1, in place; +2 queries (item) or +2m (pairwise)."""
     apply_coin1(state)
-    buf = apply_coin2(apply_shift(ctx, state.amps))
-    state.amps = apply_shift(ctx, buf, back=True)
-    state.query_count += 2 if instance.mode == ITEM else 2 * ctx.m
+    apply_coin2(state.ctx, state.amps)
+    state.query_count += 2 if instance.mode == ITEM else 2 * state.ctx.m
     return state
 
 

@@ -12,7 +12,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .combinat import binomial
 
@@ -20,6 +23,11 @@ ITEM = "item"
 PAIRWISE = "pairwise"
 
 _MAX_PLANT_RETRIES = 200
+
+
+class GenerationError(RuntimeError):
+    """A generator could not draw an instance with the asked-for number of
+    marked sets (one planted, or none)."""
 
 
 def pair_index(i: int, j: int) -> int:
@@ -174,7 +182,7 @@ def _plant_loop(make_candidate, want_unique):
         if not want_unique and res.kind == "none":
             return inst
         last = res.kind
-    raise RuntimeError(
+    raise GenerationError(
         f"could not realize plant={want_unique} in {_MAX_PLANT_RETRIES} draws "
         f"(last classification: {last})")
 
@@ -188,7 +196,18 @@ def make_family(family: str, **params) -> ProblemInstance:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    if "l" in params:
+        check_family_l(family, params["l"])
     return FAMILIES[family].generate(**params)
+
+
+def check_family_l(family: str, l: int) -> None:
+    """Refuse an l below the family's min_l, where nearly every table holds
+    many solutions: one element is always a run of equal or consecutive
+    values, and an l-clique of 1 or 2 vertices is a vertex or an edge."""
+    min_l = FAMILIES[family].min_l
+    if l < min_l:
+        raise ValueError(f"{family} is an l >= {min_l} family")
 
 
 def _gen_element_distinctness(n, l=2, seed=0, planted=True):
@@ -216,32 +235,43 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
 
 def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
     if m_bits is None:
-        m_bits = math.ceil(math.log2(n)) + 2
+        return _default_range(
+            lambda bits: _gen_zero_sum_xor(n, l, bits, seed, planted),
+            math.ceil(math.log2(n)) + 2, (binomial(n, l) - 1).bit_length())
     if m_bits < 1:
         raise ValueError("m_bits must be positive")
     rng = random.Random(seed)
-
-    def candidate():
-        vals = [rng.getrandbits(m_bits) for _ in range(n)]
-        keep = ()
-        if planted:
-            keep = rng.sample(range(n), l)
-            acc = 0
-            for i in keep[:-1]:
-                acc ^= vals[i]
-            vals[keep[-1]] = acc
-        _scrub_accidental(vals, l, lambda sub: _xor_all(vals, sub) == 0,
-                          lambda: rng.getrandbits(m_bits), keep)
-        return _build("zero-sum-xor", n, l, vals,
-                      {"m_bits": m_bits, "planted": planted}, seed)
-    return _plant_loop(candidate, planted)
+    vals = [rng.getrandbits(m_bits) for _ in range(n)]
+    keep = ()
+    if planted:
+        keep = rng.sample(range(n), l)
+        acc = 0
+        for i in keep[:-1]:
+            acc ^= vals[i]
+        vals[keep[-1]] = acc
+    _scrub_accidental(vals, l, lambda v: np.bitwise_xor.reduce(v) == 0,
+                      partial(rng.getrandbits, m_bits), keep)
+    return _build("zero-sum-xor", n, l, vals,
+                  {"m_bits": m_bits, "planted": planted}, seed)
 
 
-def _xor_all(vals, subset):
-    acc = 0
-    for i in subset:
-        acc ^= vals[i]
-    return acc
+def _default_range(draw, first, wide):
+    """draw(first), the family's historical default value range; where that
+    cannot be drawn, draw(wide), a range with about C(n, l) values, so that
+    about one accidental solution is expected and a few scrub passes
+    remove it.  The range is m_bits for zero-sum-xor and q for sum-mod-q.
+
+    The first range is often too narrow from l = 4 and n = 12 on: a redraw
+    there can create new solutions faster than it breaks old ones, and the
+    scrub gives up.  Trying it first keeps every instance it can draw
+    unchanged.
+    """
+    try:
+        return draw(first)
+    except GenerationError:
+        if wide <= first:
+            raise
+        return draw(wide)
 
 
 def _scrub_accidental(vals, l, is_hit, redraw, keep=()):
@@ -253,42 +283,55 @@ def _scrub_accidental(vals, l, is_hit, redraw, keep=()):
     converge because each redraw breaks one solution and creates new
     ones only with the background density.  A planted solution is
     passed in `keep`: it is never counted as accidental and its values
-    are never touched.
+    are never touched.  A pass finds every hit among the l-subsets, in
+    itertools.combinations order, then redraws the last element outside
+    `keep` of each in turn.  is_hit maps an (l, C(n, l)) array of values,
+    one column per subset, to a mask of solutions.
+
+    On return the table holds no solution but the planted one, so the
+    generators that scrub need no classifying scan afterwards.
     """
     n = len(vals)
-    keep = frozenset(keep)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), l))
+    subsets = np.fromiter(flat, dtype=np.min_scalar_type(n),
+                          count=binomial(n, l) * l).reshape(-1, l)
+    accidental = np.ones(len(subsets), dtype=bool)
+    if keep:
+        accidental = np.any(subsets != np.sort(keep), axis=1)
+    # a subset other than the planted one has an element outside it
+    outside = ~np.isin(subsets, keep)
+    last_free = l - 1 - np.argmax(outside[:, ::-1], axis=1)
+    last_free = subsets[np.arange(len(subsets)), last_free]
+    # one row per element of a subset, indexed by the fastest gather type
+    columns = np.ascontiguousarray(subsets.T, dtype=np.intp)
     for _ in range(_MAX_PLANT_RETRIES):
-        hits = [s for s in itertools.combinations(range(n), l)
-                if frozenset(s) != keep and is_hit(s)]
-        if not hits:
+        fits = l * max(vals) < 2 ** 62  # sums of l values fit in int64
+        values = np.array(vals, dtype=np.int64 if fits else object)
+        hits = is_hit(values[columns]) & accidental
+        if not hits.any():
             return
-        for sub in hits:
-            free = [i for i in sub if i not in keep]
-            if free:
-                vals[free[-1]] = redraw()
-    raise RuntimeError(
+        for i in last_free[hits].tolist():
+            vals[i] = redraw()
+    raise GenerationError(
         f"could not scrub accidental solutions in {_MAX_PLANT_RETRIES} passes")
 
 
 def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
     if q is None:
-        q = 4 * n
+        return _default_range(
+            lambda q: _gen_sum_mod_q(n, l, q, seed, planted),
+            4 * n, binomial(n, l))
     if q < 2:
         raise ValueError("q must be at least 2")
     rng = random.Random(seed)
-
-    def candidate():
-        vals = [rng.randrange(q) for _ in range(n)]
-        keep = ()
-        if planted:
-            keep = rng.sample(range(n), l)
-            vals[keep[-1]] = (-sum(vals[i] for i in keep[:-1])) % q
-        _scrub_accidental(vals, l,
-                          lambda sub: sum(vals[i] for i in sub) % q == 0,
-                          lambda: rng.randrange(q), keep)
-        return _build("sum-mod-q", n, l, vals, {"q": q, "planted": planted},
-                      seed)
-    return _plant_loop(candidate, planted)
+    vals = [rng.randrange(q) for _ in range(n)]
+    keep = ()
+    if planted:
+        keep = rng.sample(range(n), l)
+        vals[keep[-1]] = (-sum(vals[i] for i in keep[:-1])) % q
+    _scrub_accidental(vals, l, lambda v: v.sum(axis=0) % q == 0,
+                      partial(rng.randrange, q), keep)
+    return _build("sum-mod-q", n, l, vals, {"q": q, "planted": planted}, seed)
 
 
 def _gen_consecutive(n, l=3, seed=0, planted=True):
@@ -356,20 +399,21 @@ class Family(NamedTuple):
     generate: Callable      # keyword parameters -> ProblemInstance
     mode: str               # oracle mode: ITEM or PAIRWISE
     predicate: Callable     # property params, as stored -> predicate
+    min_l: int = 1          # smallest l the generator can plant one set at
 
 
 FAMILIES = {
     "element-distinctness": Family(_gen_element_distinctness, ITEM,
-                                   lambda params: _pred_all_equal),
+                                   lambda params: _pred_all_equal, 2),
     "l-distinctness": Family(_gen_l_distinctness, ITEM,
-                             lambda params: _pred_all_equal),
+                             lambda params: _pred_all_equal, 2),
     "zero-sum-xor": Family(_gen_zero_sum_xor, ITEM,
                            lambda params: _pred_zero_sum_xor),
     "sum-mod-q": Family(_gen_sum_mod_q, ITEM,
                         lambda params: _make_pred_sum_mod_q(params["q"])),
     "consecutive": Family(_gen_consecutive, ITEM,
-                          lambda params: _pred_consecutive),
-    "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _pred_clique),
+                          lambda params: _pred_consecutive, 2),
+    "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _pred_clique, 3),
     # a custom property stored in JSON is the list form, item-mode only
     "custom": Family(_gen_custom, ITEM,
                      lambda params: _make_pred_explicit(params["satisfying"])),

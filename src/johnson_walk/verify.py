@@ -32,18 +32,18 @@ class CheckResult:
 
 
 def reflection_cases(ctx, marked) -> dict:
-    """name -> (shape, op, its inverse) for each reflection of the walk: C1
-    and P on a-states, C2 on b-buffers, S out and back from either side.
-    By linearity that covers S^2 = C1^2 = C2^2 = P^2 = 1 on the whole pair
-    space.  An op may change its input."""
+    """name -> (shape, op, its inverse) for each reflection of the walk: C1,
+    P and C2 (applied as S C2 S) on a-states, S out and back from either
+    side.  By linearity that covers S^2 = C1^2 = (S C2 S)^2 = P^2 = 1 on
+    the whole pair space.  An op may change its input."""
     def on_a(op):
         return lambda x: op(FullState(ctx, x)).amps
 
     c1, flip = on_a(apply_coin1), on_a(lambda s: apply_phase_flip(s, marked))
+    c2 = partial(apply_coin2, ctx)
     out, back = partial(apply_shift, ctx), partial(apply_shift, ctx, back=True)
     a, b = (ctx.num_a, ctx.n - ctx.m), (ctx.num_b, ctx.m + 1)
-    return {"C1": (a, c1, c1), "P": (a, flip, flip),
-            "C2": (b, apply_coin2, apply_coin2),
+    return {"C1": (a, c1, c1), "P": (a, flip, flip), "C2": (a, c2, c2),
             "S from a": (a, out, back), "S from b": (b, back, out)}
 
 

@@ -210,6 +210,62 @@ def test_simulate_l_clique_refuses_l_below_3_exit_2(capsys, argv):
     assert err == "error: l-clique is an l >= 3 family\n"
 
 
+@pytest.mark.parametrize("family, argv", [
+    ("consecutive", ("--n", "9", "--engine", "both")),
+    ("consecutive", ("--engine", "reduced", "--n", "100000000")),
+    ("l-distinctness", ("--n", "9", "--engine", "full")),
+    ("l-distinctness", ("--engine", "reduced", "--n", "100000000")),
+])
+def test_simulate_run_families_refuse_l_1_exit_2(capsys, family, argv):
+    """Every element is a run of one equal or consecutive value, so no
+    instance has a unique marked set; the rule holds past the scan limit."""
+    code, out, err = run_cli(capsys, "simulate", "--family", family,
+                             "--l", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {family} is an l >= 2 family\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "zero-sum-xor", "--n", "14", "--l", "4"),
+    ("--family", "sum-mod-q", "--n", "20", "--l", "5"),
+])
+def test_simulate_scrubbed_families_past_l_3(capsys, argv):
+    """ceil(log2 n) + 2 bits, or q = 4n, cannot be scrubbed of chance
+    solutions here; the draw widens to about C(n, l) values."""
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--engine", "reduced",
+                           "--seed", "0")
+    assert code == 0
+    rep = json.loads(out)["reduced"]
+    assert "assumed_unique" not in rep["flags"]
+    assert rep["success_probability"] > 0
+
+
+@pytest.mark.parametrize("family", ["consecutive", "zero-sum-xor"])
+def test_simulate_generation_failure_exit_2(capsys, monkeypatch, family):
+    """With no draws allowed, the plant loop (consecutive) or the scrubber
+    (zero-sum-xor, which scrubs first) gives up: one line, exit 2."""
+    from johnson_walk import instances
+
+    monkeypatch.setattr(instances, "_MAX_PLANT_RETRIES", 0)
+    code, out, err = run_cli(capsys, "simulate", "--family", family,
+                             "--n", "9", "--l", "3", "--engine", "full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: could not ") and err.count("\n") == 1
+
+
+def test_spectrum_root_bracket_failure_exit_2(capsys, monkeypatch):
+    """A cotangent sum with no sign change in a pole gap: one line, exit 2."""
+    from johnson_walk import spectral
+
+    monkeypatch.setattr(spectral, "_cot_sum", lambda theta, poles, weights: 0.0)
+    code, out, err = run_cli(capsys, "spectrum", "--n", "9", "--l", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no sign change") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, family", [
     (("--engine", "reduced", "--n", "100000000", "--l", "3"), "l-distinctness"),
     (("--engine", "reduced", "--n", "1000000", "--l", "2"),

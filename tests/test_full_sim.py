@@ -37,23 +37,27 @@ def test_context_shapes():
 
 
 def reference_index(n, m):
-    """Subsets by colex rank and the shift map, one Python step per pair."""
+    """Subsets by colex rank, the union ranks and the shift map, one Python
+    step per pair."""
     subsets = [None] * binomial(n, m)
     for comb in itertools.combinations(range(n), m):
         subsets[rank_subset(comb, n)] = comb
-    shift = []
+    union, shift = [], []
     for a in subsets:
         for k in range(n):
             if k not in a:
                 b = tuple(sorted(a + (k,)))
-                shift.append(rank_subset(b, n) * (m + 1) + b.index(k))
-    return subsets, shift
+                union.append(rank_subset(b, n))
+                shift.append(union[-1] * (m + 1) + b.index(k))
+    return subsets, union, shift
 
 
 def assert_index_matches_reference(ctx):
-    subsets, shift = reference_index(ctx.n, ctx.m)
+    subsets, union, shift = reference_index(ctx.n, ctx.m)
     assert np.array_equal(ctx.subsets_a,
                           np.array(subsets).reshape(ctx.num_a, ctx.m))
+    assert ctx.union_rank.dtype == np.int64
+    assert np.array_equal(ctx.union_rank, union)
     assert ctx.shift_map.dtype == np.int64
     assert np.array_equal(ctx.shift_map, shift)
     return subsets
@@ -66,8 +70,8 @@ def assert_mask_matches_reference(ctx, subsets, marked_sets):
 
 
 def test_index_matches_reference_up_to_14():
-    """Also: dim_a == dim_b and shift_map hits every b-pair once, so the
-    step's np.empty b-side buffer is fully written by one scatter."""
+    """Also: dim_a == dim_b and shift_map hits every b-pair once, so
+    apply_shift's np.empty b-side buffer is fully written by one scatter."""
     for n in range(2, 15):
         for m in range(1, n):
             ctx = WalkContext(n, m)
@@ -100,7 +104,8 @@ def test_memory_cap_enforced(monkeypatch):
     """The cap is in bytes: index, float64 state and one step buffer."""
     with pytest.raises(MemoryCapError):
         WalkContext(40, 20)
-    # subsets_a 126*4*8, member 126*9, shift_map, state and buffer 630*8 each
+    # subsets_a 126*4*8, member 126*9, union_rank, state and the step's
+    # gather temporary 630*8 each
     need = 126 * 4 * 8 + 126 * 9 + 3 * 630 * 8
     assert walk_bytes(9, 4) == need == 20286
     monkeypatch.setenv("JOHNSON_WALK_MEMCAP", str(need - 1))
@@ -170,9 +175,9 @@ def test_walk_fixes_start_state():
 def test_reflection_suite():
     """S^2 = C1^2 = C2^2 = P^2 = 1, norms preserved, 50 states each.
 
-    C1 and P act on a-states, C2 on b-buffers, and S goes out to the
-    b-side and back, and back to the a-side and out again.  By linearity
-    this covers the whole pair space.
+    C1, P and C2 (applied as S C2 S) act on a-states, and S goes out to
+    the b-side and back, and back to the a-side and out again.  By
+    linearity this covers the whole pair space.
     """
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
@@ -185,8 +190,8 @@ def test_reflection_suite():
     flip = on_a(lambda s: apply_phase_flip(s, marked))
     ops = {"C1": (shape_a, on_a(apply_coin1), on_a(apply_coin1)),
            "P": (shape_a, flip, flip),
-           "C2": (shape_b, lambda x: apply_coin2(x.copy()),
-                  lambda x: apply_coin2(x.copy())),
+           "C2": (shape_a, lambda x: apply_coin2(ctx, x.copy()),
+                  lambda x: apply_coin2(ctx, x.copy())),
            "S a->b->a": (shape_a, lambda x: apply_shift(ctx, x),
                          lambda x: apply_shift(ctx, x, back=True)),
            "S b->a->b": (shape_b, lambda x: apply_shift(ctx, x, back=True),
@@ -197,6 +202,24 @@ def test_reflection_suite():
             once = op(ref)
             assert abs(np.linalg.norm(once) - 1.0) <= 1e-10, name
             assert np.max(np.abs(undo(once) - ref)) <= 1e-10, name
+
+
+def test_coin2_matches_shift_reflect_shift():
+    """For n <= 10 and every m, apply_coin2 on an a-state equals the shift
+    to a b-buffer, mean inversion of each (m+1)-subset's row there, and the
+    shift back, on random real and complex states."""
+    rng = np.random.default_rng(8)
+    for n in range(2, 11):
+        for m in range(1, n):
+            ctx = WalkContext(n, m)
+            for dtype in (float, complex):
+                amps = random_unit((ctx.num_a, n - m), rng, dtype)
+                buf = apply_shift(ctx, amps)
+                buf -= 2.0 * buf.mean(axis=1, keepdims=True)
+                expect = apply_shift(ctx, buf, back=True)
+                got = apply_coin2(ctx, amps.copy())
+                assert got.dtype == dtype
+                assert np.max(np.abs(got - expect)) <= 1e-12, (n, m, dtype)
 
 
 def dense_walk_step(n, m):

@@ -1,7 +1,11 @@
 """Problem instances, generators, the scan oracle, and JSON round trips."""
+import hashlib
+import itertools
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from johnson_walk import (
@@ -184,3 +188,123 @@ def test_clique_edge_prob_keeps_one_plant_likely():
             assert find_marked(inst).kind == kind
             p = inst.property_params["edge_prob"]
             assert binomial(n, 3) * p ** 3 == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("family, min_l", [
+    ("l-distinctness", 2), ("consecutive", 2), ("l-clique", 3)])
+def test_families_refuse_l_below_their_minimum(family, min_l):
+    """Below min_l every table has many solutions (one element is a run of
+    equal or consecutive values; a 2-clique is an edge)."""
+    with pytest.raises(ValueError, match=f"{family} is an l >= {min_l} family"):
+        make_family(family, n=9, l=min_l - 1, seed=0)
+    make_family(family, n=9, l=min_l, seed=0)
+
+
+# sha256 (first 32 hex digits) of the instance JSON, each drawn with the
+# historical default range (m_bits = ceil(log2 n) + 2, q = 4n) before it
+# widened where that range cannot be drawn
+FROZEN_DRAWS = {
+    ("zero-sum-xor", 12, 4, 0, True): "94629fd3cb7e38aa533e1ad9c6c8c579",
+    ("zero-sum-xor", 12, 4, 9, True): "dcc01983cbd11582f559e2c06502132e",
+    ("zero-sum-xor", 13, 5, 0, False): "8415d9bbd1f540a0eca2e24645b8c172",
+    ("zero-sum-xor", 17, 5, 10, True): "bd017421e0b5febf412073f6ab081186",
+    ("zero-sum-xor", 24, 5, 3, True): "8fb46f06f3631817f48db8af1c023922",
+    ("zero-sum-xor", 24, 5, 11, False): "96c7904d66389f67eda72a46fb41e32a",
+    ("zero-sum-xor", 24, 3, 5, True): "a79e9ef2ef9d22c71127221c61b2b5bd",
+    ("zero-sum-xor", 16, 3, 2, False): "1d931998ee47ccca9066528e868580f0",
+    ("sum-mod-q", 12, 4, 0, True): "2b733dd0bffa238ae413b4bcd9fa7661",
+    ("sum-mod-q", 24, 4, 10, True): "62e776e18af1ad61025cbc7b12326746",
+    ("sum-mod-q", 24, 4, 2, False): "7b1462b1ae3089afc9aea4eda461ecec",
+    ("sum-mod-q", 20, 5, 9, True): "360b97feebde103891ab9182eb1d8175",
+    ("sum-mod-q", 24, 5, 11, False): "85da097a11dcc3df2c7802b8a92fef15",
+    ("sum-mod-q", 16, 3, 4, True): "c8679e22e43955e69e8488c18f36d9b7",
+}
+
+
+def test_default_range_keeps_every_draw_it_could_make():
+    for (family, n, l, seed, planted), digest in FROZEN_DRAWS.items():
+        inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
+        text = json.dumps(instance_to_json(inst), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
+
+
+def solutions(inst, subsets):
+    """How many of the l-subsets (rows of `subsets`) satisfy inst's
+    property: a numpy scan, so the grid below stays fast; find_marked
+    checks the smallest n."""
+    values = np.array(inst.values)[subsets]
+    if inst.family_tag == "zero-sum-xor":
+        return int(np.sum(np.bitwise_xor.reduce(values, axis=1) == 0))
+    return int(np.sum(values.sum(axis=1) % inst.property_params["q"] == 0))
+
+
+@pytest.mark.parametrize("l, seeds", [(3, range(12)), (4, range(2)),
+                                      (5, range(2))])
+@pytest.mark.parametrize("family", ["zero-sum-xor", "sum-mod-q"])
+def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
+    """Planted and unplanted draws at n = 12..24 all build, with one
+    solution or none.  The default range is the historical one where that
+    can be drawn, else about C(n, l) values: from l = 4 on the historical
+    range mostly cannot (at n = 14, l = 4 the scrub gave up).  Finding that
+    out costs the full 200 scrub passes per draw, so l = 4 and 5 take two
+    seeds here; all twelve seeds 0..11 build there too."""
+    for n in range(12, 25):
+        first, wide = ((math.ceil(math.log2(n)) + 2,
+                        (binomial(n, l) - 1).bit_length())
+                       if family == "zero-sum-xor" else (4 * n, binomial(n, l)))
+        key = "m_bits" if family == "zero-sum-xor" else "q"
+        subsets = np.array(list(itertools.combinations(range(n), l)))
+        for seed in seeds:
+            for planted in (True, False):
+                inst = make_family(family, n=n, l=l, seed=seed,
+                                   planted=planted)
+                assert inst.property_params[key] in (first, wide)
+                assert solutions(inst, subsets) == planted, (n, seed, planted)
+                if n == 12:
+                    kind = find_marked(inst).kind
+                    assert kind == ("unique" if planted else "none")
+
+
+def reference_scrub(vals, l, is_hit, redraw, keep=()):
+    """The scrub one subset at a time in Python, as it was written before
+    its scan was vectorized; returns whether it converged."""
+    keep = frozenset(keep)
+    for _ in range(200):
+        hits = [s for s in itertools.combinations(range(len(vals)), l)
+                if frozenset(s) != keep and is_hit([vals[i] for i in s])]
+        if not hits:
+            return True
+        for sub in hits:
+            vals[[i for i in sub if i not in keep][-1]] = redraw()
+    return False
+
+
+def test_scrub_matches_the_subset_loop():
+    """Same redraws in the same order, so the same table, and the same
+    verdict, on xor and sum tables small enough to fail and to pass."""
+    from johnson_walk.instances import GenerationError, _scrub_accidental
+
+    rules = {"xor": (lambda v: np.bitwise_xor.reduce(v) == 0,
+                     lambda row: np.bitwise_xor.reduce(row) == 0),
+             "sum": (lambda v: v.sum(axis=0) % 24 == 0,
+                     lambda row: sum(row) % 24 == 0)}
+    verdicts = set()
+    for n, l, seed in itertools.product((8, 10), (3, 4, 5), range(2)):
+        for is_hit, one_hit in rules.values():
+            for planted in (False, True):
+                rng = random.Random(seed)
+                vals = [rng.randrange(24) for _ in range(n)]
+                keep = tuple(rng.sample(range(n), l)) if planted else ()
+                ours, theirs = list(vals), list(vals)
+                ours_rng, theirs_rng = random.Random(seed), random.Random(seed)
+                try:
+                    _scrub_accidental(ours, l, is_hit,
+                                      lambda: ours_rng.randrange(24), keep)
+                    converged = True
+                except GenerationError:
+                    converged = False
+                assert converged == reference_scrub(
+                    theirs, l, one_hit, lambda: theirs_rng.randrange(24), keep)
+                assert ours == theirs
+                verdicts.add(converged)
+    assert verdicts == {True, False}
