@@ -37,8 +37,9 @@ print(f"reduced engine: success = {reduced.success_probability:.12f}")
 print(f"amplification over baseline: {full.success_probability / baseline:.2f}x")
 
 # embed the 5-component reduced state back into the 1260-amplitude space
-embedded = embed_to_full(reduced.final_state, basis, found.marked)
-dev = np.max(np.abs(embedded.amps - full.final_state.amps))
+embedded = embed_to_full(reduced.final_state, basis, found.marked,
+                         full.final_state.ctx)
+dev = np.max(np.abs(embedded - full.final_state.amps))
 print(f"max amplitude deviation between engines: {dev:.3e}")
 
 # the walk step fixes the uniform start state exactly

@@ -25,17 +25,6 @@ class RunReport:
     flags: tuple = ()
     final_state: object = field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l,
-            "t1": self.t1, "t2": self.t2, "mode": self.mode,
-            "engine": self.engine,
-            "success_probability": self.success_probability,
-            "overlap_w": self.overlap_w,
-            "query_count": self.query_count,
-            "flags": list(self.flags),
-        }
-
 
 def run_walk(state, t1: int, t2: int, flip, step):
     """Apply (W^t1 P)^t2 to state, where P = flip and W = step.

@@ -9,13 +9,14 @@ root the finder cannot bracket), 3 state space over the memory cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .combinat import binomial
-from .cost_model import VARIANTS, choose_parameters, optimize_m, \
+from .cost_model import SIMPLE, VARIANTS, choose_parameters, optimize_m, \
     table1_csv, walk_size
 from .full_sim import MemoryCapError, run_algorithm
 from .instances import FAMILIES, GenerationError, check_family_l, \
@@ -106,14 +107,14 @@ def cmd_simulate(args) -> int:
         basis = ReducedBasis(n, p.m, l)
         reduced = run_reduced(basis, p.t1, p.t2, found, mode)
     if args.engine != "reduced":
-        full = run_algorithm(inst, p.m, p.t1, p.t2)
-        out["full"] = full.to_dict()
+        full = out["full"] = run_algorithm(inst, p.m, p.t1, p.t2)
     if args.engine != "full":
-        out["reduced"] = reduced.to_dict()
+        out["reduced"] = reduced
     if args.engine == "both" and found.kind == "unique":
-        embedded = embed_to_full(reduced.final_state, basis, found.marked)
-        dev = np.abs(embedded.amps - full.final_state.amps)
-        out["max_state_deviation"] = float(np.max(dev))
+        fs = full.final_state
+        embedded = embed_to_full(reduced.final_state, basis, found.marked,
+                                 fs.ctx)
+        out["max_state_deviation"] = float(np.max(np.abs(embedded - fs.amps)))
     _emit(dumps_report(out), args.output)
     return 0
 
@@ -126,9 +127,9 @@ def cmd_spectrum(args) -> int:
     rotation = algorithm_rotation(n, m, l)  # first: it refuses a tiny <w|s>
     out = {
         "command": "spectrum",
-        "walk_spectrum": walk_spectrum(n, m, l).to_dict(),
-        "delta_decomposition": delta_decomposition(n, m, l).to_dict(),
-        "rotation": rotation.to_dict(),
+        "walk_spectrum": walk_spectrum(n, m, l),
+        "delta_decomposition": delta_decomposition(n, m, l),
+        "rotation": rotation,
     }
     _emit(dumps_report(out), args.output)
     return 0
@@ -137,7 +138,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     header = "n,m,t1,t2,queries,overlap_w,success"
     lines = [header]
-    ns = sorted(args.n_values or [])
+    ns = sorted(set(args.n_values or []))
     points = []
     for n in ns:
         p = choose_parameters(n, args.l)
@@ -162,14 +163,11 @@ def cmd_cost(args) -> int:
     if args.table1:
         _emit(table1_csv().rstrip("\n"), args.output)
         return 0
-    if args.optimize:
-        if args.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}")
-        res = optimize_m(10 ** 6 if args.n is None else args.n, args.l,
-                         args.variant)
-        _emit(dumps_report({"command": "cost", **res.to_dict()}), args.output)
-        return 0
-    raise ConfigError("cost requires --table1 or --optimize")
+    res = optimize_m(10 ** 6 if args.n is None else args.n, args.l,
+                     args.variant)
+    _emit(dumps_report({"command": "cost", **dataclasses.asdict(res)}),
+          args.output)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -224,11 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cost", help="cost table and optimizer")
-    p.add_argument("--table1", action="store_true")
-    p.add_argument("--optimize", action="store_true")
+    action = p.add_mutually_exclusive_group(required=True)
+    action.add_argument("--table1", action="store_true")
+    action.add_argument("--optimize", action="store_true")
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--n", type=int)
-    p.add_argument("--variant", default="simple")
+    p.add_argument("--variant", choices=VARIANTS, default=SIMPLE)
     common(p)
     p.set_defaults(func=cmd_cost)
 

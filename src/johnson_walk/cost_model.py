@@ -41,12 +41,6 @@ class ParameterChoice:
     total_queries: int
     exponent_target: Fraction
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "l": self.l, "m": self.m,
-                "t1": self.t1, "t2": self.t2,
-                "total_queries": self.total_queries,
-                "exponent_target": float(self.exponent_target)}
-
 
 def walk_size(n: int, l: int, m: int | None = None) -> int:
     """Walk size m = nint(n^{l/(l+1)}) unless m is given; l <= m < n."""
@@ -140,12 +134,6 @@ class OptimizeResult:
     fitted_exponent: float
     m_canonical: int
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "n": self.n, "l": self.l,
-                "m_star": self.m_star, "cost": self.cost,
-                "fitted_exponent": self.fitted_exponent,
-                "m_canonical": self.m_canonical}
-
 
 def _minimize_bracketed(n: int, l: int, variant: str) -> tuple:
     """Golden-section on log m inside a 2x bracket around the analytic
@@ -218,10 +206,10 @@ class CliqueCostRow:
     best: str
 
 
-def table1(l_max: int = 7):
-    """Exponent table for clique finding, l = 2..l_max, exact rationals."""
+def table1():
+    """Exponent table for clique finding, l = 2..7, exact rationals."""
     rows = []
-    for l in range(2, l_max + 1):
+    for l in range(2, 8):
         simple = Fraction(2 * l, l + 1)
         recursive = Fraction(5 * l - 2, 2 * l + 4)
         mss = Fraction(2 * (l - 1), l)
@@ -234,9 +222,9 @@ def table1(l_max: int = 7):
     return rows
 
 
-def table1_csv(l_max: int = 7) -> str:
+def table1_csv() -> str:
     lines = ["L,simple,recursive,mss,best"]
-    for row in table1(l_max):
+    for row in table1():
         lines.append(f"{row.l},{row.simple_exponent},{row.recursive_exponent},"
                      f"{row.mss_exponent},{row.best}")
     return "\n".join(lines) + "\n"

@@ -83,9 +83,6 @@ class ProblemInstance:
                 f"value table has {len(self.values)} entries, expected {expected}")
         object.__setattr__(self, "values", tuple(self.values))
 
-    def value(self, i: int):
-        return self.values[i]
-
     def edge(self, i: int, j: int):
         if self.mode != PAIRWISE:
             raise ValueError("edge lookup requires pairwise mode")

@@ -17,7 +17,6 @@ from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import NormConstants, a_side_labels, b_side_labels, \
     norm_constants, symmetric_ratio
 from .cost_model import oracle_queries
-from .full_sim import FullState, get_context
 from .instances import ITEM, MarkedSet
 
 
@@ -137,9 +136,14 @@ def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
                      final_state=state)
 
 
-def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet) -> FullState:
-    """Expand each (j, p) amplitude uniformly over its c_{j,p} legal pairs."""
-    ctx = get_context(basis.n, basis.m)
+def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
+                  ctx) -> np.ndarray:
+    """The full engine's a-side amplitudes of a reduced state, shape
+    (num_a, n - m): each (j, p) amplitude spread uniformly over its c_{j,p}
+    legal pairs.  ctx is the full engine's WalkContext at (n, m)."""
+    if (ctx.n, ctx.m) != (basis.n, basis.m):
+        raise ValueError(f"context is for (n, m) = ({ctx.n}, {ctx.m}), "
+                         f"basis for ({basis.n}, {basis.m})")
     nc = basis.constants()
     # weights[j, p]; the label (l, 1) does not exist and keeps weight 0
     weights = np.zeros((basis.l + 1, 2), dtype=np.result_type(state, 1.0))
@@ -151,4 +155,4 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet) -> 
     j = ctx.member[:, marked_idx].sum(axis=1)
     in_marked = np.zeros(basis.n, dtype=np.intp)
     in_marked[marked_idx] = 1
-    return FullState(ctx, weights[j[:, None], ctx.at_coins(in_marked)])
+    return weights[j[:, None], ctx.at_coins(in_marked)]

@@ -6,7 +6,10 @@ output files that can be diffed as fixtures.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -14,17 +17,24 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_report(obj, indent: int = 2) -> str:
+def dumps_report(obj) -> str:
     """JSON text with fixed key order and 17-digit floats.
 
-    json.dumps always formats floats with repr, so floats are swapped
-    for string placeholders and substituted back after encoding.
+    A dataclass renders as its fields in order, less those declared
+    repr=False, unless it has a to_dict; arrays render as lists of floats.
+    json.dumps always formats floats with repr, so floats are swapped for
+    string placeholders and substituted back after encoding.
     """
     slots: list[str] = []
 
     def render(node):
         if hasattr(node, "to_dict"):
             return render(node.to_dict())
+        if dataclasses.is_dataclass(node):
+            return {f.name: render(getattr(node, f.name))
+                    for f in dataclasses.fields(node) if f.repr}
+        if isinstance(node, np.ndarray):
+            return render(list(map(float, node)))
         if isinstance(node, bool) or node is None:
             return node
         if isinstance(node, float):
@@ -36,7 +46,7 @@ def dumps_report(obj, indent: int = 2) -> str:
             return [render(v) for v in node]
         return node
 
-    text = json.dumps(render(obj), indent=indent)
+    text = json.dumps(render(obj), indent=2)
     for i, rendered in enumerate(slots):
         text = text.replace(f'"--f17-slot-{i}--"', rendered)
     return text

@@ -45,8 +45,8 @@ class UnitaryEigen:
         return float(np.sum(np.abs(self.vectors[:, near].conj().T @ target) ** 2))
 
 
-def eigendecompose_unitary(u: np.ndarray, w: np.ndarray | None = None,
-                           atol: float = 1e-10) -> UnitaryEigen:
+def eigendecompose_unitary(u: np.ndarray,
+                           w: np.ndarray | None = None) -> UnitaryEigen:
     """Dense eigendecomposition with orthonormal eigenvectors.
 
     numpy's eig, sorted by phase, then QR of the eigenvector matrix.  A
@@ -59,7 +59,7 @@ def eigendecompose_unitary(u: np.ndarray, w: np.ndarray | None = None,
     u = np.asarray(u)
     d = u.shape[0]
     defect = np.max(np.abs(u.conj().T @ u - np.eye(d)))
-    if defect > atol:
+    if defect > 1e-10:
         raise ValueError(f"input is not unitary: max |U^H U - I| = {defect:.3e}")
 
     values, vectors = np.linalg.eig(u)
@@ -103,20 +103,6 @@ class WalkSpectrumReport:
     asymptotic_deviation: np.ndarray    # |theta_j - 2 sqrt(j/m)|
     extreme_pair_fidelity: float        # against (|A_{l-1,1}> +- i |A_{l,0}>)/sqrt 2
     closed_form_exact: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l,
-            "alpha": self.alpha, "beta": self.beta,
-            "phases": list(map(float, self.phases)),
-            "theta": list(map(float, self.theta)),
-            "closed_form": list(map(float, self.closed_form)),
-            "asymptotic": list(map(float, self.asymptotic)),
-            "closed_form_residual": self.closed_form_residual,
-            "asymptotic_deviation": list(map(float, self.asymptotic_deviation)),
-            "extreme_pair_fidelity": self.extreme_pair_fidelity,
-            "closed_form_exact": self.closed_form_exact,
-        }
 
 
 def walk_spectrum(n: int, m: int, l: int) -> WalkSpectrumReport:
@@ -272,9 +258,7 @@ def _cot_sum(theta, poles, weights):
     return float(np.sum(weights / np.tan((theta - poles) / 2.0)))
 
 
-def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray,
-                   weight_tol: float = 1e-12,
-                   bisect_tol: float = 1e-13) -> UPSpectrum:
+def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     """Eigenphases of U (1 - 2|w><w|) via the cotangent eigenvalue condition.
 
     Between consecutive eigenphases of U that overlap w, the weighted
@@ -282,6 +266,7 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray,
     brackets exactly one root per gap.  Eigenvectors of U orthogonal to
     w pass through with their phase unchanged.
     """
+    weight_tol, bisect_tol = 1e-12, 1e-13
     w = np.asarray(w, dtype=complex)
     w = w / np.linalg.norm(w)
     amp = eigen.vectors.conj().T @ w          # <u_j|w>
@@ -370,16 +355,6 @@ class RotationReport:
     ratio_minus: float
     eigvec_fidelity: float              # against (|w> +- i |s>)/sqrt 2, worst
     error_scale: float                  # 1/m + m/n
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l, "t1": self.t1,
-            "theta_plus": self.theta_plus, "theta_minus": self.theta_minus,
-            "w_s_overlap": self.w_s_overlap,
-            "ratio_plus": self.ratio_plus, "ratio_minus": self.ratio_minus,
-            "eigvec_fidelity": self.eigvec_fidelity,
-            "error_scale": self.error_scale,
-        }
 
 
 def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:

@@ -51,8 +51,8 @@ def test_criterion_1_full_reduced_equivalence():
         else:
             apply_phase_flip(full, marked)
             red = apply_phase_flip_reduced(red, basis)
-        emb = embed_to_full(red, basis, marked)
-        worst = max(worst, float(np.max(np.abs(emb.amps - full.amps))))
+        emb = embed_to_full(red, basis, marked, full.ctx)
+        worst = max(worst, float(np.max(np.abs(emb - full.amps))))
     elapsed = time.time() - start
     ok = worst <= 1e-9 and elapsed < 5.0
     assert verdict(1, ok, f"max deviation {worst:.3e} over 50 steps, "

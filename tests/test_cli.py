@@ -5,8 +5,10 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from johnson_walk.cli import main
@@ -367,8 +369,44 @@ def test_cost_optimize_bad_l_or_n_exit_2(capsys, argv):
 
 
 def test_cost_requires_action(capsys):
-    code, _, err = run_cli(capsys, "cost")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["cost"])
+    assert exc.value.code == 2
+    assert "one of the arguments --table1 --optimize is required" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--table1", "--variant", "bogus"), "invalid choice: 'bogus'"),
+    (("--optimize", "--variant", "bogus"), "invalid choice: 'bogus'"),
+    (("--table1", "--optimize"), "not allowed with argument"),
+], ids=["table1-variant", "optimize-variant", "table1-optimize"])
+def test_cost_options_checked_by_argparse(capsys, argv, message):
+    """An option cost would ignore or cannot combine is refused, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_cost_config_variant_checked_by_argparse(capsys, tmp_path):
+    cfg = tmp_path / "cost.json"
+    cfg.write_text(json.dumps({"variant": "bogus"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "--optimize", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_sweep_runs_each_n_once(capsys):
+    """A repeated n is one row and one point of the slope fit."""
+    code, out, _ = run_cli(capsys, "sweep", "--n-values", "10", "9", "9")
+    assert code == 0
+    _, once, _ = run_cli(capsys, "sweep", "--n-values", "9", "10")
+    assert out == once
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] \
+        == ["9", "10", "# slope"]
 
 
 def test_determinism_byte_identical(capsys):
@@ -444,6 +482,70 @@ def test_config_bad_shape_exit_2(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+RUN_KEYS = ["n", "m", "l", "t1", "t2", "mode", "engine",
+            "success_probability", "overlap_w", "query_count", "flags"]
+
+
+def test_simulate_key_order(capsys):
+    _, out, _ = run_cli(capsys, "simulate", "--engine", "both", "--family",
+                        "element-distinctness", "--n", "9", "--seed", "1")
+    rep = json.loads(out)
+    assert list(rep) == ["command", "family", "seed", "engine", "full",
+                         "reduced", "max_state_deviation"]
+    assert list(rep["full"]) == RUN_KEYS
+    assert list(rep["reduced"]) == RUN_KEYS
+
+
+def test_spectrum_key_order(capsys):
+    _, out, _ = run_cli(capsys, "spectrum", "--n", "10000", "--l", "2")
+    rep = json.loads(out)
+    assert list(rep) == ["command", "walk_spectrum", "delta_decomposition",
+                         "rotation"]
+    assert list(rep["walk_spectrum"]) == [
+        "n", "m", "l", "alpha", "beta", "phases", "theta", "closed_form",
+        "asymptotic", "closed_form_residual", "asymptotic_deviation",
+        "extreme_pair_fidelity", "closed_form_exact"]
+    assert list(rep["delta_decomposition"]) == [
+        "n", "m", "l", "norm_delta1", "norm_delta2", "scaled_norm_delta1",
+        "scaled_norm_delta2", "delta2c_eigs_real", "delta2c_eigs_imag"]
+    assert list(rep["rotation"]) == [
+        "n", "m", "l", "t1", "theta_plus", "theta_minus", "w_s_overlap",
+        "ratio_plus", "ratio_minus", "eigvec_fidelity", "error_scale"]
+
+
+def test_cost_optimize_key_order(capsys):
+    _, out, _ = run_cli(capsys, "cost", "--optimize", "--l", "3",
+                        "--variant", "recursive")
+    assert list(json.loads(out)) == ["command", "variant", "n", "l", "m_star",
+                                     "cost", "fitted_exponent", "m_canonical"]
+
+
+def test_dumps_report_renders_dataclass_fields():
+    """Fields in order, repr=False left out, arrays and tuples as lists,
+    and a to_dict wins over the fields."""
+    @dataclass
+    class Report:
+        b: float
+        a: tuple
+        values: np.ndarray
+        hidden: object = field(default=None, repr=False)
+
+    @dataclass
+    class Custom:
+        x: int
+
+        def to_dict(self):
+            return {"y": self.x + 1}
+
+    text = dumps_report({"r": Report(0.1, (1, 2), np.array([0.5, 1.0])),
+                         "c": Custom(1)})
+    assert json.loads(text) == {"r": {"b": 0.1, "a": [1, 2],
+                                      "values": [0.5, 1.0]},
+                                "c": {"y": 2}}
+    assert list(json.loads(text)["r"]) == ["b", "a", "values"]
+    assert "0.10000000000000001" in text
 
 
 def test_float_serialization_17_digits(capsys):

@@ -53,9 +53,9 @@ def test_engines_agree(run):
     # with nothing marked both states stay uniform, which embeds alike
     # from any l-set
     marked = found.marked or MarkedSet(tuple(range(l)))
-    embedded = embed_to_full(reduced.final_state, basis, marked)
     fs = full.final_state
-    assert np.max(np.abs(embedded.amps - fs.amps)) <= 1e-9
+    embedded = embed_to_full(reduced.final_state, basis, marked, fs.ctx)
+    assert np.max(np.abs(embedded - fs.amps)) <= 1e-9
     assert reduced.success_probability == pytest.approx(
         full.success_probability, abs=1e-9)
     assert reduced.overlap_w == pytest.approx(full.overlap_w, abs=1e-9)

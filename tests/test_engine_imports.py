@@ -1,0 +1,30 @@
+"""The two engines stand alone: neither module imports the other."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "johnson_walk"
+
+
+def imported_modules(path: Path) -> set:
+    """The dotted names of every import in the file, at any depth, with the
+    package-relative ones relative: `from .a import b` gives "a" and "a.b",
+    `from johnson_walk import a` gives "johnson_walk" and "johnson_walk.a"."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".")
+                         for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("engine, other", [("full_sim", "reduced_sim"),
+                                           ("reduced_sim", "full_sim")])
+def test_engine_does_not_import_the_other(engine, other):
+    names = imported_modules(PKG / f"{engine}.py")
+    assert other not in names and f"johnson_walk.{other}" not in names, names

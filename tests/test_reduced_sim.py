@@ -11,7 +11,8 @@ from johnson_walk import (
     norm_constants, prepare_s, reduced_s, run_algorithm, run_reduced,
 )
 from johnson_walk.combinat import rank_subset
-from johnson_walk.full_sim import apply_phase_flip, apply_walk_step
+from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
+    get_context
 from johnson_walk.instances import MarkedSet
 
 
@@ -104,8 +105,8 @@ def test_stepwise_embedding_agreement():
         else:
             apply_phase_flip(full, marked)
             red = apply_phase_flip_reduced(red, basis)
-        emb = embed_to_full(red, basis, marked)
-        dev = np.max(np.abs(emb.amps - full.amps))
+        emb = embed_to_full(red, basis, marked, full.ctx)
+        dev = np.max(np.abs(emb - full.amps))
         assert dev <= 1e-9, f"step {t}: deviation {dev}"
 
 
@@ -113,16 +114,24 @@ def test_embed_is_isometry():
     inst = make_family("element-distinctness", n=9, seed=1)
     marked = find_marked(inst).marked
     basis = ReducedBasis(9, 4, 2)
+    ctx = get_context(9, 4)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.normal(size=basis.dim)
         y = rng.normal(size=basis.dim)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        ex = embed_to_full(x, basis, marked)
-        ey = embed_to_full(y, basis, marked)
-        inner_full = np.vdot(ex.amps, ey.amps)
+        ex = embed_to_full(x, basis, marked, ctx)
+        ey = embed_to_full(y, basis, marked, ctx)
+        inner_full = np.vdot(ex, ey)
         assert abs(inner_full - float(x @ y)) < 1e-12
+
+
+def test_embed_refuses_a_context_of_another_walk():
+    basis = ReducedBasis(9, 4, 2)
+    with pytest.raises(ValueError, match="context is for"):
+        embed_to_full(reduced_s(basis), basis, MarkedSet((0, 1)),
+                      get_context(9, 3))
 
 
 def reference_embed_a(state, basis, marked):
@@ -150,9 +159,9 @@ def test_embed_matches_reference_loop():
         marked = MarkedSet(tuple(sorted(
             int(k) for k in rng.choice(n, size=l, replace=False))))
         state = rng.normal(size=basis.dim)
-        emb = embed_to_full(state, basis, marked)
-        assert emb.amps.dtype == np.float64
-        assert np.array_equal(emb.amps, reference_embed_a(state, basis, marked))
+        emb = embed_to_full(state, basis, marked, get_context(n, m))
+        assert emb.dtype == np.float64
+        assert np.array_equal(emb, reference_embed_a(state, basis, marked))
 
 
 def test_embed_basis_vector_is_marked_block():
@@ -161,12 +170,13 @@ def test_embed_basis_vector_is_marked_block():
     basis = ReducedBasis(9, 4, 2)
     e_w = np.zeros(basis.dim)
     e_w[basis.index(2, 0)] = 1.0
-    emb = embed_to_full(e_w, basis, marked)
-    mask = emb.ctx.marked_row_mask([marked])
-    block = emb.amps[mask, :]
+    ctx = get_context(9, 4)
+    emb = embed_to_full(e_w, basis, marked, ctx)
+    mask = ctx.marked_row_mask([marked])
+    block = emb[mask, :]
     assert block.size == 105
     assert np.allclose(block, 1.0 / math.sqrt(105.0))
-    assert np.max(np.abs(emb.amps[~mask, :])) == 0.0
+    assert np.max(np.abs(emb[~mask, :])) == 0.0
 
 
 def test_w_s_overlap_expressions():
