@@ -7,87 +7,50 @@ symmetric subspace and is exact at n up to 10^6 and beyond.  spectral
 verifies the eigenstructure both engines rely on, cost_model picks
 parameters and fits query-complexity exponents, and instances supplies
 the problem generators and the classical brute-force scan.
+
+The public names below load their module, and numpy with the engines,
+on first use: `import johnson_walk` alone imports no submodule.
 """
-from .algorithm import RunReport
-from .combinat import (
-    NormConstants,
-    a_side_labels,
-    b_side_labels,
-    binomial,
-    norm_constants,
-    rank_subset,
-    unrank_subset,
-)
-from .cost_model import (
-    MSS,
-    RECURSIVE,
-    SIMPLE,
-    CliqueCostRow,
-    OptimizeResult,
-    ParameterChoice,
-    choose_parameters,
-    clique_cost,
-    mss_walk_size,
-    nint,
-    optimize_m,
-    oracle_queries,
-    table1,
-    table1_csv,
-)
-from .full_sim import (
-    DEFAULT_MEMCAP,
-    FullState,
-    MemoryCapError,
-    WalkContext,
-    apply_coin1,
-    apply_coin2,
-    apply_phase_flip,
-    apply_shift,
-    apply_walk_step,
-    get_context,
-    measure_sample,
-    memory_cap,
-    prepare_s,
-    run_algorithm,
-)
-from .instances import (
-    ITEM,
-    PAIRWISE,
-    FindResult,
-    GenerationError,
-    MarkedSet,
-    ProblemInstance,
-    find_marked,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    make_family,
-    pair_index,
-)
-from .reduced_sim import (
-    ReducedBasis,
-    apply_phase_flip_reduced,
-    build_walk_matrix,
-    coin1_matrix,
-    coin2_matrix_b,
-    embed_to_full,
-    reduced_s,
-    run_reduced,
-    shift_permutation,
-)
-from .spectral import (
-    DeltaDecomposition,
-    RootBracketError,
-    RotationReport,
-    UnitaryEigen,
-    UPSpectrum,
-    WalkSpectrumReport,
-    algorithm_rotation,
-    circular_phase_gap,
-    delta_decomposition,
-    eigendecompose_unitary,
-    up_eigenphases,
-    walk_spectrum,
-)
+import importlib
+
+# public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in {
+    "algorithm": "RunReport",
+    "combinat": "NormConstants a_side_labels b_side_labels binomial "
+                "norm_constants rank_subset unrank_subset",
+    "cost_model": "MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult "
+                  "ParameterChoice choose_parameters clique_cost mss_walk_size "
+                  "nint optimize_m oracle_queries table1 table1_csv",
+    "full_sim": "DEFAULT_MEMCAP FullState MemoryCapError WalkContext "
+                "apply_coin1 apply_coin2 apply_phase_flip apply_shift "
+                "apply_walk_step get_context measure_sample memory_cap "
+                "prepare_s run_algorithm",
+    "instances": "ITEM PAIRWISE FindResult GenerationError MarkedSet "
+                 "ProblemInstance find_marked instance_from_json "
+                 "instance_to_json load_instance make_family pair_index",
+    "reduced_sim": "ReducedBasis apply_phase_flip_reduced build_walk_matrix "
+                   "coin1_matrix coin2_matrix_b embed_to_full reduced_s "
+                   "run_reduced shift_permutation",
+    "spectral": "DeltaDecomposition RootBracketError RotationReport "
+                "UnitaryEigen UPSpectrum WalkSpectrumReport algorithm_rotation "
+                "circular_phase_gap delta_decomposition eigendecompose_unitary "
+                "up_eigenphases walk_spectrum",
+}.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Look a public name up in its module on every access.  Nothing is
+    cached here, so a rebinding in the defining module is what the next
+    lookup sees."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"),
+                   name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __version__ = "0.1.0"

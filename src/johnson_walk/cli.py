@@ -13,18 +13,12 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .combinat import binomial
 from .cost_model import SIMPLE, VARIANTS, choose_parameters, optimize_m, \
     table1_csv, walk_size
-from .full_sim import MemoryCapError, run_algorithm
 from .instances import FAMILIES, GenerationError, check_family_l, \
     find_marked, load_instance, make_family
-from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
 from .serialize import csv_line, dumps_report
-from .spectral import RootBracketError, algorithm_rotation, \
-    delta_decomposition, walk_spectrum
 
 EXIT_CONFIG = 2
 EXIT_MEMCAP = 3
@@ -92,6 +86,11 @@ def _build_instance(args, family):
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .full_sim import run_algorithm
+    from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
+
     # left out, the family is distinctness at the run's l
     family = args.family or ("element-distinctness" if args.l == 2
                              else "l-distinctness")
@@ -120,6 +119,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectral import algorithm_rotation, delta_decomposition, \
+        walk_spectrum
+
     if args.n is None:
         raise ConfigError("--n is required")
     n, l = args.n, args.l
@@ -136,6 +138,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
+    from .full_sim import run_algorithm
+    from .reduced_sim import ReducedBasis, run_reduced
+
     header = "n,m,t1,t2,queries,overlap_w,success"
     lines = [header]
     ns = sorted(set(args.n_values or []))
@@ -161,10 +168,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_cost(args) -> int:
     if args.table1:
+        if args.l is not None or args.n is not None:
+            raise ConfigError("--table1 covers l = 2..7 and takes no --l or --n")
         _emit(table1_csv().rstrip("\n"), args.output)
         return 0
-    res = optimize_m(10 ** 6 if args.n is None else args.n, args.l,
-                     args.variant)
+    res = optimize_m(10 ** 6 if args.n is None else args.n,
+                     2 if args.l is None else args.l, args.variant)
     _emit(dumps_report({"command": "cost", **dataclasses.asdict(res)}),
           args.output)
     return 0
@@ -225,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     action = p.add_mutually_exclusive_group(required=True)
     action.add_argument("--table1", action="store_true")
     action.add_argument("--optimize", action="store_true")
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--n", type=int)
+    p.add_argument("--l", type=int)  # --optimize: 2 when left out
+    p.add_argument("--n", type=int)  # --optimize: 10^6 when left out
     p.add_argument("--variant", choices=VARIANTS, default=SIMPLE)
     common(p)
     p.set_defaults(func=cmd_cost)
@@ -234,6 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the named invariant suite")
     p.set_defaults(func=cmd_verify)
     return parser
+
+
+def _exit_code(exc):
+    """The exit code of an error that is the input's fault, else None.
+    ConfigError and JSONDecodeError are ValueErrors.  The engines' errors
+    are looked up, not imported: a module never loaded raised none."""
+    def raised(module, name):
+        module = sys.modules.get(f"{__package__}.{module}")
+        return module is not None and isinstance(exc, getattr(module, name))
+
+    if raised("full_sim", "MemoryCapError"):
+        return EXIT_MEMCAP
+    if isinstance(exc, (ValueError, OSError, GenerationError)) \
+            or raised("spectral", "RootBracketError"):
+        return EXIT_CONFIG
+    return None
 
 
 def main(argv=None) -> int:
@@ -246,13 +271,12 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return args.func(args)
-    except MemoryCapError as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MEMCAP
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError,
-            GenerationError, RootBracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .combinat import binomial
 
 ITEM = "item"
@@ -237,6 +235,8 @@ def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
             math.ceil(math.log2(n)) + 2, (binomial(n, l) - 1).bit_length())
     if m_bits < 1:
         raise ValueError("m_bits must be positive")
+    import numpy as np
+
     rng = random.Random(seed)
     vals = [rng.getrandbits(m_bits) for _ in range(n)]
     keep = ()
@@ -288,6 +288,8 @@ def _scrub_accidental(vals, l, is_hit, redraw, keep=()):
     On return the table holds no solution but the planted one, so the
     generators that scrub need no classifying scan afterwards.
     """
+    import numpy as np
+
     n = len(vals)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), l))
     subsets = np.fromiter(flat, dtype=np.min_scalar_type(n),

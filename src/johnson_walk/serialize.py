@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-
-import numpy as np
+import sys
 
 
 def format_float(x: float) -> str:
@@ -23,9 +22,11 @@ def dumps_report(obj) -> str:
     A dataclass renders as its fields in order, less those declared
     repr=False, unless it has a to_dict; arrays render as lists of floats.
     json.dumps always formats floats with repr, so floats are swapped for
-    string placeholders and substituted back after encoding.
+    string placeholders and substituted back after encoding.  numpy is
+    looked up, not imported: no array exists if it was never loaded.
     """
     slots: list[str] = []
+    np = sys.modules.get("numpy")
 
     def render(node):
         if hasattr(node, "to_dict"):
@@ -33,7 +34,7 @@ def dumps_report(obj) -> str:
         if dataclasses.is_dataclass(node):
             return {f.name: render(getattr(node, f.name))
                     for f in dataclasses.fields(node) if f.repr}
-        if isinstance(node, np.ndarray):
+        if np is not None and isinstance(node, np.ndarray):
             return render(list(map(float, node)))
         if isinstance(node, bool) or node is None:
             return node

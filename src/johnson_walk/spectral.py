@@ -254,8 +254,9 @@ def circular_phase_gap(phases_a, phases_b) -> float:
     return best
 
 
-def _cot_sum(theta, poles, weights):
-    return float(np.sum(weights / np.tan((theta - poles) / 2.0)))
+def _cot_sum(thetas, poles, weights):
+    """The weighted cotangent sum at each of a vector of phases."""
+    return np.sum(weights / np.tan((thetas[:, None] - poles) / 2.0), axis=1)
 
 
 def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
@@ -302,38 +303,34 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
         copies = len(mem) if not active[i] else len(mem) - 1
         passthrough.extend([poles[i]] * copies)
 
-    thetas = []
-    k = len(act_poles)
-    for i in range(k):
-        lo = act_poles[i]
-        hi = act_poles[(i + 1) % k] + (TWO_PI if i == k - 1 else 0.0)
-        span = hi - lo
-        if span <= 4 * bisect_tol:
+    # one root per gap between consecutive active poles, the last gap
+    # wrapping round to the first pole; every gap is bisected at once
+    lo = act_poles
+    hi = np.append(act_poles[1:], act_poles[:1] + TWO_PI)
+    a = lo + bisect_tol * np.maximum(1.0, np.abs(lo))
+    b = hi - bisect_tol * np.maximum(1.0, np.abs(hi))
+    fa, fb = (np.broadcast_to(_cot_sum(x, act_poles, act_weight), x.shape)
+              for x in (a, b))
+    for i in range(len(lo)):
+        if hi[i] - lo[i] <= 4 * bisect_tol:
             raise RootBracketError(
-                f"pole gap [{lo}, {hi}] too narrow to bracket a root")
-        a, b = lo + bisect_tol * max(1.0, abs(lo)), hi - bisect_tol * max(1.0, abs(hi))
-        fa, fb = _cot_sum(a, act_poles, act_weight), _cot_sum(b, act_poles, act_weight)
-        if not (fa > 0 > fb):
+                f"pole gap [{lo[i]}, {hi[i]}] too narrow to bracket a root")
+        if not (fa[i] > 0 > fb[i]):
             raise RootBracketError(
-                f"no sign change in gap [{lo:.6g}, {hi:.6g}]: f = ({fa:.3g}, {fb:.3g})")
-        while b - a > bisect_tol:
-            mid = 0.5 * (a + b)
-            if _cot_sum(mid, act_poles, act_weight) > 0:
-                a = mid
-            else:
-                b = mid
-        thetas.append(_wrap_phase(0.5 * (a + b)))
-    thetas = np.array(sorted(thetas))
+                f"no sign change in gap [{lo[i]:.6g}, {hi[i]:.6g}]: "
+                f"f = ({fa[i]:.3g}, {fb[i]:.3g})")
+    wide = np.flatnonzero(b - a > bisect_tol)
+    while wide.size:
+        mid = 0.5 * (a[wide] + b[wide])
+        up = _cot_sum(mid, act_poles, act_weight) > 0
+        a[wide[up]], b[wide[~up]] = mid[up], mid[~up]
+        wide = np.flatnonzero(b - a > bisect_tol)
+    thetas = np.array(sorted(map(_wrap_phase, (0.5 * (a + b)).tolist())))
 
-    r_a = np.empty(len(thetas))
-    for a_idx, th in enumerate(thetas):
-        cots = 1.0 / np.tan((th - act_poles) / 2.0)
-        r_a[a_idx] = 1.0 / (1.0 + float(np.sum(act_weight * cots ** 2)))
-
-    overlaps = np.zeros((eigen.dim, len(thetas)), dtype=complex)
-    for a_idx, th in enumerate(thetas):
-        cot = 1.0 / np.tan((th - eigen.phases) / 2.0)
-        overlaps[:, a_idx] = math.sqrt(r_a[a_idx]) * amp * (1.0 + 1j * cot)
+    cots = 1.0 / np.tan((thetas[:, None] - act_poles) / 2.0)
+    r_a = 1.0 / (1.0 + np.sum(act_weight * cots ** 2, axis=1))
+    cot = 1.0 / np.tan((thetas - eigen.phases[:, None]) / 2.0)
+    overlaps = np.sqrt(r_a) * amp[:, None] * (1.0 + 1j * cot)
 
     return UPSpectrum(thetas=thetas, r_a=r_a, overlaps=overlaps,
                       passthrough=np.array(sorted(passthrough)),

@@ -399,6 +399,34 @@ def test_cost_config_variant_checked_by_argparse(capsys, tmp_path):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--l", "9", "--n", "3"), ("--n", "5"), ("--l", "2"), ("--config", None),
+], ids=["l-and-n", "n", "l-at-its-old-default", "config-l"])
+def test_cost_table1_refuses_l_and_n(capsys, tmp_path, argv):
+    """The table covers l = 2..7 at no particular n, so an --l or --n given
+    with --table1, on the command line or in a config file, is refused."""
+    cfg = tmp_path / "cost.json"
+    cfg.write_text(json.dumps({"l": 3}))
+    argv = [str(cfg) if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, "cost", "--table1", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --table1 covers l = 2..7 and takes no --l or --n\n"
+
+
+def test_cost_optimize_defaults_hold_through_config(capsys, tmp_path):
+    """Left out, --l is 2 and --n is 10^6, also when a config file gives
+    other options or sets them to null."""
+    _, explicit, _ = run_cli(capsys, "cost", "--optimize", "--l", "2",
+                             "--n", "1000000", "--variant", "recursive")
+    cfg = tmp_path / "cost.json"
+    cfg.write_text(json.dumps({"variant": "recursive", "l": None, "n": None}))
+    code, out, _ = run_cli(capsys, "cost", "--optimize", "--config", str(cfg))
+    assert code == 0 and out == explicit
+    code, out, _ = run_cli(capsys, "cost", "--optimize", "--variant",
+                           "recursive")
+    assert code == 0 and out == explicit
+
+
 def test_sweep_runs_each_n_once(capsys):
     """A repeated n is one row and one point of the slope fit."""
     code, out, _ = run_cli(capsys, "sweep", "--n-values", "10", "9", "9")

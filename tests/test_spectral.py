@@ -11,7 +11,7 @@ from johnson_walk import (
     circular_phase_gap, delta_decomposition, eigendecompose_unitary,
     norm_constants, up_eigenphases, walk_spectrum,
 )
-from johnson_walk.cost_model import walk_steps
+from johnson_walk.cost_model import walk_size, walk_steps
 
 
 def random_orthogonal(d, rng):
@@ -323,3 +323,52 @@ def test_root_count_conservation():
         eig = eigendecompose_unitary(u, w=w)
         sp = up_eigenphases(eig, w)
         assert len(sp.thetas) + len(sp.passthrough) == d
+
+
+def scalar_bisection(poles, weights, tol=1e-13):
+    """Reference for up_eigenphases' root finder: one scalar bisection per
+    gap between consecutive poles, the last gap wrapping round to the
+    first pole, each root mapped to (-pi, pi].  It takes only the active
+    poles and weights from spectral, and none of its code."""
+    roots = []
+    for i, lo in enumerate(poles):
+        hi = poles[i + 1] if i + 1 < len(poles) else poles[0] + 2 * math.pi
+        a = lo + tol * max(1.0, abs(lo))
+        b = hi - tol * max(1.0, abs(hi))
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if float(np.sum(weights / np.tan((mid - poles) / 2.0))) > 0:
+                a = mid
+            else:
+                b = mid
+        t = (float(0.5 * (a + b)) + math.pi) % (2 * math.pi) - math.pi
+        roots.append(math.pi if t == -math.pi else t)
+    return np.array(sorted(roots))
+
+
+@pytest.mark.parametrize("case", ["check_up_rootfinder", "rotation n=9",
+                                  "rotation n=10^4"])
+def test_vector_bisection_matches_scalar_reference(case, monkeypatch):
+    """Every gap bisected at once gives bit for bit the roots of one scalar
+    bisection per gap, on the draws verify makes and on the rotation's
+    W^t1 P."""
+    from johnson_walk import spectral, verify
+
+    found = []
+
+    def recorded(eigen, w):
+        found.append(up_eigenphases(eigen, w))
+        return found[-1]
+
+    monkeypatch.setattr(spectral, "up_eigenphases", recorded)
+    monkeypatch.setattr(verify, "up_eigenphases", recorded)
+    if case == "check_up_rootfinder":
+        assert verify.check_up_rootfinder().passed
+    else:
+        n = 9 if case == "rotation n=9" else 10 ** 4
+        algorithm_rotation(n, walk_size(n, 2), 2)
+    assert len(found) == (10 if case == "check_up_rootfinder" else 1)
+    for sp in found:
+        reference = scalar_bisection(sp.pole_phases, sp.pole_weights)
+        assert sp.thetas.dtype == reference.dtype
+        assert np.array_equal(sp.thetas, reference)

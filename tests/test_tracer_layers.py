@@ -2,10 +2,17 @@
 kernel would silently drop out of `perfbench/run.py --trace 1`.  Each name
 it lists must resolve the way the tracer looks it up."""
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -29,3 +36,32 @@ def test_every_traced_layer_resolves():
         else:
             target = getattr(module, attr, None)
         assert callable(target), f"{name}: {module_name}.{attr} is missing"
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (("cost", "--optimize", "--l", "3", "--variant", "recursive"),
+     "cost_model.optimize_m"),
+    (("spectrum", "--n", "10000000", "--l", "2"), "spectral.up_eigenphases"),
+], ids=["cost", "spectrum"])
+def test_traced_cli_reaches_lazily_loaded_layers(argv, layer):
+    """The CLI loads the engines inside its commands and the package looks
+    its names up on use; the tracer's wrappers must still be what a traced
+    command calls, and must leave its output as it is."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args, *argv], env=env,
+                              cwd=ROOT, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    traced = run(str(ROOT / "perfbench" / "traced_cli.py"))
+    assert traced.stdout == run("-m", "johnson_walk.cli").stdout
+    marker = load_tracer().SPAN_MARKER
+    last = traced.stderr.splitlines()[-1]
+    assert last.startswith(marker)
+    spans = json.loads(last[len(marker):])["spans"]
+    for name in ("cli.main", layer):
+        assert spans.get(name, [0, 0, 0])[2] > 0, name
