@@ -170,10 +170,12 @@ def cmd_cost(args) -> int:
     if args.table1:
         if args.l is not None or args.n is not None:
             raise ConfigError("--table1 covers l = 2..7 and takes no --l or --n")
+        if args.variant is not None:
+            raise ConfigError("--table1 lists every variant and takes no --variant")
         _emit(table1_csv().rstrip("\n"), args.output)
         return 0
     res = optimize_m(10 ** 6 if args.n is None else args.n,
-                     2 if args.l is None else args.l, args.variant)
+                     2 if args.l is None else args.l, args.variant or SIMPLE)
     _emit(dumps_report({"command": "cost", **dataclasses.asdict(res)}),
           args.output)
     return 0
@@ -236,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--optimize", action="store_true")
     p.add_argument("--l", type=int)  # --optimize: 2 when left out
     p.add_argument("--n", type=int)  # --optimize: 10^6 when left out
-    p.add_argument("--variant", choices=VARIANTS, default=SIMPLE)
+    # --optimize: simple when left out; --table1 lists every variant
+    p.add_argument("--variant", choices=VARIANTS)
     common(p)
     p.set_defaults(func=cmd_cost)
 

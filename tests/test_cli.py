@@ -413,6 +413,28 @@ def test_cost_table1_refuses_l_and_n(capsys, tmp_path, argv):
     assert err == "error: --table1 covers l = 2..7 and takes no --l or --n\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--variant", "mss"), ("--variant", "simple"), ("--config", None),
+], ids=["variant", "variant-at-its-old-default", "config-variant"])
+def test_cost_table1_refuses_variant(capsys, tmp_path, argv):
+    """The table has a column per variant, so a --variant given with
+    --table1, on the command line or in a config file, is refused."""
+    cfg = tmp_path / "cost.json"
+    cfg.write_text(json.dumps({"variant": "mss"}))
+    argv = [str(cfg) if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, "cost", "--table1", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --table1 lists every variant and takes no --variant\n"
+
+
+def test_cost_optimize_variant_defaults_to_simple(capsys):
+    _, explicit, _ = run_cli(capsys, "cost", "--optimize", "--variant",
+                             "simple")
+    code, out, _ = run_cli(capsys, "cost", "--optimize")
+    assert code == 0 and out == explicit
+    assert json.loads(out)["variant"] == "simple"
+
+
 def test_cost_optimize_defaults_hold_through_config(capsys, tmp_path):
     """Left out, --l is 2 and --n is 10^6, also when a config file gives
     other options or sets them to null."""

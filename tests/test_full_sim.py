@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from johnson_walk import (
     prepare_s, run_algorithm,
 )
 from johnson_walk.combinat import rank_subset, unrank_subset
-from johnson_walk.full_sim import FullState, _context_cache, measure_sample, \
-    walk_bytes
+from johnson_walk.full_sim import _COIN2_BLOCK_ROWS, FullState, \
+    _context_cache, measure_sample, walk_bytes
+from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
 
 
@@ -222,6 +224,87 @@ def test_coin2_matches_shift_reflect_shift():
                 got = apply_coin2(ctx, amps.copy())
                 assert got.dtype == dtype
                 assert np.max(np.abs(got - expect)) <= 1e-12, (n, m, dtype)
+
+
+def coin2_one_gather(ctx, amps):
+    """Coin 2 as one bincount over union_rank and one state-sized gather,
+    in place."""
+    weights = amps.reshape(-1)
+    sums = np.bincount(ctx.union_rank, weights=weights.real, minlength=ctx.num_b)
+    if np.iscomplexobj(amps):
+        sums = sums + 1j * np.bincount(ctx.union_rank, weights=weights.imag,
+                                       minlength=ctx.num_b)
+    sums *= 2.0 / (ctx.m + 1)
+    amps -= sums[ctx.union_rank].reshape(amps.shape)
+    return amps
+
+
+def test_coin2_blockwise_equals_one_gather():
+    """At n=16, m=6 (8008 rows: several blocks, the last one ragged) the
+    blockwise coin 2 equals the one-gather form bit for bit, on real,
+    complex and Fortran-ordered states, and updates each in place."""
+    ctx = WalkContext(16, 6)
+    assert ctx.num_a > 3 * _COIN2_BLOCK_ROWS and ctx.num_a % _COIN2_BLOCK_ROWS
+    rng = np.random.default_rng(12)
+    real = random_unit((ctx.num_a, 10), rng, float)
+    for amps in (real, random_unit((ctx.num_a, 10), rng, complex),
+                 np.asfortranarray(real)):
+        expect = coin2_one_gather(ctx, np.array(amps, order="C"))
+        got = apply_coin2(ctx, amps)
+        assert got is amps
+        assert np.array_equal(amps, expect)
+    assert amps.flags.f_contiguous and not amps.flags.c_contiguous
+
+
+def test_coin2_makes_no_state_sized_temporary():
+    """tracemalloc sees numpy's data buffers: at n=18, m=7 the peak during
+    one coin 2 stays below half the state's bytes."""
+    ctx = WalkContext(18, 7)
+    amps = random_unit((ctx.num_a, 11), np.random.default_rng(3), float)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        apply_coin2(ctx, amps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < amps.nbytes / 2, (peak, amps.nbytes)
+
+
+def reference_run(instance, m, t1, t2):
+    """(W^t1 P)^t2 as one loop: a boolean-mask flip, coin 1 as a row-mean
+    matvec and the one-gather coin 2.  Returns the success probability,
+    overlap_w, query count and final amplitudes."""
+    state = prepare_s(instance, m)
+    ctx, x = state.ctx, state.amps
+    mask = ctx.marked_row_mask(list(find_marked(instance).all_marked))
+    for _ in range(t2):
+        x[mask, :] *= -1.0
+        for _ in range(t1):
+            x -= (x @ np.full(x.shape[1], 2.0 / x.shape[1]))[:, None]
+            coin2_one_gather(ctx, x)
+    block = x[mask, :]
+    per_step = 2 if instance.mode == ITEM else 2 * m
+    return (float(np.sum(np.abs(block) ** 2)),
+            float(np.abs(block.sum()) ** 2 / block.size),
+            state.query_count + t1 * t2 * per_step, x)
+
+
+@pytest.mark.parametrize("family, n, l", [
+    ("element-distinctness", 9, 2), ("element-distinctness", 12, 2),
+    ("element-distinctness", 16, 2), ("l-distinctness", 12, 3),
+])
+def test_run_equals_reference_loop(family, n, l):
+    """A whole run gives, bit for bit, the reference loop's numbers."""
+    inst = make_family(family, n=n, l=l, seed=1)
+    p = choose_parameters(n, l)
+    rep = run_algorithm(inst, p.m, p.t1, p.t2)
+    success, overlap_w, queries, amps = reference_run(inst, p.m, p.t1, p.t2)
+    assert rep.success_probability == success
+    assert rep.overlap_w == overlap_w
+    assert rep.query_count == queries
+    assert np.array_equal(rep.final_state.amps, amps)
 
 
 def dense_walk_step(n, m):

@@ -65,3 +65,20 @@ def test_traced_cli_reaches_lazily_loaded_layers(argv, layer):
     spans = json.loads(last[len(marker):])["spans"]
     for name in ("cli.main", layer):
         assert spans.get(name, [0, 0, 0])[2] > 0, name
+
+
+def test_traced_full_run_enters_every_kernel():
+    """An in-process full run under the tracer reaches each walk kernel's
+    wrapper, so none drops out of `--trace 1` unnoticed; the shift is only
+    the reference coin 2 is checked against, and a run never calls it."""
+    from johnson_walk import make_family
+    from johnson_walk.full_sim import run_algorithm
+
+    inst = make_family("element-distinctness", n=9, seed=1)
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        run_algorithm(inst, 4, 2, 2)
+    spans = tracer.take_op()["spans"]
+    for name in ("coin1", "coin2", "walk_step", "phase_flip", "marked_mask"):
+        assert spans.get(f"full_sim.{name}", [0, 0, 0])[2] > 0, name
+    assert "full_sim.shift" not in spans
