@@ -16,8 +16,8 @@ import importlib
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in {
     "algorithm": "RunReport",
-    "combinat": "NormConstants a_side_labels b_side_labels binomial "
-                "norm_constants rank_subset unrank_subset",
+    "combinat": "NormConstants a_side_labels binomial norm_constants "
+                "rank_subset unrank_subset",
     "cost_model": "MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult "
                   "ParameterChoice choose_parameters clique_cost mss_walk_size "
                   "nint optimize_m oracle_queries table1 table1_csv",
@@ -29,8 +29,8 @@ _MODULE_OF = {name: module for module, names in {
                  "ProblemInstance find_marked instance_from_json "
                  "instance_to_json load_instance make_family pair_index",
     "reduced_sim": "ReducedBasis apply_phase_flip_reduced build_walk_matrix "
-                   "coin1_matrix coin2_matrix_b embed_to_full reduced_s "
-                   "run_reduced shift_permutation",
+                   "coin1_matrix coin2_matrix embed_to_full reduced_s "
+                   "run_reduced",
     "spectral": "DeltaDecomposition RootBracketError RotationReport "
                 "UnitaryEigen UPSpectrum WalkSpectrumReport algorithm_rotation "
                 "circular_phase_gap delta_decomposition eigendecompose_unitary "

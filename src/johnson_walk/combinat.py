@@ -53,15 +53,15 @@ class NormConstants:
 
     c_jp[(j, p)] counts legal (A, k) pairs with |A| = m, |A ∩ marked| = j
     and the coin k outside A, lying outside (p=0) or inside (p=1) the
-    marked l-set.  d_jp is the analogous count on the (m+1)-side.
+    marked l-set.  The reduced coins' diffusion weights rest on two
+    identities: c_{j,0} (l-j) = c_{j,1} (n-m-l+j) for coin 1, and
+    c_{j,0} j = c_{j-1,1} (m+1-j) for coin 2.
     """
     n: int
     m: int
     l: int
     c_jp: dict = field(repr=False)
-    d_jp: dict = field(repr=False)
     c_total: int = 0
-    d_total: int = 0
 
 
 def _falling(x: int, k: int) -> int:
@@ -95,37 +95,17 @@ def a_side_labels(l: int):
     return labels
 
 
-def b_side_labels(l: int):
-    """Ordered (j, p) labels of the 2l+1 symmetric states on the (m+1)-side."""
-    labels = [(0, 0)]
-    for j in range(1, l + 1):
-        labels.append((j, 0))
-        labels.append((j, 1))
-    return labels
-
-
 def norm_constants(n: int, m: int, l: int) -> NormConstants:
-    """Exact c_{j,p} / d_{j,p} tables for walk size m and marked size l.
+    """Exact c_{j,p} table for walk size m and marked size l.
 
     c_{j,0} = C(n-l, m-j) C(l, j) [(n-l) - (m-j)]
     c_{j,1} = C(n-l, m-j) C(l, j) (l-j)
-    d_{j,0} = c_{j,0}
-    d_{j,1} = c_{j-1,1}
     """
     if not (1 <= l <= m < n):
         raise ValueError(f"need 1 <= l <= m < n, got n={n}, m={m}, l={l}")
     c_jp = {}
-    d_jp = {}
     for j, p in a_side_labels(l):
         base = binomial(n - l, m - j) * binomial(l, j)
         c_jp[(j, p)] = base * ((n - l) - (m - j)) if p == 0 else base * (l - j)
-    for j, p in b_side_labels(l):
-        if p == 0:
-            d_jp[(j, p)] = binomial(n - l, m + 1 - j) * binomial(l, j) * (m + 1 - j)
-        else:
-            d_jp[(j, p)] = binomial(n - l, m + 1 - j) * binomial(l, j) * j
-    return NormConstants(
-        n=n, m=m, l=l, c_jp=c_jp, d_jp=d_jp,
-        c_total=binomial(n, m) * (n - m),
-        d_total=binomial(n, m + 1) * (m + 1),
-    )
+    return NormConstants(n=n, m=m, l=l, c_jp=c_jp,
+                         c_total=binomial(n, m) * (n - m))

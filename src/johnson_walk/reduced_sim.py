@@ -2,9 +2,11 @@
 
 The walk and the phase flip preserve the span of the symmetric states
 labeled (j, p): j elements of the marked set inside the walking
-subset, coin inside (p=1) or outside (p=0) the marked set.  The walk
-matrix is real orthogonal and tiny, so runs at n up to 10^6 and beyond
-are exact and instant.
+subset, coin inside (p=1) or outside (p=0) the marked set.  Each coin
+is a Grover diffusion 2vv^T - I on groups of these labels, weighted by
+class size; the second is built as S C2 S, so both act on the same
+labels.  The walk matrix is real orthogonal and tiny, so runs at n up to
+10^6 and beyond are exact and instant.
 """
 from __future__ import annotations
 
@@ -14,28 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
-from .combinat import NormConstants, a_side_labels, b_side_labels, \
-    norm_constants, symmetric_ratio
+from .combinat import NormConstants, a_side_labels, norm_constants, \
+    symmetric_ratio
 from .cost_model import oracle_queries
 from .instances import ITEM, MarkedSet
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Ordered (j, p) labels and the two diffusion weights alpha, beta."""
+    """Walk sizes and the ordered (j, p) labels."""
     n: int
     m: int
     l: int
     labels: tuple = field(init=False)
-    alpha: float = field(init=False)
-    beta: float = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.l <= self.m < self.n:
             raise ValueError(f"need 1 <= l <= m < n, got n={self.n}, m={self.m}, l={self.l}")
         object.__setattr__(self, "labels", tuple(a_side_labels(self.l)))
-        object.__setattr__(self, "alpha", 1.0 / (self.n - self.m))
-        object.__setattr__(self, "beta", 1.0 / (self.m + 1))
 
     @property
     def dim(self) -> int:
@@ -48,52 +46,47 @@ class ReducedBasis:
         return norm_constants(self.n, self.m, self.l)
 
 
-def _reflection_block(x: float) -> np.ndarray:
-    """2x2 Grover block [[1-2x, 2*sqrt(x(1-x))], [., 2x-1]]."""
-    off = 2.0 * math.sqrt(max(x * (1.0 - x), 0.0))
-    return np.array([[1.0 - 2.0 * x, off], [off, 2.0 * x - 1.0]])
+def _diffusion(basis: ReducedBasis, groups) -> np.ndarray:
+    """2vv^T - I on each group of ((j, p), weight) pairs, where v holds the
+    square roots of the weights over the group's total.  The groups cover
+    every label; a negative weight counts as 0 (an empty class, at n-m < l).
+    """
+    out = np.zeros((basis.dim, basis.dim))
+    for group in groups:
+        idx = [basis.index(j, p) for (j, p), _ in group]
+        weights = [max(w, 0) for _, w in group]
+        t = sum(weights)
+        for a, wa in zip(idx, weights):
+            # +-(1 - 2x) with x the smaller integer share: within an ulp
+            diag = 1.0 - 2.0 * (min(wa, t - wa) / t)
+            out[a, a] = diag if 2 * wa >= t else -diag
+            for b, wb in zip(idx, weights):
+                if b != a:
+                    out[a, b] = 2.0 * math.sqrt(wa * wb) / t
+    return out
 
 
 def coin1_matrix(basis: ReducedBasis) -> np.ndarray:
-    """Diffusion over coins outside the subset, on the (j, p) labels."""
-    l, alpha = basis.l, basis.alpha
-    c1 = np.eye(basis.dim)
-    for j in range(l):
-        i0, i1 = basis.index(j, 0), basis.index(j, 1)
-        block = _reflection_block(alpha * (l - j))
-        c1[np.ix_([i0, i1], [i0, i1])] = block
-    # the (l, 0) label has no partner: 1 - 2*alpha*(l-l) = 1
-    return c1
+    """C1, the diffusion over the n-m coins outside the subset: for each
+    j < l, the coin is unmarked (j, 0) or marked (j, 1) in the ratio
+    n-m-(l-j) : l-j.  At j = l every coin is unmarked."""
+    n, m, l = basis.n, basis.m, basis.l
+    groups = [(((j, 0), n - m - (l - j)), ((j, 1), l - j)) for j in range(l)]
+    return _diffusion(basis, groups + [(((l, 0), n - m),)])
 
 
-def coin2_matrix_b(basis: ReducedBasis) -> np.ndarray:
-    """Diffusion over coins inside the subset, on the b-side labels."""
-    l, beta = basis.l, basis.beta
-    labels = b_side_labels(l)
-    c2 = np.eye(basis.dim)
-    for j in range(1, l + 1):
-        i0, i1 = labels.index((j, 0)), labels.index((j, 1))
-        c2[np.ix_([i0, i1], [i0, i1])] = _reflection_block(beta * j)
-    return c2
-
-
-def shift_permutation(basis: ReducedBasis) -> np.ndarray:
-    """Permutation matrix taking a-side labels to b-side labels:
-    (j,0) -> (j,0) and (j,1) -> (j+1,1)."""
-    labels_b = b_side_labels(basis.l)
-    s = np.zeros((basis.dim, basis.dim))
-    for a_idx, (j, p) in enumerate(basis.labels):
-        target = (j, 0) if p == 0 else (j + 1, 1)
-        s[labels_b.index(target), a_idx] = 1.0
-    return s
+def coin2_matrix(basis: ReducedBasis) -> np.ndarray:
+    """S C2 S, the diffusion over the m+1 elements of the union A + coin, on
+    the (j, p) labels.  A union holding j >= 1 marked elements is reached
+    from (j, 0) or (j-1, 1) in the ratio m+1-j : j; with none, from (0, 0)."""
+    m, l = basis.m, basis.l
+    groups = [(((j, 0), m + 1 - j), ((j - 1, 1), j)) for j in range(1, l + 1)]
+    return _diffusion(basis, [(((0, 0), m + 1),)] + groups)
 
 
 def build_walk_matrix(basis: ReducedBasis) -> np.ndarray:
     """One walk step (S C2 S) C1 as a real orthogonal (2l+1) matrix."""
-    c1 = coin1_matrix(basis)
-    c2 = coin2_matrix_b(basis)
-    s = shift_permutation(basis)
-    return s.T @ c2 @ s @ c1
+    return coin2_matrix(basis) @ coin1_matrix(basis)
 
 
 def reduced_s(basis: ReducedBasis) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .combinat import symmetric_ratio
 from .cost_model import walk_steps
-from .reduced_sim import ReducedBasis, build_walk_matrix, reduced_s
+from .reduced_sim import ReducedBasis, build_walk_matrix, coin1_matrix, \
+    coin2_matrix, reduced_s
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,7 +82,8 @@ def eigendecompose_unitary(u: np.ndarray,
 
 def _reduced_basis(n: int, m: int, l: int) -> ReducedBasis:
     """The (j, p) basis, refused at n - m < l: there the classes with
-    j < l - (n - m) are empty and the reduced walk is not orthogonal."""
+    j < l - (n - m) are empty, and the closed-form spectrum, which does not
+    count them, no longer describes the walk."""
     if n - m < l:
         raise ValueError(f"the spectrum needs n - m >= l, got n={n}, m={m}, "
                          f"l={l}: some (j, p) classes are empty")
@@ -116,7 +118,7 @@ def walk_spectrum(n: int, m: int, l: int) -> WalkSpectrumReport:
     eigen = eigendecompose_unitary(w)
     # the phases are 0 and l pairs +-theta_j; a pair at pi is a double -1
     theta = np.sort(np.abs(eigen.phases))[1::2]
-    alpha, beta = basis.alpha, basis.beta
+    alpha, beta = 1.0 / (n - m), 1.0 / (m + 1)
     js = np.arange(1, l + 1)
     closed = np.sqrt(js * (alpha + beta - js * alpha * beta))
     asym = 2.0 * np.sqrt(js / m)
@@ -179,19 +181,14 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     Delta2 C consists of l 2x2 blocks [[-2 b j, -2 r], [2 r, -2 b j]] with
     r = sqrt(b j (1 - b j)), so its eigenvalues are -2 beta j +- 2i r and 0.
     """
-    from .reduced_sim import coin1_matrix, coin2_matrix_b, shift_permutation
-
     basis = _reduced_basis(n, m, l)
-    c1 = coin1_matrix(basis)
-    s = shift_permutation(basis)
-    sc2s = s.T @ coin2_matrix_b(basis) @ s
     c_diag = np.array([(-1.0) ** p for _, p in basis.labels])
     c = np.diag(c_diag)
-    delta1 = c1 - c
-    delta2 = sc2s - c
+    delta1 = coin1_matrix(basis) - c
+    delta2 = coin2_matrix(basis) - c
     delta2c = delta2 @ c
 
-    beta = basis.beta
+    beta = 1.0 / (m + 1)
     expected = [0.0 + 0.0j]
     for j in range(1, l + 1):
         r = math.sqrt(beta * j * (1.0 - beta * j))

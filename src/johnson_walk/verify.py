@@ -70,21 +70,22 @@ def check_rank_unrank() -> CheckResult:
 
 
 def check_norm_constant_sums() -> CheckResult:
+    """The c_{j,p} sum to c_total, and cross-multiply to the coins' weights:
+    c_{j,0} (l-j) = c_{j,1} (n-m-l+j) and c_{j,0} j = c_{j-1,1} (m+1-j)."""
     bad = []
     for n in range(4, 13):
         for m in range(1, n):
             for l in range(1, m + 1):
                 nc = norm_constants(n, m, l)
-                if sum(nc.c_jp.values()) != nc.c_total:
+                c = nc.c_jp
+                if sum(c.values()) != nc.c_total:
                     bad.append((n, m, l, "c"))
-                if sum(nc.d_jp.values()) != nc.d_total:
-                    bad.append((n, m, l, "d"))
-                for j in range(l + 1):
-                    if nc.d_jp[(j, 0)] != nc.c_jp[(j, 0)]:
-                        bad.append((n, m, l, f"d{j}0"))
+                for j in range(l):
+                    if c[(j, 0)] * (l - j) != c[(j, 1)] * (n - m - l + j):
+                        bad.append((n, m, l, f"coin1 j={j}"))
                 for j in range(1, l + 1):
-                    if nc.d_jp[(j, 1)] != nc.c_jp[(j - 1, 1)]:
-                        bad.append((n, m, l, f"d{j}1"))
+                    if c[(j, 0)] * j != c[(j - 1, 1)] * (m + 1 - j):
+                        bad.append((n, m, l, f"coin2 j={j}"))
     return CheckResult("norm-constant-identities", not bad,
                        f"{len(bad)} failures" if bad else "grid clean")
 
@@ -119,7 +120,8 @@ def check_walk_fixes_start() -> CheckResult:
 
 def check_walk_orthogonal() -> CheckResult:
     worst = 0.0
-    for n, m, l in [(9, 4, 2), (50, 14, 3), (1000, 100, 2)]:
+    for n, m, l in [(9, 4, 2), (50, 14, 3), (1000, 100, 2), (6, 5, 3),
+                    (7, 6, 4)]:
         basis = ReducedBasis(n, m, l)
         w = build_walk_matrix(basis)
         worst = max(worst, float(np.max(np.abs(w.T @ w - np.eye(basis.dim)))))

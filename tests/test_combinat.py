@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from johnson_walk import (
-    a_side_labels, b_side_labels, binomial, norm_constants, rank_subset,
+    a_side_labels, binomial, norm_constants, rank_subset,
     unrank_subset,
 )
 
@@ -86,8 +86,7 @@ def test_rank_validates_input():
 
 def test_label_sets():
     assert a_side_labels(2) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-    assert b_side_labels(2) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
-    assert len(a_side_labels(5)) == len(b_side_labels(5)) == 11
+    assert len(a_side_labels(5)) == 11
 
 
 def test_norm_constants_942():
@@ -129,17 +128,18 @@ def test_completeness_identities_grid():
             for l in range(1, m + 1):
                 nc = norm_constants(n, m, l)
                 assert sum(nc.c_jp.values()) == nc.c_total
-                assert sum(nc.d_jp.values()) == nc.d_total
 
 
-def test_d_equals_c_identities():
-    """d_{j,0} = c_{j,0} and d_{j,1} = c_{j-1,1} across a grid."""
-    for n, m, l in [(9, 4, 2), (12, 5, 3), (20, 8, 4), (7, 5, 1)]:
-        nc = norm_constants(n, m, l)
-        for j in range(l + 1):
-            assert nc.d_jp[(j, 0)] == nc.c_jp[(j, 0)]
+def test_coin_weight_identities():
+    """The ratios the reduced coins' weights rest on, cross-multiplied:
+    c_{j,0} (l-j) = c_{j,1} (n-m-l+j) for coin 1 and
+    c_{j,0} j = c_{j-1,1} (m+1-j) for coin 2.  (6, 5, 3) has n - m < l."""
+    for n, m, l in [(9, 4, 2), (12, 5, 3), (20, 8, 4), (7, 5, 1), (6, 5, 3)]:
+        c = norm_constants(n, m, l).c_jp
+        for j in range(l):
+            assert c[(j, 0)] * (l - j) == c[(j, 1)] * (n - m - l + j)
         for j in range(1, l + 1):
-            assert nc.d_jp[(j, 1)] == nc.c_jp[(j - 1, 1)]
+            assert c[(j, 0)] * j == c[(j - 1, 1)] * (m + 1 - j)
 
 
 def test_norm_constants_no_overflow():

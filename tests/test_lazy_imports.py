@@ -14,10 +14,10 @@ import johnson_walk as jw
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "from johnson_walk.cli import main; sys.exit(main(sys.argv[1:]))"
 
-# Every name the package exported when it imported all its modules eagerly.
+# Every public name of the package.
 EXPORTS = """
 RunReport
-NormConstants a_side_labels b_side_labels binomial norm_constants
+NormConstants a_side_labels binomial norm_constants
 rank_subset unrank_subset
 MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult ParameterChoice
 choose_parameters clique_cost mss_walk_size nint optimize_m oracle_queries
@@ -29,7 +29,7 @@ ITEM PAIRWISE FindResult GenerationError MarkedSet ProblemInstance
 find_marked instance_from_json instance_to_json load_instance make_family
 pair_index
 ReducedBasis apply_phase_flip_reduced build_walk_matrix coin1_matrix
-coin2_matrix_b embed_to_full reduced_s run_reduced shift_permutation
+coin2_matrix embed_to_full reduced_s run_reduced
 DeltaDecomposition RootBracketError RotationReport UnitaryEigen UPSpectrum
 WalkSpectrumReport algorithm_rotation circular_phase_gap delta_decomposition
 eigendecompose_unitary up_eigenphases walk_spectrum
@@ -73,7 +73,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 69
+    assert len(EXPORTS) == len(set(EXPORTS)) == 67
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

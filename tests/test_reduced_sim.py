@@ -1,14 +1,16 @@
 """Reduced engine: walk matrix, start state, and full-engine agreement."""
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from johnson_walk import (
     ReducedBasis, apply_phase_flip_reduced, build_walk_matrix,
-    choose_parameters, embed_to_full, find_marked, make_family,
-    norm_constants, prepare_s, reduced_s, run_algorithm, run_reduced,
+    choose_parameters, coin1_matrix, coin2_matrix, embed_to_full,
+    find_marked, make_family, norm_constants, prepare_s, reduced_s,
+    run_algorithm, run_reduced,
 )
 from johnson_walk.combinat import rank_subset
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
@@ -20,8 +22,7 @@ def test_basis_labels_and_weights():
     b = ReducedBasis(9, 4, 2)
     assert b.dim == 5
     assert b.labels == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
-    assert b.alpha == 1.0 / 5.0
-    assert b.beta == 1.0 / 5.0
+    assert b.constants().c_total == 630
     assert b.index(2, 0) == 4
     with pytest.raises(ValueError):
         ReducedBasis(9, 4, 5)
@@ -38,12 +39,62 @@ def test_three_cycle_walk_matrix():
     assert np.max(np.abs(w - cycle)) < 1e-14
 
 
+# the last two have n - m < l, where some (j, p) classes are empty
+ORTHOGONAL_GRID = [(9, 4, 2), (50, 14, 3), (10 ** 6, 10 ** 4, 2), (30, 11, 1),
+                   (100, 40, 4), (6, 5, 3), (7, 6, 4)]
+
+
 def test_walk_matrix_orthogonal_grid():
-    for n, m, l in [(9, 4, 2), (50, 14, 3), (10 ** 6, 10 ** 4, 2),
-                    (30, 11, 1), (100, 40, 4)]:
+    for n, m, l in ORTHOGONAL_GRID:
         b = ReducedBasis(n, m, l)
         w = build_walk_matrix(b)
         assert np.max(np.abs(w.T @ w - np.eye(b.dim))) <= 1e-12
+
+
+def test_each_coin_fixes_reduced_s():
+    """C1 s = s and (S C2 S) s = s, each on its own."""
+    for n, m, l in ORTHOGONAL_GRID:
+        b = ReducedBasis(n, m, l)
+        s = reduced_s(b)
+        for coin in (coin1_matrix, coin2_matrix):
+            assert np.max(np.abs(coin(b) @ s - s)) <= 1e-15, (n, m, l, coin)
+
+
+def exact_diffusion(labels, groups):
+    """2vv^T - I on each group of ((j, p), weight) pairs, in 40-digit
+    decimals; a negative weight is an empty class and counts as 0."""
+    out = [[Decimal(0)] * len(labels) for _ in labels]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for group in groups:
+            idx = [labels.index(label) for label, _ in group]
+            weights = [Decimal(max(w, 0)) for _, w in group]
+            t = sum(weights)
+            for a, wa in zip(idx, weights):
+                for b, wb in zip(idx, weights):
+                    out[a][b] = 2 * (wa * wb).sqrt() / t - (a == b)
+    return out
+
+
+@pytest.mark.parametrize("n, m, l", [
+    (3, 1, 1), (9, 4, 2), (4, 2, 2), (100, 40, 4), (10 ** 4, 464, 2),
+    (10 ** 6, 10 ** 4, 3), (10 ** 8, 215443, 2), (10 ** 8, 10 ** 6, 3),
+    (10 ** 8, 4641588, 4), (7, 6, 4)])
+def test_coin_entries_within_two_ulp(n, m, l):
+    """Every entry of both coins against its 40-digit value.  Coin 1 pairs
+    (j, 0) and (j, 1) in the ratio n-m-(l-j) : l-j; coin 2, applied as
+    S C2 S, pairs (J, 0) and (J-1, 1) in the ratio m+1-J : J."""
+    basis = ReducedBasis(n, m, l)
+    coin1 = [(((j, 0), n - m - (l - j)), ((j, 1), l - j)) for j in range(l)]
+    coin2 = [(((j, 0), m + 1 - j), ((j - 1, 1), j)) for j in range(1, l + 1)]
+    for coin, groups in ((coin1_matrix, coin1 + [(((l, 0), 1),)]),
+                         (coin2_matrix, coin2 + [(((0, 0), 1),)])):
+        exact = exact_diffusion(basis.labels, groups)
+        got = coin(basis)
+        for i, k in np.ndindex(got.shape):
+            ulp = Decimal(math.ulp(float(exact[i][k])))
+            err = abs(Decimal(got[i, k]) - exact[i][k])
+            assert err <= 2 * ulp, (coin.__name__, i, k, got[i, k], exact[i][k])
 
 
 def test_reduced_s_values():

@@ -18,13 +18,13 @@ def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
     the ones that compare the walk against the start state, the full
     engine, or the overlap the algorithm must reach.
     """
-    coin2 = reduced_sim.coin2_matrix_b
+    coin2 = reduced_sim.coin2_matrix
 
     def mutated(basis):
         c2 = coin2(basis)
         return 2.0 * np.diag(np.diag(c2)) - c2
 
-    monkeypatch.setattr(reduced_sim, "coin2_matrix_b", mutated)
+    monkeypatch.setattr(reduced_sim, "coin2_matrix", mutated)
     failed = [r.name for r in run_all() if not r.passed]
     assert failed == ["walk-fixes-start-state", "full-reduced-agreement",
                       "large-n-final-overlap"]
