@@ -9,11 +9,13 @@ counted where the algorithm would make them.
 A walk step S C2 S C1 maps the a-side to itself, and the start state,
 the step and the phase flip are real.  So the state is one real array
 of shape (num_subsets, num_coins) over the a-pairs, subsets indexed by
-colex rank; no b-side buffer exists.  Coin 1 inverts each subset row
-about its mean, coin 2 (applied as S C2 S) the a-pairs (A, k) that share
-one union A ∪ {k}, found by its precomputed colex rank.  The shift S, a
-bijection between the a-pairs and the b-pairs, is the reference the step
-is checked against.  The kernels take complex arrays as well.
+colex rank; no b-side buffer exists.  Like the union table, it is
+stored slot-major (Fortran order): each coin slot is one contiguous
+column.  Coin 1 inverts each subset row about its mean, coin 2 (applied
+as S C2 S) the a-pairs (A, k) that share one union A ∪ {k}, found by its
+precomputed colex rank.  The shift S, a bijection between the a-pairs
+and the b-pairs, is the reference the step is checked against.  The
+kernels take complex and C-ordered arrays as well.
 """
 from __future__ import annotations
 
@@ -29,10 +31,6 @@ from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 # Bytes; admits n <= 26 at the parameter rule's m for l=2 (1.47 GiB at
 # n=26, m=9; 2.32 GiB at n=27, m=9).
 DEFAULT_MEMCAP = 2 ** 31
-
-# Rows per block of coin 2's update: a block's gather stays in L2 (about
-# 213 KB at n=20); 8k-128k amplitudes a block all ran about as fast.
-_COIN2_BLOCK_ROWS = 2048
 
 _context_cache: dict = {}
 
@@ -51,7 +49,7 @@ def walk_bytes(n: int, m: int) -> int:
     """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
     (int64) and member (bool) per subset, then union_rank (int64), the
     float64 state and one more state-sized float64 array, dim_a entries
-    each.  The walk step makes none, but FullState.norm, measure_sample
+    each.  The walk step and FullState.norm make none, but measure_sample
     and reduced_sim.embed_to_full each make one."""
     num_a = binomial(n, m)
     return num_a * (8 * m + n) + 3 * 8 * num_a * (n - m)
@@ -93,8 +91,8 @@ class WalkContext:
     member[r, k] says whether element k lies in subset r.  The coins of
     subset r are the elements outside it, in increasing order, so the
     a-pair (r, slot) has coin k = the slot-th False of member[r].
-    union_rank holds, per a-pair in flat order (r * (n - m) + slot), the
-    colex rank of the (m+1)-subset A ∪ {k}.
+    union_rank[r, slot] is the colex rank of the (m+1)-subset A ∪ {k},
+    stored slot-major like the state.
     """
 
     def __init__(self, n: int, m: int):
@@ -131,10 +129,12 @@ class WalkContext:
         small = np.min_scalar_type(n)
         coins = self.at_coins(np.arange(n, dtype=small))
         pos = coins - np.arange(n - m, dtype=small)
-        union = np.take_along_axis(outer, pos, axis=1)
-        del outer
-        union += table[coins, pos + 1]
-        self.union_rank = union.reshape(-1)
+        rows = np.arange(0, outer.size, m + 1)
+        self.union_rank = np.empty((self.num_a, n - m), np.int64, order="F")
+        for slot, column in enumerate(self.union_rank.T):
+            k, p = coins[:, slot].astype(np.intp), pos[:, slot].astype(np.intp)
+            np.add(outer.take(rows + p), table.take(k * (m + 2) + p + 1),
+                   out=column)
 
     @property
     def shift_map(self) -> np.ndarray:
@@ -142,7 +142,7 @@ class WalkContext:
         union) of each a-pair: S maps (A, k) to (A ∪ {k}, k).  Computed on
         demand; k sits at index pos = k - slot of the sorted union."""
         pos = self.at_coins(np.arange(self.n)) - np.arange(self.n - self.m)
-        return self.union_rank * (self.m + 1) + pos.reshape(-1)
+        return (self.union_rank * (self.m + 1) + pos).reshape(-1)
 
     def at_coins(self, values) -> np.ndarray:
         """values[k] at the coin k of every a-pair, shape (num_a, n - m)."""
@@ -173,10 +173,10 @@ class FullState:
     query_count: int = 0
 
     def copy(self) -> "FullState":
-        return FullState(self.ctx, self.amps.copy(), self.query_count)
+        return FullState(self.ctx, self.amps.copy(order="K"), self.query_count)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
+        return float(np.linalg.norm(self.amps))
 
 
 def prepare_s(instance: ProblemInstance, m: int) -> FullState:
@@ -187,7 +187,8 @@ def prepare_s(instance: ProblemInstance, m: int) -> FullState:
     if not instance.l <= m < instance.n:
         raise ValueError(f"need l <= m < n, got l={instance.l}, m={m}, n={instance.n}")
     ctx = get_context(instance.n, m)
-    amps = np.full((ctx.num_a, ctx.n - ctx.m), 1.0 / np.sqrt(ctx.dim_a))
+    amps = np.full((ctx.num_a, ctx.n - ctx.m), 1.0 / np.sqrt(ctx.dim_a),
+                   order="F")
     return FullState(ctx, amps, m if instance.mode == ITEM else binomial(m, 2))
 
 
@@ -202,19 +203,21 @@ def apply_coin1(state: FullState) -> FullState:
 def apply_coin2(ctx: WalkContext, amps: np.ndarray) -> np.ndarray:
     """Grover diffusion over the coins k inside each (m+1)-subset, seen from
     the a-side: S C2 S, in place on a-side amplitudes.  Each a-pair (A, k)
-    loses 2/(m+1) times the sum over the m+1 a-pairs with its union A ∪ {k}."""
-    weights = amps.reshape(-1)
-    sums = np.bincount(ctx.union_rank, weights=weights.real, minlength=ctx.num_b)
+    loses 2/(m+1) times the sum over the m+1 a-pairs with its union A ∪ {k}:
+    one bincount in the state's memory order (no copy when slot-major), then
+    a gather per slot column, so that no state-sized temporary is made."""
+    order = "F" if amps.flags.f_contiguous else "C"
+    weights, union = amps.ravel(order), ctx.union_rank.ravel(order)
+    sums = np.bincount(union, weights=weights.real, minlength=ctx.num_b)
     if np.iscomplexobj(amps):
-        sums = sums + 1j * np.bincount(ctx.union_rank, weights=weights.imag,
+        sums = sums + 1j * np.bincount(union, weights=weights.imag,
                                        minlength=ctx.num_b)
     sums *= 2.0 / (ctx.m + 1)
-    # Block by block, so that no state-sized gather is made; row slices
-    # are views in any layout, so the update stays in place.
-    union = ctx.union_rank.reshape(amps.shape)
-    for a in range(0, len(amps), _COIN2_BLOCK_ROWS):
-        b = a + _COIN2_BLOCK_ROWS
-        amps[a:b] -= sums.take(union[a:b])
+    # take(out=) copies through a buffer of its own in the default
+    # mode="raise"; every rank is below num_b, so "wrap" never wraps.
+    gathered = np.empty(len(amps), dtype=sums.dtype)
+    for column, ranks in zip(amps.T, ctx.union_rank.T):
+        column -= sums.take(ranks, out=gathered, mode="wrap")
     return amps
 
 
@@ -280,13 +283,17 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunRep
 def measure_sample(state: FullState, seed: int, draws: int | None = None):
     """Sample (subset, coin) pairs from the |amp|^2 distribution.
 
-    Returns a single (subset, coin) for draws=None, else a list.
+    Returns a single (subset, coin) for draws=None, else a list.  The
+    cumulative |amp|^2 is one array in (r, slot) order, whatever the layout,
+    and each draw is the first pair past a uniform share of the total.
     """
     ctx = state.ctx
-    flat = np.abs(state.amps.reshape(-1)) ** 2
-    flat /= flat.sum()
+    cdf = np.abs(state.amps, out=np.empty(state.amps.shape)).reshape(-1)
+    np.square(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    picks = rng.choice(flat.size, size=draws if draws else 1, p=flat)
+    picks = cdf.searchsorted(rng.random(draws if draws else 1), side="right")
 
     out = [(tuple(int(k) for k in ctx.subsets_a[r]),
             int(np.flatnonzero(~ctx.member[r])[slot]))

@@ -14,8 +14,8 @@ from johnson_walk import (
     prepare_s, run_algorithm,
 )
 from johnson_walk.combinat import rank_subset, unrank_subset
-from johnson_walk.full_sim import _COIN2_BLOCK_ROWS, FullState, \
-    _context_cache, measure_sample, walk_bytes
+from johnson_walk.full_sim import FullState, _context_cache, measure_sample, \
+    walk_bytes
 from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
 
@@ -61,7 +61,9 @@ def assert_index_matches_reference(ctx):
     assert np.array_equal(ctx.subsets_a,
                           np.array(subsets).reshape(ctx.num_a, ctx.m))
     assert ctx.union_rank.dtype == np.int64
-    assert np.array_equal(ctx.union_rank, union)
+    assert ctx.union_rank.flags.f_contiguous
+    assert np.array_equal(ctx.union_rank,
+                          np.reshape(union, (ctx.num_a, ctx.n - ctx.m)))
     assert ctx.shift_map.dtype == np.int64
     assert np.array_equal(ctx.shift_map, shift)
     return subsets
@@ -228,48 +230,95 @@ def test_coin2_matches_shift_reflect_shift():
 
 def coin2_one_gather(ctx, amps):
     """Coin 2 as one bincount over union_rank and one state-sized gather,
-    in place."""
-    weights = amps.reshape(-1)
-    sums = np.bincount(ctx.union_rank, weights=weights.real, minlength=ctx.num_b)
+    in place; the bincount adds in the state's memory order, as
+    apply_coin2's does."""
+    order = "F" if amps.flags.f_contiguous else "C"
+    weights, union = amps.ravel(order), ctx.union_rank.ravel(order)
+    sums = np.bincount(union, weights=weights.real, minlength=ctx.num_b)
     if np.iscomplexobj(amps):
-        sums = sums + 1j * np.bincount(ctx.union_rank, weights=weights.imag,
+        sums = sums + 1j * np.bincount(union, weights=weights.imag,
                                        minlength=ctx.num_b)
     sums *= 2.0 / (ctx.m + 1)
-    amps -= sums[ctx.union_rank].reshape(amps.shape)
+    amps -= sums[ctx.union_rank]
     return amps
 
 
-def test_coin2_blockwise_equals_one_gather():
-    """At n=16, m=6 (8008 rows: several blocks, the last one ragged) the
-    blockwise coin 2 equals the one-gather form bit for bit, on real,
-    complex and Fortran-ordered states, and updates each in place."""
+def test_coin2_columnwise_equals_one_gather():
+    """At n=16, m=6 coin 2, one slot column at a time, equals the one-gather
+    form bit for bit on real and complex states in C and Fortran order,
+    and updates each in place; the two orders agree to rounding."""
     ctx = WalkContext(16, 6)
-    assert ctx.num_a > 3 * _COIN2_BLOCK_ROWS and ctx.num_a % _COIN2_BLOCK_ROWS
     rng = np.random.default_rng(12)
     real = random_unit((ctx.num_a, 10), rng, float)
-    for amps in (real, random_unit((ctx.num_a, 10), rng, complex),
-                 np.asfortranarray(real)):
-        expect = coin2_one_gather(ctx, np.array(amps, order="C"))
+    cplx = random_unit((ctx.num_a, 10), rng, complex)
+    results = []
+    for amps in (real, cplx, np.asfortranarray(real), np.asfortranarray(cplx)):
+        expect = coin2_one_gather(ctx, amps.copy(order="K"))
+        layout = amps.flags.f_contiguous, amps.flags.c_contiguous
         got = apply_coin2(ctx, amps)
         assert got is amps
+        assert (amps.flags.f_contiguous, amps.flags.c_contiguous) == layout
         assert np.array_equal(amps, expect)
-    assert amps.flags.f_contiguous and not amps.flags.c_contiguous
+        results.append(amps)
+    for c_order, f_order in zip(results[:2], results[2:]):
+        assert np.max(np.abs(c_order - f_order)) <= 1e-15
 
 
-def test_coin2_makes_no_state_sized_temporary():
-    """tracemalloc sees numpy's data buffers: at n=18, m=7 the peak during
-    one coin 2 stays below half the state's bytes."""
-    ctx = WalkContext(18, 7)
-    amps = random_unit((ctx.num_a, 11), np.random.default_rng(3), float)
+def traced_peak(f):
+    """Peak bytes tracemalloc sees (numpy's data buffers included) while f
+    runs, above what was held when it started."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        apply_coin2(ctx, amps)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < amps.nbytes / 2, (peak, amps.nbytes)
+
+
+def test_coin2_makes_no_state_sized_temporary():
+    """At n=18, m=7, on the engine's own (slot-major) state, the peak
+    during one coin 2 stays below half the state's bytes, and so does the
+    peak during one whole walk step, one phase flip and FullState.norm;
+    measure_sample makes one state-sized array."""
+    inst = make_family("element-distinctness", n=18, seed=1)
+    marked = find_marked(inst).marked
+    state = prepare_s(inst, 7)
+    state.amps[...] = random_unit(state.amps.shape, np.random.default_rng(3),
+                                  float)
+    nbytes = state.amps.nbytes
+    for name, f in (("coin2", lambda: apply_coin2(state.ctx, state.amps)),
+                    ("step", lambda: apply_walk_step(state, inst)),
+                    ("flip", lambda: apply_phase_flip(state, marked)),
+                    ("norm", state.norm)):
+        peak = traced_peak(f)
+        assert peak < nbytes / 2, (name, peak, nbytes)
+    peak = traced_peak(lambda: measure_sample(state, seed=0, draws=10))
+    assert nbytes <= peak < 1.5 * nbytes, (peak, nbytes)
+
+
+def test_engine_state_stays_slot_major():
+    """prepare_s returns a Fortran-ordered state; every kernel updates
+    that buffer in place and leaves it so, FullState.copy keeps the
+    layout, and a whole run's final state is still slot-major.  A silent
+    C-order copy would lose the layout's speed without changing a number."""
+    inst = make_family("element-distinctness", n=9, seed=1)
+    marked = find_marked(inst).marked
+    state = prepare_s(inst, 4)
+    amps = state.amps
+    address = amps.ctypes.data
+    assert amps.flags.f_contiguous and not amps.flags.c_contiguous
+    for name, f in (("coin1", lambda: apply_coin1(state)),
+                    ("coin2", lambda: apply_coin2(state.ctx, state.amps)),
+                    ("flip", lambda: apply_phase_flip(state, marked)),
+                    ("step", lambda: apply_walk_step(state, inst))):
+        f()
+        assert state.amps is amps and amps.ctypes.data == address, name
+        assert amps.flags.f_contiguous and not amps.flags.c_contiguous, name
+    assert state.copy().amps.flags.f_contiguous
+    final = run_algorithm(inst, 4, 2, 2).final_state.amps
+    assert final.flags.f_contiguous and not final.flags.c_contiguous
 
 
 def reference_run(instance, m, t1, t2):
@@ -463,6 +512,22 @@ def test_measure_uniform_frequencies():
     sigma = math.sqrt(12000 * p * (1 - p))
     for count in counts.values():
         assert abs(count - 12000 * p) <= 5 * sigma
+
+
+def test_measure_same_draws_on_either_layout():
+    """The same state in Fortran and in C order gives the same pairs for a
+    seed."""
+    inst = make_family("element-distinctness", n=9, seed=1)
+    amps = run_algorithm(inst, 4, 2, 2).final_state.amps
+    ctx = get_context(9, 4)
+    assert amps.flags.f_contiguous
+    for seed in range(3):
+        f_draws = measure_sample(FullState(ctx, amps), seed=seed, draws=500)
+        c_draws = measure_sample(FullState(ctx, np.ascontiguousarray(amps)),
+                                 seed=seed, draws=500)
+        assert f_draws == c_draws
+    assert measure_sample(FullState(ctx, amps), seed=7) \
+        == measure_sample(FullState(ctx, np.ascontiguousarray(amps)), seed=7)
 
 
 def test_measure_matches_success_probability():
