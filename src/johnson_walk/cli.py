@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON file with RunConfig fields")
+        p.add_argument("--config", help="JSON file holding one object of option "
+                       "values by name; null keeps the default")
         p.add_argument("--output", help="write to file instead of stdout")
 
     p = sub.add_parser("simulate", help="run (W^t1 P)^t2 on an instance")

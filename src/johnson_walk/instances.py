@@ -154,10 +154,6 @@ def _make_pred_explicit(satisfying):
     return pred
 
 
-def _draw_distinct(rng, n, lo, hi):
-    return rng.sample(range(lo, hi), n)
-
-
 def _build(family, n, l, values, params, seed):
     """An instance of a FAMILIES entry: its mode and predicate come from there."""
     fam = FAMILIES[family]
@@ -219,7 +215,7 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
     hi = 4 * n  # room to stay injective off the plant
 
     def candidate():
-        vals = _draw_distinct(rng, n, 0, hi)
+        vals = rng.sample(range(hi), n)
         if planted:
             where = rng.sample(range(n), l)
             for i in where[1:]:
@@ -338,7 +334,7 @@ def _gen_consecutive(n, l=3, seed=0, planted=True):
     hi = 8 * n  # sparse values keep accidental runs rare
 
     def candidate():
-        vals = _draw_distinct(rng, n, 0, hi)
+        vals = rng.sample(range(hi), n)
         if planted:
             where = rng.sample(range(n), l)
             start = rng.randrange(hi - l)
@@ -394,11 +390,20 @@ def _gen_custom(n, l, values, mode=ITEM, satisfying=None, predicate=None, seed=N
         sorted([list(p) for p in s]) for s in satisfying]}, seed)
 
 
+def _int_lists(value, depth: int) -> bool:
+    """An integer (no bool) at depth 0, else a list of depth - 1 such."""
+    if depth == 0:
+        return type(value) is int
+    return isinstance(value, list) and all(
+        _int_lists(v, depth - 1) for v in value)
+
+
 class Family(NamedTuple):
     generate: Callable      # keyword parameters -> ProblemInstance
     mode: str               # oracle mode: ITEM or PAIRWISE
     predicate: Callable     # property params, as stored -> predicate
     min_l: int = 1          # smallest l the generator can plant one set at
+    params: tuple = ()      # (name, test, what it must be) per param it reads
 
 
 FAMILIES = {
@@ -409,13 +414,17 @@ FAMILIES = {
     "zero-sum-xor": Family(_gen_zero_sum_xor, ITEM,
                            lambda params: _pred_zero_sum_xor),
     "sum-mod-q": Family(_gen_sum_mod_q, ITEM,
-                        lambda params: _make_pred_sum_mod_q(params["q"])),
+                        lambda params: _make_pred_sum_mod_q(params["q"]),
+                        params=(("q", lambda q: _int_lists(q, 0) and q >= 2,
+                                 "an integer >= 2"),)),
     "consecutive": Family(_gen_consecutive, ITEM,
                           lambda params: _pred_consecutive, 2),
     "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _pred_clique, 3),
     # a custom property stored in JSON is the list form, item-mode only
     "custom": Family(_gen_custom, ITEM,
-                     lambda params: _make_pred_explicit(params["satisfying"])),
+                     lambda params: _make_pred_explicit(params["satisfying"]),
+                     params=(("satisfying", lambda s: _int_lists(s, 3),
+                              "a list of lists of [index, value] pairs"),)),
 }
 
 
@@ -438,17 +447,36 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     return d
 
 
+def _entry(obj: dict, path: str, test, what: str):
+    """obj's value at the last key of a dotted path, or a ValueError naming
+    the path if it is missing or not what it must be."""
+    key = path.rpartition(".")[2]
+    if key not in obj or not test(obj[key]):
+        raise ValueError(f"instance file key {path!r} is "
+                         + (f"not {what}" if key in obj else "missing"))
+    return obj[key]
+
+
 def instance_from_json(d: dict) -> ProblemInstance:
-    """Rebuild an instance from its JSON form (values taken verbatim)."""
-    family = d["property"]["family"]
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} in instance file")
-    mode = FAMILIES[family].mode
-    if d["mode"] != mode:
-        raise ValueError(f"family {family!r} has mode {mode!r}, not {d['mode']!r}")
-    values = d["values" if mode == ITEM else "pairs"]
-    return _build(family, d["n"], d["l"], values, d["property"]["params"],
-                  d.get("seed"))
+    """Rebuild an instance from its JSON form (values taken verbatim).  Each
+    key is checked first, so a malformed form is a ValueError naming one."""
+    if not isinstance(d, dict):
+        raise ValueError("an instance file holds one JSON object")
+    prop = _entry(d, "property", lambda p: isinstance(p, dict), "an object")
+    family = _entry(prop, "property.family",
+                    lambda f: isinstance(f, str) and f in FAMILIES,
+                    f"one of {', '.join(FAMILIES)}")
+    fam = FAMILIES[family]
+    params = _entry(prop, "property.params", lambda p: isinstance(p, dict),
+                    "an object")
+    for name, test, what in fam.params:
+        _entry(params, f"property.params.{name}", test, what)
+    _entry(d, "mode", lambda mode: mode == fam.mode, f"{fam.mode!r} for {family}")
+    values = _entry(d, "values" if fam.mode == ITEM else "pairs",
+                    lambda v: _int_lists(v, 1), "a list of integers")
+    n, l = (_entry(d, key, lambda v: _int_lists(v, 0), "an integer")
+            for key in ("n", "l"))
+    return _build(family, n, l, values, params, d.get("seed"))
 
 
 def load_instance(path) -> ProblemInstance:

@@ -20,7 +20,7 @@ def dumps_report(obj) -> str:
     """JSON text with fixed key order and 17-digit floats.
 
     A dataclass renders as its fields in order, less those declared
-    repr=False, unless it has a to_dict; arrays render as lists of floats.
+    repr=False; arrays render as lists of floats.
     json.dumps always formats floats with repr, so floats are swapped for
     string placeholders and substituted back after encoding.  numpy is
     looked up, not imported: no array exists if it was never loaded.
@@ -29,8 +29,6 @@ def dumps_report(obj) -> str:
     np = sys.modules.get("numpy")
 
     def render(node):
-        if hasattr(node, "to_dict"):
-            return render(node.to_dict())
         if dataclasses.is_dataclass(node):
             return {f.name: render(getattr(node, f.name))
                     for f in dataclasses.fields(node) if f.repr}

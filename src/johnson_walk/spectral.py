@@ -32,12 +32,7 @@ class UnitaryEigen:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix."""
     phases: np.ndarray                 # sorted ascending in (-pi, pi]
     vectors: np.ndarray                # columns, aligned with phases
-    overlaps_w: np.ndarray | None = None  # |<w|u_j>|^2 when built with w
     reconstruction_residual: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return len(self.phases)
 
     def eigenspace_weight(self, phase: float, target: np.ndarray) -> float:
         """|target|^2 in the eigenspace at e^{i phase}, eigenvalues within
@@ -46,8 +41,7 @@ class UnitaryEigen:
         return float(np.sum(np.abs(self.vectors[:, near].conj().T @ target) ** 2))
 
 
-def eigendecompose_unitary(u: np.ndarray,
-                           w: np.ndarray | None = None) -> UnitaryEigen:
+def eigendecompose_unitary(u: np.ndarray) -> UnitaryEigen:
     """Dense eigendecomposition with orthonormal eigenvectors.
 
     numpy's eig, sorted by phase, then QR of the eigenvector matrix.  A
@@ -58,8 +52,7 @@ def eigendecompose_unitary(u: np.ndarray,
     become an orthonormal basis of its eigenspace.
     """
     u = np.asarray(u)
-    d = u.shape[0]
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(d)))
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
     if defect > 1e-10:
         raise ValueError(f"input is not unitary: max |U^H U - I| = {defect:.3e}")
 
@@ -71,10 +64,7 @@ def eigendecompose_unitary(u: np.ndarray,
 
     recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     residual = float(np.max(np.abs(recon - u)))
-    overlaps = None
-    if w is not None:
-        overlaps = np.abs(vectors.conj().T @ np.asarray(w, dtype=complex)) ** 2
-    return UnitaryEigen(phases=phases, vectors=vectors, overlaps_w=overlaps,
+    return UnitaryEigen(phases=phases, vectors=vectors,
                         reconstruction_residual=residual)
 
 
@@ -152,27 +142,21 @@ class DeltaDecomposition:
     n: int
     m: int
     l: int
-    c_diag: np.ndarray
-    delta1: np.ndarray
-    delta2: np.ndarray
+    c_diag: np.ndarray = field(repr=False)
+    delta1: np.ndarray = field(repr=False)
+    delta2: np.ndarray = field(repr=False)
     norm_delta1: float
     norm_delta2: float
     scaled_norm_delta1: float   # ||Delta1|| * sqrt(n - m)
     scaled_norm_delta2: float   # ||Delta2|| * sqrt(m + 1)
-    delta2c: np.ndarray
-    delta2c_eigs: np.ndarray
-    delta2c_expected: np.ndarray
+    delta2c_eigs_real: np.ndarray   # eigenvalues of Delta2 C, sorted
+    delta2c_eigs_imag: np.ndarray
+    delta2c: np.ndarray = field(repr=False)
+    delta2c_expected: np.ndarray = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l,
-            "norm_delta1": self.norm_delta1,
-            "norm_delta2": self.norm_delta2,
-            "scaled_norm_delta1": self.scaled_norm_delta1,
-            "scaled_norm_delta2": self.scaled_norm_delta2,
-            "delta2c_eigs_real": list(map(float, self.delta2c_eigs.real)),
-            "delta2c_eigs_imag": list(map(float, self.delta2c_eigs.imag)),
-        }
+    @property
+    def delta2c_eigs(self) -> np.ndarray:
+        return self.delta2c_eigs_real + 1j * self.delta2c_eigs_imag
 
 
 def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
@@ -188,15 +172,12 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     delta2 = coin2_matrix(basis) - c
     delta2c = delta2 @ c
 
-    beta = 1.0 / (m + 1)
-    expected = [0.0 + 0.0j]
-    for j in range(1, l + 1):
-        r = math.sqrt(beta * j * (1.0 - beta * j))
-        expected.append(-2.0 * beta * j + 2j * r)
-        expected.append(-2.0 * beta * j - 2j * r)
-    expected = np.array(sorted(expected, key=lambda z: (z.real, z.imag)))
-    eigs = np.linalg.eigvals(delta2c)
-    eigs = np.array(sorted(eigs, key=lambda z: (z.real, z.imag)))
+    bj = 1.0 / (m + 1) * np.arange(1, l + 1)   # beta j
+    r = np.sqrt(bj * (1.0 - bj))
+    # sorted by real, then imaginary part
+    expected = np.sort(np.concatenate([[0j], -2.0 * bj + 2j * r,
+                                       -2.0 * bj - 2j * r]), kind="stable")
+    eigs = np.sort(np.linalg.eigvals(delta2c), kind="stable")
 
     n1 = float(np.linalg.norm(delta1, 2))
     n2 = float(np.linalg.norm(delta2, 2))
@@ -205,7 +186,8 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
         norm_delta1=n1, norm_delta2=n2,
         scaled_norm_delta1=n1 * math.sqrt(n - m),
         scaled_norm_delta2=n2 * math.sqrt(m + 1),
-        delta2c=delta2c, delta2c_eigs=eigs, delta2c_expected=expected,
+        delta2c_eigs_real=eigs.real, delta2c_eigs_imag=eigs.imag,
+        delta2c=delta2c, delta2c_expected=expected,
     )
 
 
@@ -222,8 +204,8 @@ class UPSpectrum:
     r_a: np.ndarray                     # |<w|theta_a>|^2 per root
     overlaps: np.ndarray                # [j, a] = <u_j|theta_a>
     passthrough: np.ndarray             # eigenphases of U orthogonal to w
-    pole_phases: np.ndarray = field(default=None)
-    pole_weights: np.ndarray = field(default=None)
+    pole_phases: np.ndarray             # active poles, sorted
+    pole_weights: np.ndarray            # |<w|u>|^2 summed over each pole
 
     @property
     def all_phases(self) -> np.ndarray:
@@ -245,10 +227,8 @@ def circular_phase_gap(phases_a, phases_b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"phase count mismatch: {a.size} vs {b.size}")
     ea, eb = np.exp(1j * a), np.exp(1j * b)
-    best = math.inf
-    for shift in range(a.size):
-        best = min(best, float(np.max(np.abs(np.roll(ea, shift) - eb))))
-    return best
+    return min((float(np.max(np.abs(np.roll(ea, shift) - eb)))
+                for shift in range(a.size)), default=math.inf)
 
 
 def _cot_sum(thetas, poles, weights):
@@ -289,16 +269,13 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     pole_weight = np.array(pole_weight)
 
     active = pole_weight > weight_tol
-    act_poles = poles[active]
-    act_weight = pole_weight[active]
+    act_poles, act_weight = poles[active], pole_weight[active]
 
     # pass-through: inactive poles keep all members; active degenerate
     # poles keep multiplicity - 1 copies (the in-eigenspace directions
     # orthogonal to w are untouched by the flip)
-    passthrough = []
-    for i, mem in enumerate(members):
-        copies = len(mem) if not active[i] else len(mem) - 1
-        passthrough.extend([poles[i]] * copies)
+    passthrough = [pole for pole, mem, act in zip(poles, members, active)
+                   for _ in range(len(mem) - int(act))]
 
     # one root per gap between consecutive active poles, the last gap
     # wrapping round to the first pole; every gap is bisected at once
@@ -362,35 +339,31 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     if ws == 0.0:
         raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
     t1 = walk_steps(m, l)
-    w_step = build_walk_matrix(basis)
-    u = np.linalg.matrix_power(w_step, t1)
+    u = np.linalg.matrix_power(build_walk_matrix(basis), t1)
     w_vec = np.zeros(basis.dim)
     w_vec[basis.index(l, 0)] = 1.0
 
-    eigen = eigendecompose_unitary(u, w=w_vec)
+    eigen = eigendecompose_unitary(u)
     spectrum = up_eigenphases(eigen, w_vec)
     if len(spectrum.thetas) < 2:
         raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "
                          f"|w> lies in one eigenspace of W^t1 (t1={t1})")
     order = np.argsort(np.abs(spectrum.thetas))
-    th_a, th_b = spectrum.thetas[order[0]], spectrum.thetas[order[1]]
-    theta_plus, theta_minus = (th_a, th_b) if th_a > 0 else (th_b, th_a)
+    plus, minus = order[:2] if spectrum.thetas[order[0]] > 0 else order[1::-1]
+    theta_plus, theta_minus = spectrum.thetas[plus], spectrum.thetas[minus]
 
-    ratio_plus = abs(theta_plus) / (2.0 * ws)
-    ratio_minus = abs(theta_minus) / (2.0 * ws)
-
-    # eigenvectors of U P at theta_+- via direct diagonalization
-    up = u @ (np.eye(basis.dim) - 2.0 * np.outer(w_vec, w_vec))
-    up_eigen = eigendecompose_unitary(up)
+    # each root's eigenvector is sum_j <u_j|theta> |u_j>
     s_vec = reduced_s(basis)
-    fidelity = min(up_eigen.eigenspace_weight(
-        theta, (w_vec + sign * 1j * s_vec) / math.sqrt(2.0))
-        for theta, sign in ((theta_plus, 1.0), (theta_minus, -1.0)))
+    fidelity = min(float(abs(np.vdot(
+        (w_vec + sign * 1j * s_vec) / math.sqrt(2.0),
+        eigen.vectors @ spectrum.overlaps[:, root])) ** 2)
+        for root, sign in ((plus, 1.0), (minus, -1.0)))
     return RotationReport(
         n=n, m=m, l=l, t1=t1,
         theta_plus=float(theta_plus), theta_minus=float(theta_minus),
         w_s_overlap=ws,
-        ratio_plus=float(ratio_plus), ratio_minus=float(ratio_minus),
+        ratio_plus=float(abs(theta_plus) / (2.0 * ws)),
+        ratio_minus=float(abs(theta_minus) / (2.0 * ws)),
         eigvec_fidelity=fidelity,
         error_scale=1.0 / m + m / n,
     )

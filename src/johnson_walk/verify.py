@@ -202,8 +202,7 @@ def check_up_rootfinder() -> CheckResult:
             u[:, 0] *= -1
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        eig = eigendecompose_unitary(u, w=w)
-        sp = up_eigenphases(eig, w)
+        sp = up_eigenphases(eigendecompose_unitary(u), w)
         direct = np.angle(np.linalg.eigvals(
             u @ (np.eye(d) - 2.0 * np.outer(w, w))))
         mine = sp.all_phases

@@ -138,7 +138,7 @@ def test_criterion_6_up_rootfinder():
             u[:, 0] *= -1
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        eig = eigendecompose_unitary(u, w=w)
+        eig = eigendecompose_unitary(u)
         sp = up_eigenphases(eig, w)
         up = u @ (np.eye(d) - 2.0 * np.outer(w, w))
         vals, vecs = np.linalg.eig(up)

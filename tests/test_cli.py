@@ -151,6 +151,41 @@ def test_spectrum_refusals_name_the_cause(capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+ED_FILE = {"n": 9, "l": 2, "mode": "item",
+           "values": [1, 1, 2, 3, 4, 5, 6, 7, 8],
+           "property": {"family": "element-distinctness", "params": {}},
+           "seed": None}
+SMQ_FILE = {"n": 6, "l": 3, "mode": "item", "values": [1, 2, 3, 4, 5, 6],
+            "property": {"family": "sum-mod-q", "params": {"q": 7}},
+            "seed": None}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({}, "'property'"),
+    ([], "one JSON object"),
+    ({**ED_FILE, "property": "x"}, "'property'"),
+    ({k: v for k, v in ED_FILE.items() if k != "values"}, "'values'"),
+    ({**SMQ_FILE, "property": {"family": "sum-mod-q", "params": {}}},
+     "'property.params.q'"),
+    ({**ED_FILE, "property": {"family": "custom", "params": {}}},
+     "'property.params.satisfying'"),
+    ({**ED_FILE, "n": "9"}, "'n'"),
+    ({**ED_FILE, "n": 9.0}, "'n'"),
+    ({**SMQ_FILE, "values": ["1", "2", "3", "4", "5", "6"]}, "'values'"),
+], ids=["empty-object", "array", "property-string", "no-values",
+        "sum-mod-q-no-q", "custom-no-satisfying", "n-string", "n-float",
+        "string-values"])
+def test_malformed_instance_file_exit_2(capsys, tmp_path, doc, key):
+    """A malformed instance file is one error line naming the bad key."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--instance", str(path),
+                             "--engine", "full")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
 @pytest.mark.parametrize("engine", ["reduced", "both"])
 def test_reduced_refuses_several_marked_sets(capsys, tmp_path, engine):
     """Two disjoint collisions: the reduced engine models only one."""
@@ -573,8 +608,7 @@ def test_cost_optimize_key_order(capsys):
 
 
 def test_dumps_report_renders_dataclass_fields():
-    """Fields in order, repr=False left out, arrays and tuples as lists,
-    and a to_dict wins over the fields."""
+    """Fields in order, repr=False left out, arrays and tuples as lists."""
     @dataclass
     class Report:
         b: float
@@ -582,18 +616,9 @@ def test_dumps_report_renders_dataclass_fields():
         values: np.ndarray
         hidden: object = field(default=None, repr=False)
 
-    @dataclass
-    class Custom:
-        x: int
-
-        def to_dict(self):
-            return {"y": self.x + 1}
-
-    text = dumps_report({"r": Report(0.1, (1, 2), np.array([0.5, 1.0])),
-                         "c": Custom(1)})
+    text = dumps_report({"r": Report(0.1, (1, 2), np.array([0.5, 1.0]))})
     assert json.loads(text) == {"r": {"b": 0.1, "a": [1, 2],
-                                      "values": [0.5, 1.0]},
-                                "c": {"y": 2}}
+                                      "values": [0.5, 1.0]}}
     assert list(json.loads(text)["r"]) == ["b", "a", "values"]
     assert "0.10000000000000001" in text
 

@@ -12,6 +12,8 @@ from johnson_walk import (
     norm_constants, up_eigenphases, walk_spectrum,
 )
 from johnson_walk.cost_model import walk_size, walk_steps
+from johnson_walk.reduced_sim import reduced_s
+from johnson_walk.spectral import RootBracketError
 
 
 def random_orthogonal(d, rng):
@@ -113,9 +115,10 @@ def test_eigendecompose_reflection_products():
             u = u @ (np.eye(8) - 2.0 * np.outer(v, v))
         w = rng.normal(size=8)
         w /= np.linalg.norm(w)
-        eig = eigendecompose_unitary(u, w=w)
+        eig = eigendecompose_unitary(u)
         assert eig.reconstruction_residual <= 1e-9
-        assert abs(np.sum(eig.overlaps_w) - 1.0) <= 1e-10
+        overlaps_w = np.abs(eig.vectors.conj().T @ w) ** 2
+        assert abs(np.sum(overlaps_w) - 1.0) <= 1e-10
 
 
 def test_eigendecompose_complex_unitary():
@@ -133,13 +136,14 @@ def test_walk_phases_come_in_pairs():
         basis = ReducedBasis(n, m, l)
         w_vec = np.zeros(basis.dim)
         w_vec[basis.index(l, 0)] = 1.0
-        eig = eigendecompose_unitary(build_walk_matrix(basis), w=w_vec)
+        eig = eigendecompose_unitary(build_walk_matrix(basis))
+        overlaps_w = np.abs(eig.vectors.conj().T @ w_vec) ** 2
         nonzero = np.sort(eig.phases[np.abs(eig.phases) > 1e-12])
         assert np.max(np.abs(nonzero + nonzero[::-1])) <= 1e-10
         for theta in nonzero[nonzero > 0]:
             i_plus = int(np.argmin(np.abs(eig.phases - theta)))
             i_minus = int(np.argmin(np.abs(eig.phases + theta)))
-            assert abs(eig.overlaps_w[i_plus] - eig.overlaps_w[i_minus]) <= 1e-10
+            assert abs(overlaps_w[i_plus] - overlaps_w[i_minus]) <= 1e-10
 
 
 def test_walk_spectrum_three_cycle():
@@ -214,7 +218,7 @@ def test_delta2c_eigenvalues():
 def test_up_pure_reflection():
     """U = identity: UP = 1 - 2|w><w| has the single flipped phase pi."""
     w = np.array([1.0, 0.0, 0.0, 0.0])
-    eig = eigendecompose_unitary(np.eye(4), w=w)
+    eig = eigendecompose_unitary(np.eye(4))
     sp = up_eigenphases(eig, w)
     assert len(sp.thetas) == 1
     assert abs(abs(sp.thetas[0]) - math.pi) <= 1e-9
@@ -230,7 +234,7 @@ def test_up_random_matches_direct():
         u = random_orthogonal(d, rng)
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        eig = eigendecompose_unitary(u, w=w)
+        eig = eigendecompose_unitary(u)
         sp = up_eigenphases(eig, w)
         up = u @ (np.eye(d) - 2.0 * np.outer(w, w))
         direct = np.angle(np.linalg.eigvals(up))
@@ -243,7 +247,7 @@ def test_up_cot_residual_and_r_sum():
     u = random_orthogonal(10, rng)
     w = rng.normal(size=10)
     w /= np.linalg.norm(w)
-    eig = eigendecompose_unitary(u, w=w)
+    eig = eigendecompose_unitary(u)
     sp = up_eigenphases(eig, w)
     # each root satisfies the cotangent condition
     for theta in sp.thetas:
@@ -261,7 +265,7 @@ def test_up_r_a_matches_direct_overlaps():
         u = random_orthogonal(d, rng)
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        eig = eigendecompose_unitary(u, w=w)
+        eig = eigendecompose_unitary(u)
         sp = up_eigenphases(eig, w)
         up = u @ (np.eye(d) - 2.0 * np.outer(w, w))
         vals, vecs = np.linalg.eig(up)
@@ -277,7 +281,7 @@ def test_up_overlap_formula_consistency():
     u = random_orthogonal(8, rng)
     w = rng.normal(size=8)
     w /= np.linalg.norm(w)
-    eig = eigendecompose_unitary(u, w=w)
+    eig = eigendecompose_unitary(u)
     sp = up_eigenphases(eig, w)
     up = u @ (np.eye(8) - 2.0 * np.outer(w, w))
     for a in range(len(sp.thetas)):
@@ -302,6 +306,48 @@ def test_rotation_eigenvector_fidelity():
         assert rep.eigvec_fidelity >= 1.0 - 10.0 * rep.error_scale
 
 
+ROTATION_GRID = [(n, l) for n in (9, 10, 12, 16, 20, 50, 100) + tuple(
+    10 ** k for k in range(3, 9)) for l in (1, 2, 3, 4)]
+
+
+def direct_rotation_fidelity(n, m, l, theta_plus, theta_minus):
+    """The theta+- fidelity from a dense eig of U P built here, U = W^t1:
+    eigenvalues within 1e-8 of e^{i theta} are one eigenspace, its vectors
+    orthonormalized by QR.  No code is shared with the root finder."""
+    basis = ReducedBasis(n, m, l)
+    u = np.linalg.matrix_power(build_walk_matrix(basis), walk_steps(m, l))
+    w = np.zeros(basis.dim)
+    w[basis.index(l, 0)] = 1.0
+    s = reduced_s(basis)
+    values, vectors = np.linalg.eig(u @ (np.eye(basis.dim)
+                                         - 2.0 * np.outer(w, w)))
+
+    def weight(theta, target):
+        near = np.abs(values - np.exp(1j * theta)) <= 1e-8
+        q = np.linalg.qr(vectors[:, near])[0]
+        return float(np.sum(np.abs(q.conj().T @ target) ** 2))
+
+    return min(weight(theta_plus, (w + 1j * s) / math.sqrt(2.0)),
+               weight(theta_minus, (w - 1j * s) / math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("n, l", ROTATION_GRID)
+def test_rotation_fidelity_matches_direct_diagonalization(n, l):
+    """algorithm_rotation takes its eigenvectors from the root finder's
+    overlaps; a dense diagonalization of U P gives the same fidelity to
+    1e-12 wherever spectrum accepts the point."""
+    m = walk_size(n, l)
+    try:
+        rep = algorithm_rotation(n, m, l)
+        walk_spectrum(n, m, l)
+        delta_decomposition(n, m, l)
+    except (ValueError, RootBracketError) as exc:
+        pytest.skip(f"spectrum refuses n={n}, l={l}: {exc}")
+    direct = direct_rotation_fidelity(n, m, l, rep.theta_plus,
+                                      rep.theta_minus)
+    assert abs(rep.eigvec_fidelity - direct) <= 1e-12
+
+
 def test_rotation_t1_fixture():
     # m=4, l=2: (pi/2) sqrt(2) = 2.221 -> 2
     rep = algorithm_rotation(9, 4, 2)
@@ -317,7 +363,7 @@ def test_root_count_conservation():
         u = random_orthogonal(d, rng)
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        eig = eigendecompose_unitary(u, w=w)
+        eig = eigendecompose_unitary(u)
         sp = up_eigenphases(eig, w)
         assert len(sp.thetas) + len(sp.passthrough) == d
 
