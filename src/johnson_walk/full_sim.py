@@ -13,7 +13,8 @@ colex rank; no b-side buffer exists.  Like the union table, it is
 stored slot-major (Fortran order): each coin slot is one contiguous
 column.  Coin 1 inverts each subset row about its mean, coin 2 (applied
 as S C2 S) the a-pairs (A, k) that share one union A ∪ {k}, found by its
-precomputed colex rank.  The shift S, a bijection between the a-pairs
+colex rank; WalkContext builds those ranks block by block from the colex
+order's prefix property.  The shift S, a bijection between the a-pairs
 and the b-pairs, is the reference the step is checked against.  The
 kernels take complex and C-ordered arrays as well.
 """
@@ -28,8 +29,8 @@ from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import binomial
 from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 
-# Bytes; admits n <= 26 at the parameter rule's m for l=2 (1.47 GiB at
-# n=26, m=9; 2.32 GiB at n=27, m=9).
+# Bytes; admits n <= 26 at the parameter rule's m for l=2 (1.38e9 B at
+# n=26, m=9; 2.19e9 B at n=27, m=9).
 DEFAULT_MEMCAP = 2 ** 31
 
 _context_cache: dict = {}
@@ -47,41 +48,14 @@ class MemoryCapError(RuntimeError):
 
 def walk_bytes(n: int, m: int) -> int:
     """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
-    (int64) and member (bool) per subset, then union_rank (int64), the
-    float64 state and one more state-sized float64 array, dim_a entries
-    each.  The walk step and FullState.norm make none, but measure_sample
-    and reduced_sim.embed_to_full each make one."""
+    (in the narrowest dtype that holds n) and member (bool) per subset,
+    then union_rank (int64), the float64 state and one more state-sized
+    float64 array, dim_a entries each.  The walk step and FullState.norm
+    make none, but measure_sample and reduced_sim.embed_to_full each make
+    one."""
     num_a = binomial(n, m)
-    return num_a * (8 * m + n) + 3 * 8 * num_a * (n - m)
-
-
-def _colex_subsets(n: int, m: int) -> np.ndarray:
-    """All m-subsets of {0..n-1}, sorted ascending, as rows in colex-rank order.
-
-    In colex order the k-subsets with largest element c come right after
-    all those with a smaller largest element, and their first k-1 entries
-    run through the (k-1)-subsets of {0..c-1}: a prefix of the previous
-    table.  Level k only needs largest elements below n-m+k.
-    """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, m + 1):
-        rows = np.concatenate([
-            np.column_stack([rows[:binomial(c, k - 1)],
-                             np.full(binomial(c, k - 1), c, dtype=np.int64)])
-            for c in range(k - 1, n - m + k)])
-    return rows
-
-
-def _binomial_table(n: int, k_max: int) -> np.ndarray:
-    """table[x, y] = C(x, y) for x <= n, y <= k_max, as int64.
-
-    Entries too large for int64 are clipped; none is ever indexed, since
-    every lookup is one term of a colex rank below C(n, m+1), which the
-    memory cap keeps small.
-    """
-    big = np.iinfo(np.int64).max
-    return np.array([[min(binomial(x, y), big) for y in range(k_max + 1)]
-                     for x in range(n + 1)], dtype=np.int64)
+    return (num_a * (m * np.min_scalar_type(n).itemsize + n)
+            + 3 * 8 * num_a * (n - m))
 
 
 class WalkContext:
@@ -93,6 +67,18 @@ class WalkContext:
     a-pair (r, slot) has coin k = the slot-th False of member[r].
     union_rank[r, slot] is the colex rank of the (m+1)-subset A ∪ {k},
     stored slot-major like the state.
+
+    The build runs level by level over k = 1..m, on the k-subsets of
+    {0..n-m+k-1}, each with the same n - m coin slots.  In colex order the
+    k-subsets with largest element c fill the block of rows
+    [C(c, k), C(c+1, k)), and their first k-1 entries run through the
+    (k-1)-subsets of {0..c-1}: the first rows of the previous level.  So
+    a block copies those rows with c appended; its first c-k+1 coins lie
+    below c and its union ranks are the previous level's plus C(c, k+1).
+    The coin c of the C(c, k) rows before the block sits in slot c-k, with
+    union rank C(c, k+1) + row.  Every level is a prefix of the final
+    arrays, and the blocks are written from the largest c down, so that
+    no block overwrites rows a smaller c still reads.
     """
 
     def __init__(self, n: int, m: int):
@@ -109,32 +95,26 @@ class WalkContext:
         self.dim_a = self.num_a * (n - m)
         self.dim_b = self.num_b * (m + 1)  # equals dim_a: shift is a bijection
 
-        self.subsets_a = _colex_subsets(n, m)
-        self.member = np.zeros((self.num_a, n), dtype=bool)
-        np.put_along_axis(self.member, self.subsets_a, True, axis=1)
-
-        # With pos = #{a in A : a < k} = k - slot, the colex rank of A ∪ {k} is
-        #   sum_{i<pos} C(a_i, i+1) + C(k, pos+1) + sum_{i>=pos} C(a_i, i+2)
-        table = _binomial_table(n, m + 1)
-        cols = np.arange(m)
-        low = table[self.subsets_a, cols + 1]
-        high = table[self.subsets_a, cols + 2]
-        # outer[r, p] = sum_{i<p} low[r, i] + sum_{i>=p} high[r, i]
-        outer = np.zeros((self.num_a, m + 1), dtype=np.int64)
-        outer[:, 1:] = np.cumsum(low, axis=1)
-        outer[:, :-1] += np.cumsum(high[:, ::-1], axis=1)[:, ::-1]
-        del low, high
-        # coins and pos are the build's only (num_a, n-m) temporaries
-        # besides the result, so they take the narrowest dtype that holds n
-        small = np.min_scalar_type(n)
-        coins = self.at_coins(np.arange(n, dtype=small))
-        pos = coins - np.arange(n - m, dtype=small)
-        rows = np.arange(0, outer.size, m + 1)
-        self.union_rank = np.empty((self.num_a, n - m), np.int64, order="F")
-        for slot, column in enumerate(self.union_rank.T):
-            k, p = coins[:, slot].astype(np.intp), pos[:, slot].astype(np.intp)
-            np.add(outer.take(rows + p), table.take(k * (m + 2) + p + 1),
-                   out=column)
+        width = n - m
+        subsets = np.empty((self.num_a, m), np.min_scalar_type(n))
+        member = np.zeros((self.num_a, n), dtype=bool)
+        union = np.empty((self.num_a, width), np.int64, order="F")
+        union[0] = np.arange(width)  # level 0: the rank of {k} is k
+        row = np.arange(self.num_a, dtype=np.int64)
+        for k in range(1, m + 1):
+            for c in range(width + k - 1, k - 2, -1):
+                lo, hi, below = binomial(c, k), binomial(c + 1, k), c - k + 1
+                subsets[lo:hi, :k - 1] = subsets[:hi - lo, :k - 1]
+                subsets[lo:hi, k - 1] = c
+                member[lo:hi, :c] = member[:hi - lo, :c]
+                member[lo:hi, c] = True
+                member[lo:hi, c + 1:] = False
+                np.add(union[:hi - lo, :below], binomial(c, k + 1),
+                       out=union[lo:hi, :below])
+            for c in range(k, width + k):
+                lo = binomial(c, k)
+                np.add(row[:lo], binomial(c, k + 1), out=union[:lo, c - k])
+        self.subsets_a, self.member, self.union_rank = subsets, member, union
 
     @property
     def shift_map(self) -> np.ndarray:

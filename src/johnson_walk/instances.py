@@ -226,9 +226,11 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
 
 def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
     if m_bits is None:
+        first = math.ceil(math.log2(n)) + 2
         return _default_range(
             lambda bits: _gen_zero_sum_xor(n, l, bits, seed, planted),
-            math.ceil(math.log2(n)) + 2, (binomial(n, l) - 1).bit_length())
+            first, (binomial(n, l) - 1).bit_length(),
+            _crowded(n, l, 2 ** first))
     if m_bits < 1:
         raise ValueError("m_bits must be positive")
     import numpy as np
@@ -248,17 +250,24 @@ def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
                   {"m_bits": m_bits, "planted": planted}, seed)
 
 
-def _default_range(draw, first, wide):
-    """draw(first), the family's historical default value range; where that
-    cannot be drawn, draw(wide), a range with about C(n, l) values, so that
-    about one accidental solution is expected and a few scrub passes
-    remove it.  The range is m_bits for zero-sum-xor and q for sum-mod-q.
+def _crowded(n, l, values):
+    """Whether a range of `values` values expects more than 8 chance
+    solutions at l >= 4.  At n = 12..24 the scrub there gave up on up to
+    all draws (every zero-sum-xor draw at l = 4 from n = 13 on); at l = 3
+    every draw measured converged, up to 163 expected (n = 64)."""
+    return l >= 4 and binomial(n, l) > 8 * values
 
-    The first range is often too narrow from l = 4 and n = 12 on: a redraw
-    there can create new solutions faster than it breaks old ones, and the
-    scrub gives up.  Trying it first keeps every instance it can draw
-    unchanged.
+
+def _default_range(draw, first, wide, crowded):
+    """draw(first), the family's historical default value range; where that
+    is crowded or cannot be drawn, draw(wide), a range with about C(n, l)
+    values, so that about one accidental solution is expected and a few
+    scrub passes remove it.  The range is m_bits for zero-sum-xor and q for
+    sum-mod-q.  Trying the first range where it is not crowded keeps every
+    instance it can draw there unchanged.
     """
+    if crowded:
+        return draw(wide)
     try:
         return draw(first)
     except GenerationError:
@@ -315,7 +324,7 @@ def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
     if q is None:
         return _default_range(
             lambda q: _gen_sum_mod_q(n, l, q, seed, planted),
-            4 * n, binomial(n, l))
+            4 * n, binomial(n, l), _crowded(n, l, 4 * n))
     if q < 2:
         raise ValueError("q must be at least 2")
     rng = random.Random(seed)
@@ -476,7 +485,9 @@ def instance_from_json(d: dict) -> ProblemInstance:
                     lambda v: _int_lists(v, 1), "a list of integers")
     n, l = (_entry(d, key, lambda v: _int_lists(v, 0), "an integer")
             for key in ("n", "l"))
-    return _build(family, n, l, values, params, d.get("seed"))
+    seed = _entry(d, "seed", lambda s: s is None or _int_lists(s, 0),
+                  "an integer or null") if "seed" in d else None
+    return _build(family, n, l, values, params, seed)
 
 
 def load_instance(path) -> ProblemInstance:

@@ -172,9 +172,12 @@ SMQ_FILE = {"n": 6, "l": 3, "mode": "item", "values": [1, 2, 3, 4, 5, 6],
     ({**ED_FILE, "n": "9"}, "'n'"),
     ({**ED_FILE, "n": 9.0}, "'n'"),
     ({**SMQ_FILE, "values": ["1", "2", "3", "4", "5", "6"]}, "'values'"),
+    ({**ED_FILE, "seed": {"x": [1.5]}}, "'seed'"),
+    ({**ED_FILE, "seed": 1.5}, "'seed'"),
+    ({**ED_FILE, "seed": True}, "'seed'"),
 ], ids=["empty-object", "array", "property-string", "no-values",
         "sum-mod-q-no-q", "custom-no-satisfying", "n-string", "n-float",
-        "string-values"])
+        "string-values", "seed-object", "seed-float", "seed-bool"])
 def test_malformed_instance_file_exit_2(capsys, tmp_path, doc, key):
     """A malformed instance file is one error line naming the bad key."""
     path = tmp_path / "bad.json"

@@ -106,14 +106,49 @@ def test_index_beyond_64_elements():
     assert_index_matches_reference(WalkContext(70, 68))
 
 
+def test_union_rank_covers_every_b_subset_m_plus_1_times():
+    """At n=20 the m+1 a-pairs of each (m+1)-subset are its m+1 coins."""
+    ctx = WalkContext(20, 7)
+    counts = np.bincount(ctx.union_rank.ravel(order="K"))
+    assert len(counts) == ctx.num_b
+    assert np.all(counts == ctx.m + 1)
+
+
+def test_sampled_union_ranks_match_rank_subset():
+    """2,000 fixed-seed (row, slot) pairs at n=20: the subset, its coin and
+    the union's rank against combinat, one pair at a time."""
+    ctx = WalkContext(20, 7)
+    rng = np.random.default_rng(16)
+    for r, slot in zip(rng.integers(ctx.num_a, size=2000),
+                       rng.integers(ctx.n - ctx.m, size=2000)):
+        a = tuple(int(x) for x in ctx.subsets_a[r])
+        assert a == unrank_subset(int(r), ctx.m, ctx.n)
+        k = [x for x in range(ctx.n) if x not in a][slot]
+        assert ctx.union_rank[r, slot] == rank_subset(sorted(a + (k,)), ctx.n)
+
+
+def test_build_makes_no_subset_sized_int64_table():
+    """The build's peak is at most what the context holds plus the previous
+    level's arrays, the (m-1)-subsets of {0..n-2} with their member rows
+    and union ranks; one (num_a, m) int64 temporary would exceed it."""
+    n, m = 20, 7
+    ctx = WalkContext(n, m)
+    held = ctx.subsets_a.nbytes + ctx.member.nbytes + ctx.union_rank.nbytes
+    previous = binomial(n - 1, m - 1) * (
+        (m - 1) * ctx.subsets_a.itemsize + (n - 1) + 8 * (n - m))
+    assert previous < 8 * ctx.num_a * m
+    peak = traced_peak(lambda: WalkContext(n, m))
+    assert held <= peak <= held + previous, (peak, held, previous)
+
+
 def test_memory_cap_enforced(monkeypatch):
     """The cap is in bytes: index, float64 state and one step buffer."""
     with pytest.raises(MemoryCapError):
         WalkContext(40, 20)
-    # subsets_a 126*4*8, member 126*9, union_rank, state and the step's
-    # gather temporary 630*8 each
-    need = 126 * 4 * 8 + 126 * 9 + 3 * 630 * 8
-    assert walk_bytes(9, 4) == need == 20286
+    # subsets_a 126*4 (uint8), member 126*9, union_rank, state and one
+    # more state-sized array 630*8 each
+    need = 126 * 4 + 126 * 9 + 3 * 630 * 8
+    assert walk_bytes(9, 4) == need == 16758
     monkeypatch.setenv("JOHNSON_WALK_MEMCAP", str(need - 1))
     with pytest.raises(MemoryCapError):
         WalkContext(9, 4)

@@ -206,26 +206,50 @@ def test_families_refuse_l_below_their_minimum(family, min_l):
 FROZEN_DRAWS = {
     ("zero-sum-xor", 12, 4, 0, True): "94629fd3cb7e38aa533e1ad9c6c8c579",
     ("zero-sum-xor", 12, 4, 9, True): "dcc01983cbd11582f559e2c06502132e",
-    ("zero-sum-xor", 13, 5, 0, False): "8415d9bbd1f540a0eca2e24645b8c172",
-    ("zero-sum-xor", 17, 5, 10, True): "bd017421e0b5febf412073f6ab081186",
-    ("zero-sum-xor", 24, 5, 3, True): "8fb46f06f3631817f48db8af1c023922",
-    ("zero-sum-xor", 24, 5, 11, False): "96c7904d66389f67eda72a46fb41e32a",
     ("zero-sum-xor", 24, 3, 5, True): "a79e9ef2ef9d22c71127221c61b2b5bd",
     ("zero-sum-xor", 16, 3, 2, False): "1d931998ee47ccca9066528e868580f0",
-    ("sum-mod-q", 12, 4, 0, True): "2b733dd0bffa238ae413b4bcd9fa7661",
-    ("sum-mod-q", 24, 4, 10, True): "62e776e18af1ad61025cbc7b12326746",
-    ("sum-mod-q", 24, 4, 2, False): "7b1462b1ae3089afc9aea4eda461ecec",
-    ("sum-mod-q", 20, 5, 9, True): "360b97feebde103891ab9182eb1d8175",
-    ("sum-mod-q", 24, 5, 11, False): "85da097a11dcc3df2c7802b8a92fef15",
     ("sum-mod-q", 16, 3, 4, True): "c8679e22e43955e69e8488c18f36d9b7",
 }
 
+# The same digests for draws the historical range could make but where, at
+# l >= 4, it expects more than 8 chance solutions: these now go straight to
+# the wide range (m_bits = bit length of C(n, l) - 1, q = C(n, l))
+WIDENED_DRAWS = {
+    ("zero-sum-xor", 13, 5, 0, False): "b613e9cb7ee678790370ba4c8600f19a",
+    ("zero-sum-xor", 17, 5, 10, True): "12a92190ae2dece497a1a22803df165b",
+    ("zero-sum-xor", 24, 5, 3, True): "d1396ae5615e25fb62533cf7c5b5dac4",
+    ("zero-sum-xor", 24, 5, 11, False): "fababbd17f0f0ac72e0e6de3811df355",
+    ("sum-mod-q", 12, 4, 0, True): "5598cce10d1eadc37aaf900102890cd7",
+    ("sum-mod-q", 24, 4, 10, True): "8c81b3de23b436526e601cbe5364444b",
+    ("sum-mod-q", 24, 4, 2, False): "2c55107b344649b00df31142a01430b5",
+    ("sum-mod-q", 20, 5, 9, True): "e8d0e51bd75b9566613d826a6b278104",
+    ("sum-mod-q", 24, 5, 11, False): "55d0be5a62fad4f7800b85d26df1de93",
+}
 
-def test_default_range_keeps_every_draw_it_could_make():
-    for (family, n, l, seed, planted), digest in FROZEN_DRAWS.items():
+
+def default_ranges(family, n, l):
+    """(key, first, wide): the historical and the wide default range."""
+    if family == "zero-sum-xor":
+        return ("m_bits", math.ceil(math.log2(n)) + 2,
+                (binomial(n, l) - 1).bit_length())
+    return "q", 4 * n, binomial(n, l)
+
+
+def assert_draws(table, pick):
+    for (family, n, l, seed, planted), digest in table.items():
         inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
+        key, first, wide = default_ranges(family, n, l)
+        assert inst.property_params[key] == (first, wide)[pick]
         text = json.dumps(instance_to_json(inst), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
+
+
+def test_default_range_keeps_every_draw_it_could_make():
+    assert_draws(FROZEN_DRAWS, 0)
+
+
+def test_crowded_default_range_draws_wide_at_once():
+    assert_draws(WIDENED_DRAWS, 1)
 
 
 def solutions(inst, subsets):
@@ -245,20 +269,21 @@ def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
     """Planted and unplanted draws at n = 12..24 all build, with one
     solution or none.  The default range is the historical one where that
     can be drawn, else about C(n, l) values: from l = 4 on the historical
-    range mostly cannot (at n = 14, l = 4 the scrub gave up).  Finding that
-    out costs the full 200 scrub passes per draw, so l = 4 and 5 take two
-    seeds here; all twelve seeds 0..11 build there too."""
+    range often cannot (at n = 14, l = 4 the scrub gave up), and where it
+    expects more than 8 chance solutions the draw goes there at once.
+    l = 4 and 5 take two seeds here; all twelve seeds 0..11 build there
+    too."""
     for n in range(12, 25):
-        first, wide = ((math.ceil(math.log2(n)) + 2,
-                        (binomial(n, l) - 1).bit_length())
-                       if family == "zero-sum-xor" else (4 * n, binomial(n, l)))
-        key = "m_bits" if family == "zero-sum-xor" else "q"
+        key, first, wide = default_ranges(family, n, l)
+        values = 2 ** first if key == "m_bits" else first
+        crowded = l >= 4 and binomial(n, l) > 8 * values
         subsets = np.array(list(itertools.combinations(range(n), l)))
         for seed in seeds:
             for planted in (True, False):
                 inst = make_family(family, n=n, l=l, seed=seed,
                                    planted=planted)
-                assert inst.property_params[key] in (first, wide)
+                assert inst.property_params[key] in (
+                    (wide,) if crowded else (first, wide))
                 assert solutions(inst, subsets) == planted, (n, seed, planted)
                 if n == 12:
                     kind = find_marked(inst).kind
