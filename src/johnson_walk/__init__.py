@@ -23,8 +23,8 @@ _MODULE_OF = {name: module for module, names in {
                   "nint optimize_m oracle_queries table1 table1_csv",
     "full_sim": "DEFAULT_MEMCAP FullState MemoryCapError WalkContext "
                 "apply_coin1 apply_coin2 apply_phase_flip apply_shift "
-                "apply_walk_step get_context measure_sample memory_cap "
-                "prepare_s run_algorithm",
+                "apply_walk_step get_context memory_cap prepare_s "
+                "run_algorithm",
     "instances": "ITEM PAIRWISE FindResult GenerationError MarkedSet "
                  "ProblemInstance find_marked instance_from_json "
                  "instance_to_json load_instance make_family pair_index",

@@ -101,7 +101,9 @@ def cmd_simulate(args) -> int:
     found = find_marked(inst) if inst else None
     out = {"command": "simulate",
            "family": inst.family_tag if inst else family,
-           "seed": inst.seed if inst else args.seed, "engine": args.engine}
+           "seed": inst.seed if inst else args.seed,
+           "params": inst.property_params if inst else None,
+           "engine": args.engine}
     if args.engine != "full":  # first: it refuses several marked sets
         basis = ReducedBasis(n, p.m, l)
         reduced = run_reduced(basis, p.t1, p.t2, found, mode)
@@ -111,9 +113,10 @@ def cmd_simulate(args) -> int:
         out["reduced"] = reduced
     if args.engine == "both" and found.kind == "unique":
         fs = full.final_state
-        embedded = embed_to_full(reduced.final_state, basis, found.marked,
-                                 fs.ctx)
-        out["max_state_deviation"] = float(np.max(np.abs(embedded - fs.amps)))
+        # in place: embed_to_full's array is the third one walk_bytes charges
+        gap = embed_to_full(reduced.final_state, basis, found.marked, fs.ctx)
+        gap -= fs.amps
+        out["max_state_deviation"] = float(np.max(np.abs(gap, out=gap)))
     _emit(dumps_report(out), args.output)
     return 0
 

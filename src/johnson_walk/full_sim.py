@@ -13,10 +13,12 @@ colex rank; no b-side buffer exists.  Like the union table, it is
 stored slot-major (Fortran order): each coin slot is one contiguous
 column.  Coin 1 inverts each subset row about its mean, coin 2 (applied
 as S C2 S) the a-pairs (A, k) that share one union A ∪ {k}, found by its
-colex rank; WalkContext builds those ranks block by block from the colex
-order's prefix property.  The shift S, a bijection between the a-pairs
-and the b-pairs, is the reference the step is checked against.  The
-kernels take complex and C-ordered arrays as well.
+colex rank.  WalkContext builds those ranks and the sorted subsets
+block by block from the colex order's prefix property, and reads which
+elements a subset holds and which coin sits in a slot off the subsets
+alone.  The shift S, a bijection between the a-pairs and the b-pairs,
+is the reference the step is checked against.  The kernels take complex
+and C-ordered arrays as well.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import binomial
 from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 
-# Bytes; admits n <= 26 at the parameter rule's m for l=2 (1.38e9 B at
-# n=26, m=9; 2.19e9 B at n=27, m=9).
+# Bytes; admits n <= 27 at the parameter rule's m for l=2 (2.07e9 B at
+# n=27, m=9; 3.21e9 B at n=28, m=9).
 DEFAULT_MEMCAP = 2 ** 31
 
 _context_cache: dict = {}
@@ -48,25 +50,24 @@ class MemoryCapError(RuntimeError):
 
 def walk_bytes(n: int, m: int) -> int:
     """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
-    (in the narrowest dtype that holds n) and member (bool) per subset,
-    then union_rank (int64), the float64 state and one more state-sized
+    (m entries per subset in the narrowest dtype that holds n), then
+    union_rank (int64), the float64 state and one more state-sized
     float64 array, dim_a entries each.  The walk step and FullState.norm
-    make none, but measure_sample and reduced_sim.embed_to_full each make
-    one."""
+    make none; reduced_sim.embed_to_full makes the third."""
     num_a = binomial(n, m)
-    return (num_a * (m * np.min_scalar_type(n).itemsize + n)
+    return (num_a * m * np.min_scalar_type(n).itemsize
             + 3 * 8 * num_a * (n - m))
 
 
 class WalkContext:
     """Precomputed index structure for the (n, m) bipartite walk space.
 
-    subsets_a is the (num_a, m) array of m-subsets in colex-rank order and
-    member[r, k] says whether element k lies in subset r.  The coins of
-    subset r are the elements outside it, in increasing order, so the
-    a-pair (r, slot) has coin k = the slot-th False of member[r].
-    union_rank[r, slot] is the colex rank of the (m+1)-subset A ∪ {k},
-    stored slot-major like the state.
+    subsets_a is the (num_a, m) array of m-subsets in colex-rank order,
+    each sorted, and union_rank[r, slot] the colex rank of the
+    (m+1)-subset A ∪ {k}; both are stored slot-major like the state, and
+    they are the only arrays a context holds.  The coins of subset r are
+    the elements outside it, in increasing order, so the a-pair (r, slot)
+    has coin k = the slot-th element missing from subsets_a[r].
 
     The build runs level by level over k = 1..m, on the k-subsets of
     {0..n-m+k-1}, each with the same n - m coin slots.  In colex order the
@@ -96,8 +97,7 @@ class WalkContext:
         self.dim_b = self.num_b * (m + 1)  # equals dim_a: shift is a bijection
 
         width = n - m
-        subsets = np.empty((self.num_a, m), np.min_scalar_type(n))
-        member = np.zeros((self.num_a, n), dtype=bool)
+        subsets = np.empty((self.num_a, m), np.min_scalar_type(n), order="F")
         union = np.empty((self.num_a, width), np.int64, order="F")
         union[0] = np.arange(width)  # level 0: the rank of {k} is k
         row = np.arange(self.num_a, dtype=np.int64)
@@ -106,15 +106,12 @@ class WalkContext:
                 lo, hi, below = binomial(c, k), binomial(c + 1, k), c - k + 1
                 subsets[lo:hi, :k - 1] = subsets[:hi - lo, :k - 1]
                 subsets[lo:hi, k - 1] = c
-                member[lo:hi, :c] = member[:hi - lo, :c]
-                member[lo:hi, c] = True
-                member[lo:hi, c + 1:] = False
                 np.add(union[:hi - lo, :below], binomial(c, k + 1),
                        out=union[lo:hi, :below])
             for c in range(k, width + k):
                 lo = binomial(c, k)
                 np.add(row[:lo], binomial(c, k + 1), out=union[:lo, c - k])
-        self.subsets_a, self.member, self.union_rank = subsets, member, union
+        self.subsets_a, self.union_rank = subsets, union
 
     @property
     def shift_map(self) -> np.ndarray:
@@ -125,15 +122,38 @@ class WalkContext:
         return (self.union_rank * (self.m + 1) + pos).reshape(-1)
 
     def at_coins(self, values) -> np.ndarray:
-        """values[k] at the coin k of every a-pair, shape (num_a, n - m)."""
-        picked = np.broadcast_to(values, self.member.shape)[~self.member]
-        return picked.reshape(self.num_a, self.n - self.m)
+        """values[k] at the coin k of every a-pair, shape (num_a, n - m),
+        slot-major.  The coin in slot s is s plus the number of subset
+        elements below it; the element a_i in slot i has a_i - i coins
+        below it, so it lies below that coin iff a_i - i <= s.  One slot
+        column at a time, in the subsets' narrow dtype."""
+        values = np.asarray(values)
+        out = np.empty((self.num_a, self.n - self.m), values.dtype, order="F")
+        coin = np.empty(self.num_a, self.subsets_a.dtype)
+        for s in range(self.n - self.m):
+            coin.fill(s)
+            for i, column in enumerate(self.subsets_a.T):
+                coin += column <= s + i
+            # every coin is below n, so "clip" never clips; it writes
+            # straight into out, where the default mode buffers
+            values.take(coin, out=out[:, s], mode="clip")
+        return out
+
+    def count_in(self, elements) -> np.ndarray:
+        """How many of the distinct elements each m-subset holds, by rank.
+        Slot s of a sorted subset holds an element in [s, s + n - m], so
+        element i is looked for in those slots only."""
+        count = np.zeros(self.num_a, self.subsets_a.dtype)
+        for i in elements:
+            for s in range(max(0, i - (self.n - self.m)), min(self.m, i + 1)):
+                count += self.subsets_a[:, s] == i
+        return count
 
     def marked_row_mask(self, marked_sets) -> np.ndarray:
         """Boolean mask over a-side subset ranks: contains a marked subset."""
         mask = np.zeros(self.num_a, dtype=bool)
         for ms in marked_sets:
-            mask |= self.member[:, list(ms.indices)].all(axis=1)
+            mask |= self.count_in(ms.indices) == len(ms.indices)
         return mask
 
 
@@ -258,24 +278,3 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunRep
                      success_probability=success, overlap_w=overlap_w,
                      query_count=state.query_count, flags=scan_flags(found),
                      final_state=state)
-
-
-def measure_sample(state: FullState, seed: int, draws: int | None = None):
-    """Sample (subset, coin) pairs from the |amp|^2 distribution.
-
-    Returns a single (subset, coin) for draws=None, else a list.  The
-    cumulative |amp|^2 is one array in (r, slot) order, whatever the layout,
-    and each draw is the first pair past a uniform share of the total.
-    """
-    ctx = state.ctx
-    cdf = np.abs(state.amps, out=np.empty(state.amps.shape)).reshape(-1)
-    np.square(cdf, out=cdf)
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    picks = cdf.searchsorted(rng.random(draws if draws else 1), side="right")
-
-    out = [(tuple(int(k) for k in ctx.subsets_a[r]),
-            int(np.flatnonzero(~ctx.member[r])[slot]))
-           for r, slot in zip(*np.divmod(picks, ctx.n - ctx.m))]
-    return out if draws else out[0]

@@ -144,8 +144,7 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
         c = nc.c_jp[(j, p)]
         if c:
             weights[j, p] = state[idx] / math.sqrt(c)
-    marked_idx = list(marked.indices)
-    j = ctx.member[:, marked_idx].sum(axis=1)
-    in_marked = np.zeros(basis.n, dtype=np.intp)
-    in_marked[marked_idx] = 1
-    return weights[j[:, None], ctx.at_coins(in_marked)]
+    in_marked = np.zeros(basis.n, dtype=np.uint8)
+    in_marked[list(marked.indices)] = 1
+    return weights[ctx.count_in(marked.indices)[:, None],
+                   ctx.at_coins(in_marked)]

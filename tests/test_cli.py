@@ -580,10 +580,29 @@ def test_simulate_key_order(capsys):
     _, out, _ = run_cli(capsys, "simulate", "--engine", "both", "--family",
                         "element-distinctness", "--n", "9", "--seed", "1")
     rep = json.loads(out)
-    assert list(rep) == ["command", "family", "seed", "engine", "full",
-                         "reduced", "max_state_deviation"]
+    assert list(rep) == ["command", "family", "seed", "params", "engine",
+                         "full", "reduced", "max_state_deviation"]
     assert list(rep["full"]) == RUN_KEYS
     assert list(rep["reduced"]) == RUN_KEYS
+
+
+def test_simulate_reports_the_generator_params(capsys):
+    """params holds what the generator drew, such as sum-mod-q's value
+    range q, which family and seed alone do not fix; past the scan limit
+    no instance is built and params is null."""
+    from johnson_walk import make_family
+
+    argv = ("simulate", "--family", "sum-mod-q", "--n", "12", "--l", "4",
+            "--seed", "0", "--engine", "full")
+    rep = json.loads(run_cli(capsys, *argv)[1])
+    inst = make_family("sum-mod-q", n=12, l=4, seed=0)
+    assert rep["params"] == inst.property_params == {
+        "q": inst.property_params["q"], "planted": True}
+    rep = json.loads(run_cli(capsys, *argv[:-4], "--no-plant")[1])
+    assert rep["params"]["planted"] is False
+    rep = json.loads(run_cli(capsys, "simulate", "--n", "100000000",
+                             "--l", "3")[1])
+    assert rep["params"] is None
 
 
 def test_spectrum_key_order(capsys):

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    DEFAULT_MEMCAP, MarkedSet, MemoryCapError, WalkContext, apply_coin1,
-    apply_coin2, apply_phase_flip, apply_shift, apply_walk_step, binomial,
-    choose_parameters, find_marked, get_context, make_family, norm_constants,
-    prepare_s, run_algorithm,
+    DEFAULT_MEMCAP, MarkedSet, MemoryCapError, ReducedBasis, WalkContext,
+    apply_coin1, apply_coin2, apply_phase_flip, apply_shift, apply_walk_step,
+    binomial, choose_parameters, embed_to_full, find_marked, get_context,
+    make_family, norm_constants, prepare_s, run_algorithm, run_reduced,
 )
+from johnson_walk.cli import main
 from johnson_walk.combinat import rank_subset, unrank_subset
-from johnson_walk.full_sim import FullState, _context_cache, measure_sample, \
-    walk_bytes
+from johnson_walk.full_sim import FullState, _context_cache, walk_bytes
 from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
 
@@ -129,13 +129,13 @@ def test_sampled_union_ranks_match_rank_subset():
 
 def test_build_makes_no_subset_sized_int64_table():
     """The build's peak is at most what the context holds plus the previous
-    level's arrays, the (m-1)-subsets of {0..n-2} with their member rows
-    and union ranks; one (num_a, m) int64 temporary would exceed it."""
+    level's arrays, the (m-1)-subsets of {0..n-2} with their union ranks;
+    one (num_a, m) int64 temporary would exceed it."""
     n, m = 20, 7
     ctx = WalkContext(n, m)
-    held = ctx.subsets_a.nbytes + ctx.member.nbytes + ctx.union_rank.nbytes
+    held = ctx.subsets_a.nbytes + ctx.union_rank.nbytes
     previous = binomial(n - 1, m - 1) * (
-        (m - 1) * ctx.subsets_a.itemsize + (n - 1) + 8 * (n - m))
+        (m - 1) * ctx.subsets_a.itemsize + 8 * (n - m))
     assert previous < 8 * ctx.num_a * m
     peak = traced_peak(lambda: WalkContext(n, m))
     assert held <= peak <= held + previous, (peak, held, previous)
@@ -145,10 +145,10 @@ def test_memory_cap_enforced(monkeypatch):
     """The cap is in bytes: index, float64 state and one step buffer."""
     with pytest.raises(MemoryCapError):
         WalkContext(40, 20)
-    # subsets_a 126*4 (uint8), member 126*9, union_rank, state and one
-    # more state-sized array 630*8 each
-    need = 126 * 4 + 126 * 9 + 3 * 630 * 8
-    assert walk_bytes(9, 4) == need == 16758
+    # subsets_a 126*4 (uint8), union_rank, state and one more state-sized
+    # array 630*8 each
+    need = 126 * 4 + 3 * 630 * 8
+    assert walk_bytes(9, 4) == need == 15624
     monkeypatch.setenv("JOHNSON_WALK_MEMCAP", str(need - 1))
     with pytest.raises(MemoryCapError):
         WalkContext(9, 4)
@@ -156,10 +156,22 @@ def test_memory_cap_enforced(monkeypatch):
     WalkContext(9, 4)
 
 
-def test_default_cap_admits_n_26():
-    """At the rule's m, the default byte cap admits n=26 and refuses n=27."""
-    assert walk_bytes(26, choose_parameters(26, 2).m) <= DEFAULT_MEMCAP
-    assert walk_bytes(27, choose_parameters(27, 2).m) > DEFAULT_MEMCAP
+def test_default_cap_admits_n_27():
+    """At the rule's m, the default byte cap admits n=27 and refuses n=28."""
+    assert walk_bytes(27, choose_parameters(27, 2).m) <= DEFAULT_MEMCAP
+    assert walk_bytes(28, choose_parameters(28, 2).m) > DEFAULT_MEMCAP
+
+
+@pytest.mark.parametrize("n, m", [(9, 4), (20, 7), (100, 1)])
+def test_walk_bytes_is_what_a_context_holds(n, m):
+    """The charge is every array a WalkContext holds plus two float64
+    arrays of dim_a: the state and the one more state-sized array."""
+    ctx = WalkContext(n, m)
+    held = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    assert {id(a) for a in held} == {id(ctx.subsets_a), id(ctx.union_rank)}
+    assert ctx.subsets_a.flags.f_contiguous
+    assert ctx.subsets_a.dtype == np.min_scalar_type(n)
+    assert walk_bytes(n, m) == sum(a.nbytes for a in held) + 2 * 8 * ctx.dim_a
 
 
 def test_context_cache_keeps_the_last_context():
@@ -316,7 +328,8 @@ def test_coin2_makes_no_state_sized_temporary():
     """At n=18, m=7, on the engine's own (slot-major) state, the peak
     during one coin 2 stays below half the state's bytes, and so does the
     peak during one whole walk step, one phase flip and FullState.norm;
-    measure_sample makes one state-sized array."""
+    embed_to_full makes one state-sized array, the third that walk_bytes
+    charges for."""
     inst = make_family("element-distinctness", n=18, seed=1)
     marked = find_marked(inst).marked
     state = prepare_s(inst, 7)
@@ -329,8 +342,22 @@ def test_coin2_makes_no_state_sized_temporary():
                     ("norm", state.norm)):
         peak = traced_peak(f)
         assert peak < nbytes / 2, (name, peak, nbytes)
-    peak = traced_peak(lambda: measure_sample(state, seed=0, draws=10))
+    basis = ReducedBasis(18, 7, 2)
+    reduced = run_reduced(basis, 1, 1).final_state
+    peak = traced_peak(lambda: embed_to_full(reduced, basis, marked,
+                                             state.ctx))
     assert nbytes <= peak < 1.5 * nbytes, (peak, nbytes)
+
+
+def test_simulate_both_holds_only_the_charged_arrays(capsys):
+    """Past the cached context, simulate --engine both at n=18 holds the
+    state and embed_to_full's array, the two float64 arrays walk_bytes
+    charges, and little else: the deviation is taken in place."""
+    ctx = get_context(18, choose_parameters(18, 2).m)
+    peak = traced_peak(lambda: main(["simulate", "--engine", "both",
+                                     "--n", "18", "--seed", "1"]))
+    assert '"max_state_deviation"' in capsys.readouterr().out
+    assert peak < 2.5 * 8 * ctx.dim_a, (peak, 8 * ctx.dim_a)
 
 
 def test_engine_state_stays_slot_major():
@@ -524,54 +551,3 @@ def test_report_serialization():
                        "success_probability", "overlap_w", "query_count",
                        "flags"]
     assert d["engine"] == "full"
-
-
-def test_measure_point_mass():
-    ctx = get_context(6, 2)
-    state = zero_state(ctx)
-    state.amps[3, 1] = 1.0
-    subset, coin = measure_sample(state, seed=0)
-    assert subset == unrank_subset(3, 2, 6)
-    coins = [k for k in range(6) if k not in subset]
-    assert coin == coins[1]
-
-
-def test_measure_uniform_frequencies():
-    inst = make_family("element-distinctness", n=4, seed=0)
-    state = prepare_s(inst, 2)
-    draws = measure_sample(state, seed=1, draws=12000)
-    counts = {}
-    for pair in draws:
-        counts[pair] = counts.get(pair, 0) + 1
-    p = 1.0 / 12.0
-    sigma = math.sqrt(12000 * p * (1 - p))
-    for count in counts.values():
-        assert abs(count - 12000 * p) <= 5 * sigma
-
-
-def test_measure_same_draws_on_either_layout():
-    """The same state in Fortran and in C order gives the same pairs for a
-    seed."""
-    inst = make_family("element-distinctness", n=9, seed=1)
-    amps = run_algorithm(inst, 4, 2, 2).final_state.amps
-    ctx = get_context(9, 4)
-    assert amps.flags.f_contiguous
-    for seed in range(3):
-        f_draws = measure_sample(FullState(ctx, amps), seed=seed, draws=500)
-        c_draws = measure_sample(FullState(ctx, np.ascontiguousarray(amps)),
-                                 seed=seed, draws=500)
-        assert f_draws == c_draws
-    assert measure_sample(FullState(ctx, amps), seed=7) \
-        == measure_sample(FullState(ctx, np.ascontiguousarray(amps)), seed=7)
-
-
-def test_measure_matches_success_probability():
-    inst = make_family("element-distinctness", n=9, seed=1)
-    rep = run_algorithm(inst, 4, 2, 2)
-    marked = set(find_marked(inst).marked.indices)
-    draws = measure_sample(rep.final_state, seed=2, draws=10 ** 4)
-    hits = sum(1 for subset, _ in draws
-               if len(subset) == 4 and marked <= set(subset))
-    p = rep.success_probability
-    sigma = math.sqrt(10 ** 4 * p * (1 - p))
-    assert abs(hits - 10 ** 4 * p) <= 3 * sigma

@@ -23,8 +23,8 @@ MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult ParameterChoice
 choose_parameters clique_cost mss_walk_size nint optimize_m oracle_queries
 table1 table1_csv
 DEFAULT_MEMCAP FullState MemoryCapError WalkContext apply_coin1 apply_coin2
-apply_phase_flip apply_shift apply_walk_step get_context measure_sample
-memory_cap prepare_s run_algorithm
+apply_phase_flip apply_shift apply_walk_step get_context memory_cap
+prepare_s run_algorithm
 ITEM PAIRWISE FindResult GenerationError MarkedSet ProblemInstance
 find_marked instance_from_json instance_to_json load_instance make_family
 pair_index
@@ -73,7 +73,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 67
+    assert len(EXPORTS) == len(set(EXPORTS)) == 66
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    ReducedBasis, apply_phase_flip_reduced, build_walk_matrix,
+    ReducedBasis, WalkContext, apply_phase_flip_reduced, build_walk_matrix,
     choose_parameters, coin1_matrix, coin2_matrix, embed_to_full,
     find_marked, make_family, norm_constants, prepare_s, reduced_s,
     run_algorithm, run_reduced,
@@ -213,6 +213,37 @@ def test_embed_matches_reference_loop():
         emb = embed_to_full(state, basis, marked, get_context(n, m))
         assert emb.dtype == np.float64
         assert np.array_equal(emb, reference_embed_a(state, basis, marked))
+
+
+@pytest.mark.parametrize("n, m", [(9, 4), (12, 5), (10, 9)])
+def test_subset_queries_match_reference_on_every_row(n, m):
+    """marked_row_mask, at_coins, shift_map and embed_to_full, which read
+    the subsets alone, against one Python step per row: marked sets that
+    hold element 0 and element n-1, and several marked sets at once."""
+    ctx = WalkContext(n, m)
+    rows = [None] * ctx.num_a
+    for a in itertools.combinations(range(n), m):
+        rows[rank_subset(a, n)] = a
+    coins = [[k for k in range(n) if k not in a] for a in rows]
+    rng = np.random.default_rng(n * m)
+    values = rng.permutation(3 * n)[:n]
+    assert np.array_equal(ctx.at_coins(values),
+                          [[values[k] for k in row] for row in coins])
+    unions = [sorted(a + (k,)) for a, row in zip(rows, coins) for k in row]
+    assert np.array_equal(ctx.shift_map, [
+        rank_subset(b, n) * (m + 1) + b.index(k)
+        for b, k in zip(unions, (k for row in coins for k in row))])
+    for sets in ([(0, n - 1)], [(0,), (n - 1,)],
+                 [(0, 1, n - 1), (2, n - 2)],
+                 [(1, 3), (0, n - 1), (n - 2, n - 1)]):
+        marked = [MarkedSet(s) for s in sets]
+        expect = [any(set(s) <= set(a) for s in sets) for a in rows]
+        assert np.array_equal(ctx.marked_row_mask(marked), expect), sets
+        for ms in marked:
+            basis = ReducedBasis(n, m, len(ms.indices))
+            state = rng.normal(size=basis.dim)
+            assert np.array_equal(embed_to_full(state, basis, ms, ctx),
+                                  reference_embed_a(state, basis, ms)), ms
 
 
 def test_embed_basis_vector_is_marked_block():
