@@ -65,48 +65,61 @@ def _config_tokens(args) -> list:
 _SCAN_LIMIT = 500_000  # largest C(n, l) the brute-force scan will walk
 
 
-def _build_instance(args, family):
-    """The instance to run, or None past the scan limit with the reduced
-    engine: its dynamics depend only on (n, m, l), so no value table is
-    built, a unique marked set is assumed and flagged, and the oracle mode
-    is the family's."""
-    if args.instance:
-        return load_instance(args.instance)
-    if args.n is None:
-        raise ConfigError("either --instance or --n is required")
-    if args.family == "custom":
-        raise ConfigError("the custom family needs --instance")
-    if args.family == "element-distinctness" and args.l != 2:
-        raise ConfigError("element-distinctness is an l=2 family")
-    check_family_l(family, args.l)
-    if args.engine == "reduced" and binomial(args.n, args.l) > _SCAN_LIMIT:
-        return None
-    return make_family(family, n=args.n, l=args.l, seed=args.seed,
-                       planted=not args.no_plant)
-
-
 def cmd_simulate(args) -> int:
+    """The instance comes from --instance, which takes none of the options
+    that draw one, or is drawn from the family (l = 2 and seed 0 when left
+    out).  Past the scan limit the reduced engine draws none: its dynamics
+    depend only on (n, m, l), so no value table is built, a unique marked
+    set is assumed and flagged, and the oracle mode is the family's; only
+    the scan can honour --no-plant, so it is refused there.  A full-engine
+    walk gets its context before the draw, so that one over the byte cap
+    exits 3 before the scan."""
     import numpy as np
 
-    from .full_sim import run_algorithm
+    from .full_sim import get_context, run_algorithm
     from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
 
-    # left out, the family is distinctness at the run's l
-    family = args.family or ("element-distinctness" if args.l == 2
-                             else "l-distinctness")
-    inst = _build_instance(args, family)
-    n, l, mode = (inst.n, inst.l, inst.mode) if inst else \
-        (args.n, args.l, FAMILIES[family].mode)
+    if args.instance:
+        for key in ("n", "family", "l", "seed", "no_plant"):
+            value = getattr(args, key)
+            if value is not None and value is not False:
+                raise ConfigError(f"--instance brings its own instance and "
+                                  f"takes no --{key.replace('_', '-')}")
+        inst = load_instance(args.instance)
+        n, l = inst.n, inst.l
+    else:
+        if args.n is None:
+            raise ConfigError("either --instance or --n is required")
+        n, l = args.n, 2 if args.l is None else args.l
+        seed = 0 if args.seed is None else args.seed
+        # left out, the family is distinctness at the run's l
+        family = args.family or ("element-distinctness" if l == 2
+                                 else "l-distinctness")
+        if family == "custom":
+            raise ConfigError("the custom family needs --instance")
+        if family == "element-distinctness" and l != 2:
+            raise ConfigError("element-distinctness is an l=2 family")
+        check_family_l(family, l)
+        unscanned = args.engine == "reduced" and binomial(n, l) > _SCAN_LIMIT
+        if unscanned and args.no_plant:
+            raise ConfigError(f"--no-plant needs the marked-set scan, which "
+                              f"stops at C(n, l) = {_SCAN_LIMIT}")
     p = choose_parameters(n, l, args.m, args.t1, args.t2)
+    if args.engine != "reduced":  # the byte cap first: exit 3 before the scan
+        get_context(n, p.m)
+    if not args.instance:
+        inst = None if unscanned else make_family(
+            family, n=n, l=l, seed=seed, planted=not args.no_plant)
     found = find_marked(inst) if inst else None
     out = {"command": "simulate",
            "family": inst.family_tag if inst else family,
-           "seed": inst.seed if inst else args.seed,
+           "seed": inst.seed if inst else seed,
            "params": inst.property_params if inst else None,
            "engine": args.engine}
     if args.engine != "full":  # first: it refuses several marked sets
         basis = ReducedBasis(n, p.m, l)
-        reduced = run_reduced(basis, p.t1, p.t2, found, mode)
+        reduced = run_reduced(basis, p.t1, p.t2, found,
+                              inst.mode if inst else FAMILIES[family].mode)
     if args.engine != "reduced":
         full = out["full"] = run_algorithm(inst, p.m, p.t1, p.t2)
     if args.engine != "full":
@@ -143,7 +156,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    from .full_sim import run_algorithm
+    from .full_sim import get_context, run_algorithm
     from .reduced_sim import ReducedBasis, run_reduced
 
     header = "n,m,t1,t2,queries,overlap_w,success"
@@ -153,6 +166,7 @@ def cmd_sweep(args) -> int:
     for n in ns:
         p = choose_parameters(n, args.l)
         if args.engine == "full":
+            get_context(n, p.m)  # the byte cap first: exit 3 before the scan
             inst = make_family("l-distinctness", n=n, l=args.l, seed=args.seed)
             rep = run_algorithm(inst, p.m, p.t1, p.t2)
         else:
@@ -210,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(FAMILIES))
     p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int, default=2)
+    p.add_argument("--l", type=int)  # 2 when left out
     p.add_argument("--m", type=int)
     p.add_argument("--t1", type=int)
     p.add_argument("--t2", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # 0 when left out
     p.add_argument("--no-plant", action="store_true")
     p.add_argument("--engine", choices=("full", "reduced", "both"),
                    default="reduced")

@@ -17,11 +17,11 @@ colex rank.  WalkContext builds those ranks and the sorted subsets
 block by block from the colex order's prefix property, and reads which
 elements a subset holds and which coin sits in a slot off the subsets
 alone.  The shift S, a bijection between the a-pairs and the b-pairs,
-is the reference the step is checked against.  The kernels take complex
-and C-ordered arrays as well.
+is the reference the step is checked against.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -87,8 +87,10 @@ class WalkContext:
             raise ValueError(f"need 1 <= m < n, got n={n}, m={m}")
         need, cap = walk_bytes(n, m), memory_cap()
         if need > cap:
+            # a power of ten past 10^18: str() refuses an int that long
+            shown = need if need < 10 ** 18 else f"10^{math.log10(need):.1f}"
             raise MemoryCapError(
-                f"the walk at n={n}, m={m} needs {need} bytes, cap is {cap} "
+                f"the walk at n={n}, m={m} needs {shown} bytes, cap is {cap} "
                 f"(set JOHNSON_WALK_MEMCAP to override)")
         self.n, self.m = n, m
         self.num_a = binomial(n, m)
@@ -202,20 +204,17 @@ def apply_coin1(state: FullState) -> FullState:
 
 def apply_coin2(ctx: WalkContext, amps: np.ndarray) -> np.ndarray:
     """Grover diffusion over the coins k inside each (m+1)-subset, seen from
-    the a-side: S C2 S, in place on a-side amplitudes.  Each a-pair (A, k)
-    loses 2/(m+1) times the sum over the m+1 a-pairs with its union A ∪ {k}:
-    one bincount in the state's memory order (no copy when slot-major), then
-    a gather per slot column, so that no state-sized temporary is made."""
-    order = "F" if amps.flags.f_contiguous else "C"
-    weights, union = amps.ravel(order), ctx.union_rank.ravel(order)
-    sums = np.bincount(union, weights=weights.real, minlength=ctx.num_b)
-    if np.iscomplexobj(amps):
-        sums = sums + 1j * np.bincount(union, weights=weights.imag,
-                                       minlength=ctx.num_b)
+    the a-side: S C2 S, in place on real a-side amplitudes.  Each a-pair
+    (A, k) loses 2/(m+1) times the sum over the m+1 a-pairs with its union
+    A ∪ {k}: one bincount in slot-major order (no copy of the engine's
+    state), then a gather per slot column, so that no state-sized temporary
+    is made."""
+    sums = np.bincount(ctx.union_rank.ravel("F"), weights=amps.ravel("F"),
+                       minlength=ctx.num_b)
     sums *= 2.0 / (ctx.m + 1)
     # take(out=) copies through a buffer of its own in the default
     # mode="raise"; every rank is below num_b, so "wrap" never wraps.
-    gathered = np.empty(len(amps), dtype=sums.dtype)
+    gathered = np.empty(len(amps))
     for column, ranks in zip(amps.T, ctx.union_rank.T):
         column -= sums.take(ranks, out=gathered, mode="wrap")
     return amps
@@ -268,8 +267,8 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunRep
 
     if found.count:
         block = state.amps[np.flatnonzero(state.ctx.marked_row_mask(marked))]
-        success = float(np.sum(np.abs(block) ** 2))
-        overlap_w = float(np.abs(block.sum()) ** 2 / block.size) if block.size else 0.0
+        success = float(np.sum(block ** 2))
+        overlap_w = float(block.sum() ** 2 / block.size) if block.size else 0.0
     else:
         success, overlap_w = 0.0, 0.0
 

@@ -139,7 +139,7 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
                          f"basis for ({basis.n}, {basis.m})")
     nc = basis.constants()
     # weights[j, p]; the label (l, 1) does not exist and keeps weight 0
-    weights = np.zeros((basis.l + 1, 2), dtype=np.result_type(state, 1.0))
+    weights = np.zeros((basis.l + 1, 2))
     for idx, (j, p) in enumerate(basis.labels):
         c = nc.c_jp[(j, p)]
         if c:

@@ -33,9 +33,9 @@ class CheckResult:
 
 def reflection_cases(ctx, marked) -> dict:
     """name -> (shape, op, its inverse) for each reflection of the walk: C1,
-    P and C2 (applied as S C2 S) on a-states, S out and back from either
-    side.  By linearity that covers S^2 = C1^2 = (S C2 S)^2 = P^2 = 1 on
-    the whole pair space.  An op may change its input."""
+    P and C2 (as S C2 S) on real a-states, S out and back from either side.
+    Each is real and linear, so real probes cover S^2 = C1^2 = (S C2 S)^2 =
+    P^2 = 1 on the whole pair space.  An op may change its input."""
     def on_a(op):
         return lambda x: op(FullState(ctx, x)).amps
 
@@ -91,13 +91,13 @@ def check_norm_constant_sums() -> CheckResult:
 
 
 def check_reflections() -> CheckResult:
-    """S^2 = C1^2 = C2^2 = P^2 = 1 and norm preservation on random states."""
+    """S^2 = C1^2 = C2^2 = P^2 = 1, norms kept, on random real states."""
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
     worst = 0.0
     for _ in range(50):
         for shape, op, undo in reflection_cases(ctx, MarkedSet((1, 4))).values():
-            ref = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref = rng.normal(size=shape)
             ref /= np.linalg.norm(ref)
             once = op(ref.copy())
             worst = max(worst, abs(float(np.linalg.norm(once)) - 1.0),

@@ -269,10 +269,11 @@ def test_criterion_8_small_scale_amplification():
 
 
 def test_criterion_9_reflection_suite():
-    """S, C1, C2, P: involutions and norm preservation, 50 states each.
+    """S, C1, C2, P: involutions and norm preservation, 50 real states each.
 
-    C1 and P act on a-states, C2 on b-buffers, and S goes out and back
-    from either side; by linearity that covers the whole pair space.
+    C1, P and C2 (as S C2 S) act on a-states, and S goes out and back
+    from either side; each op is real and linear, so that covers the whole
+    pair space.
     """
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
@@ -280,7 +281,7 @@ def test_criterion_9_reflection_suite():
     worst = 0.0
     for shape, op, undo in cases.values():
         for _ in range(50):
-            ref = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref = rng.normal(size=shape)
             ref /= np.linalg.norm(ref)
             once = op(ref.copy())
             worst = max(worst, abs(float(np.linalg.norm(once)) - 1.0),

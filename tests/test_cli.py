@@ -227,9 +227,11 @@ def test_simulate_large_reduced_takes_the_family_oracle(capsys):
     ("--family", "custom", "--n", "9"),
     ("--family", "element-distinctness", "--engine", "reduced",
      "--n", "100000000", "--l", "3"),
+    ("--engine", "reduced", "--n", "1000000", "--no-plant"),
 ])
 def test_simulate_refuses_family_without_table_exit_2(capsys, argv):
-    """custom needs --instance; the l=2 rule holds past the scan limit."""
+    """custom needs --instance; the l=2 rule holds past the scan limit,
+    where no scan can show that a drawn table has no marked set."""
     code, out, err = run_cli(capsys, "simulate", *argv)
     assert code == 2
     assert out == ""
@@ -359,6 +361,50 @@ def test_memcap_exit_3(capsys):
                            "--engine", "full")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--engine", "full", "--n", "5000"),
+    ("simulate", "--engine", "both", "--n", "1000000"),
+    ("sweep", "--engine", "full", "--n-values", "3000"),
+])
+def test_memcap_exit_3_before_the_draw(capsys, monkeypatch, argv):
+    """The byte cap is checked before the generator's scan over C(n, l)
+    subsets, which would take hours here; a need too long for str() is
+    shown as a power of ten."""
+    from johnson_walk import cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the instance was drawn before the cap check")
+
+    monkeypatch.setattr(cli, "make_family", no_draw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: the walk at ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, value", [
+    ("n", 12), ("family", "zero-sum-xor"), ("l", 2), ("seed", 0),
+    ("no-plant", True),
+])
+def test_simulate_instance_refuses_draw_options(capsys, tmp_path, option,
+                                                value):
+    """--instance brings n, l, family and seed, so an option that draws an
+    instance exits 2 and is named, from the command line or a config file,
+    even at its default value."""
+    from johnson_walk import instance_to_json, make_family
+
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance_to_json(
+        make_family("l-distinctness", n=9, l=3, seed=1))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({option: value}))
+    flag = ("--" + option,) + (() if value is True else (str(value),))
+    for extra in (flag, ("--config", str(config))):
+        code, out, err = run_cli(capsys, "simulate", "--instance", str(inst),
+                                 *extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"--{option}" in err
 
 
 def test_sweep_csv_and_slope(capsys):

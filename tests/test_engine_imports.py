@@ -1,4 +1,6 @@
-"""The two engines stand alone: neither module imports the other."""
+"""The two engines stand alone: neither module imports the other.  The
+full engine serves one state form, real and slot-major: it has no
+complex branch."""
 import ast
 from pathlib import Path
 
@@ -28,3 +30,17 @@ def imported_modules(path: Path) -> set:
 def test_engine_does_not_import_the_other(engine, other):
     names = imported_modules(PKG / f"{engine}.py")
     assert other not in names and f"johnson_walk.{other}" not in names, names
+
+
+def test_full_engine_has_no_complex_branch():
+    """No iscomplexobj call and no complex literal in full_sim: every
+    operator of the walk is real, so the kernels take real states only."""
+    tree = ast.parse((PKG / "full_sim.py").read_text())
+    calls = [ast.unparse(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) == "iscomplexobj"
+                  or getattr(node.func, "id", None) == "iscomplexobj")]
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, complex)]
+    assert calls == [] and literals == [], (calls, literals)

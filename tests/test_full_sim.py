@@ -24,10 +24,8 @@ def zero_state(ctx):
     return FullState(ctx, np.zeros((ctx.num_a, ctx.n - ctx.m)))
 
 
-def random_unit(shape, rng, dtype=complex):
+def random_unit(shape, rng):
     x = rng.normal(size=shape)
-    if dtype == complex:
-        x = x + 1j * rng.normal(size=shape)
     return x / np.linalg.norm(x)
 
 
@@ -226,11 +224,11 @@ def test_walk_fixes_start_state():
 
 
 def test_reflection_suite():
-    """S^2 = C1^2 = C2^2 = P^2 = 1, norms preserved, 50 states each.
+    """S^2 = C1^2 = C2^2 = P^2 = 1, norms preserved, 50 real states each.
 
     C1, P and C2 (applied as S C2 S) act on a-states, and S goes out to
-    the b-side and back, and back to the a-side and out again.  By
-    linearity this covers the whole pair space.
+    the b-side and back, and back to the a-side and out again.  Each op is
+    real and linear, so this covers the whole pair space.
     """
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
@@ -260,31 +258,25 @@ def test_reflection_suite():
 def test_coin2_matches_shift_reflect_shift():
     """For n <= 10 and every m, apply_coin2 on an a-state equals the shift
     to a b-buffer, mean inversion of each (m+1)-subset's row there, and the
-    shift back, on random real and complex states."""
+    shift back, on random real states."""
     rng = np.random.default_rng(8)
     for n in range(2, 11):
         for m in range(1, n):
             ctx = WalkContext(n, m)
-            for dtype in (float, complex):
-                amps = random_unit((ctx.num_a, n - m), rng, dtype)
-                buf = apply_shift(ctx, amps)
-                buf -= 2.0 * buf.mean(axis=1, keepdims=True)
-                expect = apply_shift(ctx, buf, back=True)
-                got = apply_coin2(ctx, amps.copy())
-                assert got.dtype == dtype
-                assert np.max(np.abs(got - expect)) <= 1e-12, (n, m, dtype)
+            amps = random_unit((ctx.num_a, n - m), rng)
+            buf = apply_shift(ctx, amps)
+            buf -= 2.0 * buf.mean(axis=1, keepdims=True)
+            expect = apply_shift(ctx, buf, back=True)
+            got = apply_coin2(ctx, amps.copy())
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - expect)) <= 1e-12, (n, m)
 
 
 def coin2_one_gather(ctx, amps):
     """Coin 2 as one bincount over union_rank and one state-sized gather,
-    in place; the bincount adds in the state's memory order, as
-    apply_coin2's does."""
-    order = "F" if amps.flags.f_contiguous else "C"
-    weights, union = amps.ravel(order), ctx.union_rank.ravel(order)
-    sums = np.bincount(union, weights=weights.real, minlength=ctx.num_b)
-    if np.iscomplexobj(amps):
-        sums = sums + 1j * np.bincount(union, weights=weights.imag,
-                                       minlength=ctx.num_b)
+    in place; the bincount adds in slot-major order, as apply_coin2's does."""
+    sums = np.bincount(ctx.union_rank.ravel("F"), weights=amps.ravel("F"),
+                       minlength=ctx.num_b)
     sums *= 2.0 / (ctx.m + 1)
     amps -= sums[ctx.union_rank]
     return amps
@@ -292,14 +284,13 @@ def coin2_one_gather(ctx, amps):
 
 def test_coin2_columnwise_equals_one_gather():
     """At n=16, m=6 coin 2, one slot column at a time, equals the one-gather
-    form bit for bit on real and complex states in C and Fortran order,
-    and updates each in place; the two orders agree to rounding."""
+    form bit for bit on a real state in C and Fortran order, and updates
+    each in place; both orders sum slot-major, so they agree bit for bit."""
     ctx = WalkContext(16, 6)
     rng = np.random.default_rng(12)
-    real = random_unit((ctx.num_a, 10), rng, float)
-    cplx = random_unit((ctx.num_a, 10), rng, complex)
+    real = random_unit((ctx.num_a, 10), rng)
     results = []
-    for amps in (real, cplx, np.asfortranarray(real), np.asfortranarray(cplx)):
+    for amps in (real, np.asfortranarray(real)):
         expect = coin2_one_gather(ctx, amps.copy(order="K"))
         layout = amps.flags.f_contiguous, amps.flags.c_contiguous
         got = apply_coin2(ctx, amps)
@@ -307,8 +298,8 @@ def test_coin2_columnwise_equals_one_gather():
         assert (amps.flags.f_contiguous, amps.flags.c_contiguous) == layout
         assert np.array_equal(amps, expect)
         results.append(amps)
-    for c_order, f_order in zip(results[:2], results[2:]):
-        assert np.max(np.abs(c_order - f_order)) <= 1e-15
+    c_order, f_order = results
+    assert np.array_equal(c_order, f_order)
 
 
 def traced_peak(f):
@@ -333,8 +324,7 @@ def test_coin2_makes_no_state_sized_temporary():
     inst = make_family("element-distinctness", n=18, seed=1)
     marked = find_marked(inst).marked
     state = prepare_s(inst, 7)
-    state.amps[...] = random_unit(state.amps.shape, np.random.default_rng(3),
-                                  float)
+    state.amps[...] = random_unit(state.amps.shape, np.random.default_rng(3))
     nbytes = state.amps.nbytes
     for name, f in (("coin2", lambda: apply_coin2(state.ctx, state.amps)),
                     ("step", lambda: apply_walk_step(state, inst)),
@@ -444,23 +434,22 @@ def dense_walk_step(n, m):
 
 
 def test_walk_step_matches_dense_matrix():
-    """At n=7, m=3 the step equals the dense S C2 S C1 on random real and
-    complex a-states, and the dense step leaves the b-side empty."""
+    """At n=7, m=3 the step equals the dense S C2 S C1 on random real
+    a-states, and the dense step leaves the b-side empty."""
     n, m = 7, 3
     walk, dim_a = dense_walk_step(n, m)
     inst = make_family("element-distinctness", n=n, seed=0)
     ctx = get_context(n, m)
     rng = np.random.default_rng(4)
-    for dtype in (float, complex):
-        for _ in range(5):
-            amps = random_unit((ctx.num_a, n - m), rng, dtype)
-            full = np.zeros(walk.shape[0], dtype=dtype)
-            full[:dim_a] = amps.reshape(-1)
-            expect = walk @ full
-            state = apply_walk_step(FullState(ctx, amps.copy()), inst)
-            assert state.amps.dtype == dtype
-            assert np.max(np.abs(expect[dim_a:])) <= 1e-12
-            assert np.max(np.abs(state.amps.reshape(-1) - expect[:dim_a])) <= 1e-12
+    for _ in range(5):
+        amps = random_unit((ctx.num_a, n - m), rng)
+        full = np.zeros(walk.shape[0])
+        full[:dim_a] = amps.reshape(-1)
+        expect = walk @ full
+        state = apply_walk_step(FullState(ctx, amps.copy()), inst)
+        assert state.amps.dtype == np.float64
+        assert np.max(np.abs(expect[dim_a:])) <= 1e-12
+        assert np.max(np.abs(state.amps.reshape(-1) - expect[:dim_a])) <= 1e-12
 
 
 def test_phase_flip_expectation():
