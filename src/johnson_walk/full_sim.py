@@ -48,15 +48,25 @@ class MemoryCapError(RuntimeError):
     pass
 
 
+def _bytes_per_subset(n: int, m: int) -> int:
+    return m * np.min_scalar_type(n).itemsize + 3 * 8 * (n - m)
+
+
 def walk_bytes(n: int, m: int) -> int:
     """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
     (m entries per subset in the narrowest dtype that holds n), then
     union_rank (int64), the float64 state and one more state-sized
     float64 array, dim_a entries each.  The walk step and FullState.norm
     make none; reduced_sim.embed_to_full makes the third."""
-    num_a = binomial(n, m)
-    return (num_a * m * np.min_scalar_type(n).itemsize
-            + 3 * 8 * num_a * (n - m))
+    return binomial(n, m) * _bytes_per_subset(n, m)
+
+
+def log_walk_bytes_floor(n: int, m: int) -> float:
+    """A lower bound on ln walk_bytes(n, m) that forms no binomial:
+    C(n, k) >= e^(n H(k/n)) / (n + 1), H the entropy in nats."""
+    k = min(m, n - m)
+    entropy = k * math.log(n / k) - (n - k) * math.log1p(-k / n)
+    return entropy - math.log(n + 1) + math.log(_bytes_per_subset(n, m))
 
 
 class WalkContext:
@@ -85,12 +95,15 @@ class WalkContext:
     def __init__(self, n: int, m: int):
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= m < n, got n={n}, m={m}")
-        need, cap = walk_bytes(n, m), memory_cap()
-        if need > cap:
-            # a power of ten past 10^18: str() refuses an int that long
-            shown = need if need < 10 ** 18 else f"10^{math.log10(need):.1f}"
+        cap, floor = memory_cap(), log_walk_bytes_floor(n, m)
+        # far past the cap and past 10^18 bytes, refuse before forming
+        # C(n, m), which alone took over a minute at n=10^8 (and str()
+        # refuses an int that long); the margin covers the float rounding
+        far = floor * (1 - 1e-9) > math.log(max(cap, 10 ** 18))
+        need = f"over 10^{floor / math.log(10):.1f}" if far else walk_bytes(n, m)
+        if far or need > cap:
             raise MemoryCapError(
-                f"the walk at n={n}, m={m} needs {shown} bytes, cap is {cap} "
+                f"the walk at n={n}, m={m} needs {need} bytes, cap is {cap} "
                 f"(set JOHNSON_WALK_MEMCAP to override)")
         self.n, self.m = n, m
         self.num_a = binomial(n, m)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import partial
 
@@ -90,14 +91,27 @@ def check_norm_constant_sums() -> CheckResult:
                        f"{len(bad)} failures" if bad else "grid clean")
 
 
+def gaussian(rng: random.Random, *shape) -> np.ndarray:
+    """Standard normal draws of the given shape from one rng.randbytes
+    call: 53-bit uniforms in (0, 1], paired by Box-Muller, so that no
+    probe needs numpy.random."""
+    size = math.prod(shape)
+    half = (size + 1) // 2
+    bits = np.frombuffer(rng.randbytes(16 * half), "<u8") >> np.uint64(11)
+    u = (bits + 1) * 2.0 ** -53
+    radius, angle = np.sqrt(-2.0 * np.log(u[:half])), 2.0 * np.pi * u[half:]
+    normal = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+    return normal[:size].reshape(shape)
+
+
 def check_reflections() -> CheckResult:
     """S^2 = C1^2 = C2^2 = P^2 = 1, norms kept, on random real states."""
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     ctx = get_context(7, 3)
     worst = 0.0
     for _ in range(50):
         for shape, op, undo in reflection_cases(ctx, MarkedSet((1, 4))).values():
-            ref = rng.normal(size=shape)
+            ref = gaussian(rng, *shape)
             ref /= np.linalg.norm(ref)
             once = op(ref.copy())
             worst = max(worst, abs(float(np.linalg.norm(once)) - 1.0),
@@ -185,22 +199,22 @@ def check_delta_decomposition() -> CheckResult:
                        f"max eigenvalue deviation {worst:.3e}")
 
 
-def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
+def haar_orthogonal(d: int, rng: random.Random) -> np.ndarray:
     """Haar-random d x d orthogonal matrix: QR of a Gaussian matrix with
     the signs of R's diagonal moved into Q (Mezzadri, math-ph/0609050)."""
-    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    q, r = np.linalg.qr(gaussian(rng, d, d))
     return q * np.sign(np.diag(r))
 
 
 def check_up_rootfinder() -> CheckResult:
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     worst = 0.0
     for _ in range(10):
-        d = int(rng.integers(3, 17))
+        d = rng.randint(3, 16)
         u = haar_orthogonal(d, rng)
         if np.linalg.det(u) < 0:
             u[:, 0] *= -1
-        w = rng.normal(size=d)
+        w = gaussian(rng, d)
         w /= np.linalg.norm(w)
         sp = up_eigenphases(eigendecompose_unitary(u), w)
         direct = np.angle(np.linalg.eigvals(

@@ -383,6 +383,22 @@ def test_memcap_exit_3_before_the_draw(capsys, monkeypatch, argv):
     assert err.startswith("error: the walk at ") and err.count("\n") == 1
 
 
+def test_memcap_exit_3_without_the_count(capsys, monkeypatch):
+    """Far past the cap, the refusal forms no C(n, m): at n=10^8 that count
+    alone took over a minute."""
+    from johnson_walk import full_sim
+
+    def no_count(*args):
+        raise AssertionError("C(n, m) was formed")
+
+    monkeypatch.setattr(full_sim, "binomial", no_count)
+    code, out, err = run_cli(capsys, "simulate", "--engine", "full",
+                             "--n", "100000000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: the walk at n=100000000, m=215443 needs "
+                          "over 10^") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("option, value", [
     ("n", 12), ("family", "zero-sum-xor"), ("l", 2), ("seed", 0),
     ("no-plant", True),

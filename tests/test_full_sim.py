@@ -15,7 +15,8 @@ from johnson_walk import (
 )
 from johnson_walk.cli import main
 from johnson_walk.combinat import rank_subset, unrank_subset
-from johnson_walk.full_sim import FullState, _context_cache, walk_bytes
+from johnson_walk.full_sim import FullState, _context_cache, \
+    log_walk_bytes_floor, walk_bytes
 from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
 
@@ -158,6 +159,18 @@ def test_default_cap_admits_n_27():
     """At the rule's m, the default byte cap admits n=27 and refuses n=28."""
     assert walk_bytes(27, choose_parameters(27, 2).m) <= DEFAULT_MEMCAP
     assert walk_bytes(28, choose_parameters(28, 2).m) > DEFAULT_MEMCAP
+
+
+def test_walk_bytes_floor_is_a_lower_bound():
+    """The log-space floor never exceeds ln walk_bytes, and at the default
+    cap it stays below it at n=27 and n=28, so the exact count decides
+    that boundary."""
+    for n in range(2, 70):
+        for m in range(1, n):
+            assert log_walk_bytes_floor(n, m) <= math.log(walk_bytes(n, m))
+    for n in (27, 28):
+        m = choose_parameters(n, 2).m
+        assert log_walk_bytes_floor(n, m) < math.log(DEFAULT_MEMCAP)
 
 
 @pytest.mark.parametrize("n, m", [(9, 4), (20, 7), (100, 1)])

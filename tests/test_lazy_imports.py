@@ -1,5 +1,7 @@
-"""What a command imports: `cost` runs without numpy, and the package's
-public names load their modules on first use."""
+"""What a command imports: `cost` runs without numpy, no command needs
+numpy.random, and the package's public names load their modules on first
+use."""
+import ast
 import json
 import os
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import johnson_walk as jw
+from johnson_walk.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "from johnson_walk.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -59,6 +62,42 @@ def test_cost_runs_without_numpy(argv):
     imported = re.findall(r"^import time:.*\|\s*(\S+)$", normal.stderr, re.M)
     assert "johnson_walk.cost_model" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("spectrum", "--n", "10000000", "--l", "2"),
+    ("simulate", "--engine", "both", "--n", "9"),
+    ("sweep", "--n-values", "1000", "10000"),
+], ids=["verify", "spectrum", "simulate", "sweep"])
+def test_runs_without_numpy_random(argv, capsys):
+    """With numpy.random unimportable, a command prints what a normal run
+    prints: verify draws its probes from the stdlib's random."""
+    blocked = run_python("-c", "import sys; sys.modules['numpy.random'] = "
+                         "None; " + CLI, *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert main(list(argv)) == 0
+    assert blocked.stdout == capsys.readouterr().out != ""
+
+
+def test_no_module_names_numpy_random():
+    """No import of numpy.random and no np.random attribute in the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "johnson_walk").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[:2] in (["numpy", "random"],
+                                                 ["np", "random"])]
+    assert found == []
 
 
 def test_package_and_cli_load_no_engine():

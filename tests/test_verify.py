@@ -1,8 +1,10 @@
 """The verify invariant suite, and a mutation it must catch."""
+import random
+
 import numpy as np
 
 from johnson_walk import reduced_sim
-from johnson_walk.verify import haar_orthogonal, run_all
+from johnson_walk.verify import gaussian, haar_orthogonal, run_all
 
 
 def test_all_checks_pass():
@@ -33,10 +35,23 @@ def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
 def test_haar_orthogonal():
     """Orthogonal at every size, and Haar: over O(4) the trace has mean 0
     and second moment 1.  Without the sign fix the mean is about -0.8."""
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for d in (1, 2, 5, 16):
         u = haar_orthogonal(d, rng)
         assert np.max(np.abs(u.T @ u - np.eye(d))) <= 1e-12
     traces = np.array([np.trace(haar_orthogonal(4, rng)) for _ in range(4000)])
     assert abs(traces.mean()) <= 0.1
     assert abs(np.mean(traces ** 2) - 1.0) <= 0.15
+
+
+def test_gaussian_is_seeded_and_standard():
+    """The same seed gives the same draws, in the shape asked for; over
+    10^5 draws the mean is near 0 and the variance near 1."""
+    first = gaussian(random.Random(5), 3, 4)
+    assert first.shape == (3, 4)
+    assert np.array_equal(first, gaussian(random.Random(5), 3, 4))
+    assert not np.array_equal(first, gaussian(random.Random(6), 3, 4))
+    draws = gaussian(random.Random(0), 10 ** 5)
+    assert draws.shape == (10 ** 5,) and np.all(np.isfinite(draws))
+    assert abs(draws.mean()) <= 0.02
+    assert abs(draws.var() - 1.0) <= 0.02
