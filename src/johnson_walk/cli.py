@@ -97,8 +97,6 @@ def cmd_simulate(args) -> int:
                                  else "l-distinctness")
         if family == "custom":
             raise ConfigError("the custom family needs --instance")
-        if family == "element-distinctness" and l != 2:
-            raise ConfigError("element-distinctness is an l=2 family")
         check_family_l(family, l)
         unscanned = args.engine == "reduced" and binomial(n, l) > _SCAN_LIMIT
         if unscanned and args.no_plant:

@@ -136,41 +136,28 @@ class OptimizeResult:
 
 
 def _minimize_bracketed(n: int, l: int, variant: str) -> tuple:
-    """Golden-section on log m inside a 2x bracket around the analytic
-    choice, then a local integer scan.
+    """The first integer minimizer of the cost in a 2x bracket around the
+    analytic choice, by bisection on the sign of f(m+1) - f(m).
 
-    The bracket pins the search to the variant's own regime: the raw
+    Each variant is a sum of powers of m with positive coefficients, so
+    it is convex in log m and that sign changes once, from - to +.  The
+    bracket pins the search to the variant's own regime: the raw
     formulas are minimized globally in a different regime for some l
     (the recursive formula, left free, rediscovers the m = n^{(l-1)/l}
     choice for l >= 5), which would confirm the wrong column.
     """
     mc = _canonical_m(n, l, variant)
-    lo = max(l, mc // 2)
-    hi = min(n - 1, 2 * mc)
     if variant == MSS:
         return mc, clique_cost(n, mc, l, variant)
-
     f = lambda m: clique_cost(n, m, l, variant)
-    a, b = math.log(lo), math.log(hi)
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(80):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(math.exp(c))
+    lo, hi = max(l, mc // 2), min(n - 1, 2 * mc)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) < f(mid):
+            lo = mid + 1
         else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(math.exp(d))
-    center = int(round(math.exp(0.5 * (a + b))))
-    best_m, best_cost = None, math.inf
-    for m in range(max(lo, center - 5), min(hi, center + 5) + 1):
-        cost = f(m)
-        if cost < best_cost:
-            best_m, best_cost = m, cost
-    return best_m, best_cost
+            hi = mid
+    return lo, f(lo)
 
 
 def optimize_m(n: int, l: int, variant: str) -> OptimizeResult:

@@ -21,7 +21,6 @@ is the reference the step is checked against.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -61,12 +60,16 @@ def walk_bytes(n: int, m: int) -> int:
     return binomial(n, m) * _bytes_per_subset(n, m)
 
 
-def log_walk_bytes_floor(n: int, m: int) -> float:
-    """A lower bound on ln walk_bytes(n, m) that forms no binomial:
-    C(n, k) >= e^(n H(k/n)) / (n + 1), H the entropy in nats."""
-    k = min(m, n - m)
-    entropy = k * math.log(n / k) - (n - k) * math.log1p(-k / n)
-    return entropy - math.log(n + 1) + math.log(_bytes_per_subset(n, m))
+def binomial_upto(n: int, k: int, limit: int) -> int | None:
+    """C(n, k) if it is at most limit, else None.  C(n, i) grows with i
+    up to n/2, so the product C(n, i) = C(n, i-1) (n-i+1)/i stops at the
+    first i past the limit and never forms a count far above it."""
+    count = 1
+    for i in range(1, min(k, n - k) + 1):
+        if count > limit:
+            break
+        count = count * (n - i + 1) // i
+    return count if count <= limit else None
 
 
 class WalkContext:
@@ -95,18 +98,17 @@ class WalkContext:
     def __init__(self, n: int, m: int):
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= m < n, got n={n}, m={m}")
-        cap, floor = memory_cap(), log_walk_bytes_floor(n, m)
-        # far past the cap and past 10^18 bytes, refuse before forming
-        # C(n, m), which alone took over a minute at n=10^8 (and str()
-        # refuses an int that long); the margin covers the float rounding
-        far = floor * (1 - 1e-9) > math.log(max(cap, 10 ** 18))
-        need = f"over 10^{floor / math.log(10):.1f}" if far else walk_bytes(n, m)
-        if far or need > cap:
+        cap, per_subset = memory_cap(), _bytes_per_subset(n, m)
+        # the count stops past the cap and 10^18 bytes: C(n, m) in full
+        # alone took over a minute at n=10^8 (and str() refuses it)
+        num_a = binomial_upto(n, m, max(cap, 10 ** 18) // per_subset)
+        need = "over 10^18" if num_a is None else num_a * per_subset
+        if num_a is None or need > cap:
             raise MemoryCapError(
                 f"the walk at n={n}, m={m} needs {need} bytes, cap is {cap} "
                 f"(set JOHNSON_WALK_MEMCAP to override)")
         self.n, self.m = n, m
-        self.num_a = binomial(n, m)
+        self.num_a = num_a
         self.num_b = binomial(n, m + 1)
         self.dim_a = self.num_a * (n - m)
         self.dim_b = self.num_b * (m + 1)  # equals dim_a: shift is a bijection

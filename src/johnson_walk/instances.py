@@ -193,17 +193,17 @@ def make_family(family: str, **params) -> ProblemInstance:
 
 
 def check_family_l(family: str, l: int) -> None:
-    """Refuse an l below the family's min_l, where nearly every table holds
-    many solutions: one element is always a run of equal or consecutive
-    values, and an l-clique of 1 or 2 vertices is a vertex or an edge."""
-    min_l = FAMILIES[family].min_l
-    if l < min_l:
-        raise ValueError(f"{family} is an l >= {min_l} family")
+    """Refuse an l outside the family's [min_l, max_l].  Below min_l nearly
+    every table holds many solutions: one element is always a run of equal
+    or consecutive values, and an l-clique of 1 or 2 vertices is a vertex
+    or an edge; element-distinctness is l-distinctness at l=2 alone."""
+    fam = FAMILIES[family]
+    if not fam.min_l <= l <= fam.max_l:
+        rule = f"={fam.min_l}" if fam.min_l == fam.max_l else f" >= {fam.min_l}"
+        raise ValueError(f"{family} is an l{rule} family")
 
 
 def _gen_element_distinctness(n, l=2, seed=0, planted=True):
-    if l != 2:
-        raise ValueError("element-distinctness is an l=2 family")
     return _gen_l_distinctness(n, l=2, seed=seed, planted=planted,
                                family="element-distinctness")
 
@@ -412,12 +412,13 @@ class Family(NamedTuple):
     mode: str               # oracle mode: ITEM or PAIRWISE
     predicate: Callable     # property params, as stored -> predicate
     min_l: int = 1          # smallest l the generator can plant one set at
+    max_l: float = math.inf  # largest l it takes
     params: tuple = ()      # (name, test, what it must be) per param it reads
 
 
 FAMILIES = {
     "element-distinctness": Family(_gen_element_distinctness, ITEM,
-                                   lambda params: _pred_all_equal, 2),
+                                   lambda params: _pred_all_equal, 2, 2),
     "l-distinctness": Family(_gen_l_distinctness, ITEM,
                              lambda params: _pred_all_equal, 2),
     "zero-sum-xor": Family(_gen_zero_sum_xor, ITEM,

@@ -268,6 +268,21 @@ def test_simulate_run_families_refuse_l_1_exit_2(capsys, family, argv):
     assert err == f"error: {family} is an l >= 2 family\n"
 
 
+@pytest.mark.parametrize("l", ["1", "3"])
+@pytest.mark.parametrize("argv", [
+    ("--n", "9", "--engine", "both"),
+    ("--engine", "reduced", "--n", "100000000"),
+])
+def test_simulate_element_distinctness_refuses_l_other_than_2(capsys, l,
+                                                              argv):
+    """The l=2 rule comes from the family's entry, built or not."""
+    code, out, err = run_cli(capsys, "simulate", "--family",
+                             "element-distinctness", "--l", l, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: element-distinctness is an l=2 family\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--family", "zero-sum-xor", "--n", "14", "--l", "4"),
     ("--family", "sum-mod-q", "--n", "20", "--l", "5"),
@@ -466,6 +481,32 @@ def test_cost_optimize_bad_l_or_n_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "cost", "--optimize", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: need 1 <= l < n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_cost_optimize_grid_exit_0_or_one_line_2(capsys, n):
+    """Every l < n and variant gives a report or one error line and exit
+    2; simple and recursive always report, l = n - 1 included."""
+    for l in range(1, n):
+        for variant in ("simple", "recursive", "mss"):
+            code, out, err = run_cli(capsys, "cost", "--optimize", "--n",
+                                     str(n), "--l", str(l), "--variant",
+                                     variant)
+            if code == 0:
+                assert err == "", (n, l, variant)
+                assert json.loads(out)["m_star"] >= l
+            else:
+                assert variant == "mss" and code == 2 and out == "", \
+                    (n, l, variant)
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cost_optimize_mss_below_l_exit_2(capsys):
+    """mss keeps its own m = nint(n^{(l-1)/l}), here 3 < l = 4."""
+    code, out, err = run_cli(capsys, "cost", "--optimize", "--n", "5",
+                             "--l", "4", "--variant", "mss")
+    assert code == 2 and out == ""
+    assert err == "error: need l <= m < n, got n=5, m=3, l=4\n"
 
 
 def test_cost_requires_action(capsys):

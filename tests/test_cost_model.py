@@ -9,7 +9,9 @@ from johnson_walk import (
     choose_parameters, clique_cost, mss_walk_size, nint, optimize_m,
     table1, table1_csv,
 )
-from johnson_walk.cost_model import rotation_count, walk_size, walk_steps
+from johnson_walk import cost_model
+from johnson_walk.cost_model import _canonical_m, rotation_count, walk_size, \
+    walk_steps
 
 
 def test_nint_ties_away_from_zero():
@@ -165,6 +167,44 @@ def test_optimizer_m_star_near_canonical():
         res = optimize_m(10 ** n_exp, 3, "simple")
         ratio = res.m_star / (10 ** n_exp) ** 0.75
         assert 0.3 <= ratio <= 3.0
+
+
+def bracket(n, l, variant):
+    """The integers within 2x of the analytic m, inside l <= m < n."""
+    mc = _canonical_m(n, l, variant)
+    return range(max(l, mc // 2), min(n - 1, 2 * mc) + 1)
+
+
+@pytest.mark.parametrize("variant", ["simple", "recursive"])
+def test_optimizer_m_star_is_the_first_brute_force_argmin(variant):
+    """Every l < n up to n=60, l = n-1 included, where the float golden
+    section once left the bracket (n=6, l=5)."""
+    for n in range(2, 61):
+        for l in range(1, n):
+            span = bracket(n, l, variant)
+            best = min(span, key=lambda m: clique_cost(n, m, l, variant))
+            res = optimize_m(n, l, variant)
+            assert res.m_star == best, (n, l, variant)
+            assert res.cost == clique_cost(n, best, l, variant)
+
+
+@pytest.mark.parametrize("variant", ["simple", "recursive", "mss"])
+def test_optimizer_evaluates_integers_in_the_bracket(monkeypatch, variant):
+    """The search calls the cost at integer m in the bracket only (mss
+    at its own fixed m)."""
+    n, l, seen = 10 ** 6, 3, []
+    cost = cost_model.clique_cost
+
+    def recording(n_, m, l_, v):
+        if (n_, l_, v) == (n, l, variant):
+            seen.append(m)
+        return cost(n_, m, l_, v)
+
+    monkeypatch.setattr(cost_model, "clique_cost", recording)
+    optimize_m(n, l, variant)
+    assert seen
+    for m in seen:
+        assert type(m) is int and m in bracket(n, l, variant), m
 
 
 def test_optimizer_rejects_bad_variant():

@@ -16,7 +16,7 @@ from johnson_walk import (
 from johnson_walk.cli import main
 from johnson_walk.combinat import rank_subset, unrank_subset
 from johnson_walk.full_sim import FullState, _context_cache, \
-    log_walk_bytes_floor, walk_bytes
+    binomial_upto, walk_bytes
 from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
 
@@ -161,16 +161,15 @@ def test_default_cap_admits_n_27():
     assert walk_bytes(28, choose_parameters(28, 2).m) > DEFAULT_MEMCAP
 
 
-def test_walk_bytes_floor_is_a_lower_bound():
-    """The log-space floor never exceeds ln walk_bytes, and at the default
-    cap it stays below it at n=27 and n=28, so the exact count decides
-    that boundary."""
-    for n in range(2, 70):
-        for m in range(1, n):
-            assert log_walk_bytes_floor(n, m) <= math.log(walk_bytes(n, m))
-    for n in (27, 28):
-        m = choose_parameters(n, 2).m
-        assert log_walk_bytes_floor(n, m) < math.log(DEFAULT_MEMCAP)
+def test_binomial_upto_is_exact_up_to_the_limit():
+    """The count is C(n, k) when it fits under the limit, and None (past
+    the limit) otherwise, at the limit and one either side of it."""
+    for n in range(70):
+        for k in range(n + 1):
+            count = math.comb(n, k)
+            for limit in (count - 1, count, count + 1):
+                expect = count if count <= limit else None
+                assert binomial_upto(n, k, limit) == expect, (n, k, limit)
 
 
 @pytest.mark.parametrize("n, m", [(9, 4), (20, 7), (100, 1)])

@@ -200,6 +200,14 @@ def test_families_refuse_l_below_their_minimum(family, min_l):
     make_family(family, n=9, l=min_l, seed=0)
 
 
+@pytest.mark.parametrize("l", [1, 3])
+def test_element_distinctness_refuses_l_other_than_2(l):
+    with pytest.raises(ValueError,
+                       match="^element-distinctness is an l=2 family$"):
+        make_family("element-distinctness", n=9, l=l, seed=0)
+    make_family("element-distinctness", n=9, l=2, seed=0)
+
+
 # sha256 (first 32 hex digits) of the instance JSON, each drawn with the
 # historical default range (m_bits = ceil(log2 n) + 2, q = 4n) before it
 # widened where that range cannot be drawn
