@@ -1,8 +1,8 @@
 """Walk through a small element-distinctness instance with both engines.
 
 A 9-element table with one repeated value is searched for its colliding
-pair by the quantum walk.  The full engine carries all C(9,4)*5 +
-C(9,5)*5 = 1260 amplitudes; the reduced engine carries five.  They
+pair by the quantum walk.  The full engine carries all C(9,4)*5 = 630
+(subset, coin) amplitudes; the reduced engine carries five.  They
 must agree to machine precision, and the walk amplifies the success
 probability well above the uniform baseline.
 """
@@ -23,8 +23,8 @@ params = choose_parameters(9, 2)
 print(f"\nparameters: m={params.m}, t1={params.t1}, t2={params.t2}, "
       f"budget={params.total_queries} queries")
 
-nc = norm_constants(9, params.m, 2)
-baseline = nc.c_jp[(2, 0)] / nc.c_total
+weights, total = norm_constants(9, params.m, 2)
+baseline = weights[(2, 0)] / total
 print(f"uniform baseline c_(l,0)/c = {baseline:.6f}")
 
 full = run_algorithm(inst, params.m, params.t1, params.t2)
@@ -36,7 +36,7 @@ reduced = run_reduced(basis, params.t1, params.t2)
 print(f"reduced engine: success = {reduced.success_probability:.12f}")
 print(f"amplification over baseline: {full.success_probability / baseline:.2f}x")
 
-# embed the 5-component reduced state back into the 1260-amplitude space
+# embed the 5-component reduced state back into the 630-amplitude space
 embedded = embed_to_full(reduced.final_state, basis, found.marked,
                          full.final_state.ctx)
 dev = np.max(np.abs(embedded - full.final_state.amps))

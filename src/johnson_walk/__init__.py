@@ -16,7 +16,7 @@ import importlib
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in {
     "algorithm": "RunReport",
-    "combinat": "NormConstants a_side_labels binomial norm_constants "
+    "combinat": "a_side_labels binomial norm_constants "
                 "rank_subset unrank_subset",
     "cost_model": "MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult "
                   "ParameterChoice choose_parameters clique_cost mss_walk_size "

@@ -1,13 +1,13 @@
 """Exact combinatorics underlying the subset-walk state space.
 
 Everything here is integer arithmetic: binomials, colexicographic
-subset ranking, and the normalization-constant tables that weight the
-symmetric basis states.  Nothing is allowed to round or overflow.
+subset ranking, and the exact class weights of the reduced engine's
+(j, p) states, built from falling factorials so that no count of all
+m-subsets is ever formed.  Nothing is allowed to round or overflow.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def binomial(n: int, k: int) -> int:
@@ -47,42 +47,12 @@ def unrank_subset(rank: int, m: int, n: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NormConstants:
-    """Integer weights of the symmetric basis states for walk size m.
-
-    c_jp[(j, p)] counts legal (A, k) pairs with |A| = m, |A ∩ marked| = j
-    and the coin k outside A, lying outside (p=0) or inside (p=1) the
-    marked l-set.  The reduced coins' diffusion weights rest on two
-    identities: c_{j,0} (l-j) = c_{j,1} (n-m-l+j) for coin 1, and
-    c_{j,0} j = c_{j-1,1} (m+1-j) for coin 2.
-    """
-    n: int
-    m: int
-    l: int
-    c_jp: dict = field(repr=False)
-    c_total: int = 0
-
-
 def _falling(x: int, k: int) -> int:
+    """x (x-1) ... (x-k+1): k factors."""
     out = 1
     for i in range(k):
         out *= x - i
     return out
-
-
-def symmetric_ratio(n: int, m: int, l: int, j: int, p: int) -> float:
-    """c_{j,p} / c_total without forming the huge binomials.
-
-    The factorials in C(n-l, m-j) / [C(n, m) (n-m)] cancel down to
-    falling-factorial products with at most l terms each, so the exact
-    rational stays small even at n = 10^6.
-    """
-    x = (n - l) - (m - j) if p == 0 else (l - j)
-    from fractions import Fraction
-
-    num = binomial(l, j) * x * _falling(m, j) * _falling(n - m, l - j)
-    return float(Fraction(num, _falling(n, l) * (n - m)))
 
 
 def a_side_labels(l: int):
@@ -95,17 +65,30 @@ def a_side_labels(l: int):
     return labels
 
 
-def norm_constants(n: int, m: int, l: int) -> NormConstants:
-    """Exact c_{j,p} table for walk size m and marked size l.
+def _weight(n: int, m: int, l: int, j: int, p: int) -> int:
+    x = (n - l) - (m - j) if p == 0 else l - j
+    return math.comb(l, j) * _falling(m, j) * _falling(n - m, l - j) * x
 
-    c_{j,0} = C(n-l, m-j) C(l, j) [(n-l) - (m-j)]
-    c_{j,1} = C(n-l, m-j) C(l, j) (l-j)
+
+def norm_constants(n: int, m: int, l: int) -> tuple:
+    """Exact (weights, total) with weights[(j, p)] / total = c_{j,p} / c_total.
+
+    c_{j,p} counts the legal (A, k) pairs with |A| = m, |A ∩ marked| = j
+    and the coin k outside A, outside (p=0) or inside (p=1) the marked
+    l-set; c_total = C(n, m) (n-m) counts them all.  With C(n, m)
+    cancelled, weights[(j, p)] = C(l, j) m^(j) (n-m)^(l-j) x and total =
+    n^(l) (n-m), in falling factorials k^(i) of at most l terms, with
+    x = (n-l) - (m-j) for p=0 and l-j for p=1.  The weights sum to total
+    and keep the identities the reduced coins rest on: w_{j,0} (l-j) =
+    w_{j,1} (n-m-l+j) for coin 1, w_{j,0} j = w_{j-1,1} (m+1-j) for coin 2.
     """
     if not (1 <= l <= m < n):
         raise ValueError(f"need 1 <= l <= m < n, got n={n}, m={m}, l={l}")
-    c_jp = {}
-    for j, p in a_side_labels(l):
-        base = binomial(n - l, m - j) * binomial(l, j)
-        c_jp[(j, p)] = base * ((n - l) - (m - j)) if p == 0 else base * (l - j)
-    return NormConstants(n=n, m=m, l=l, c_jp=c_jp,
-                         c_total=binomial(n, m) * (n - m))
+    weights = {(j, p): _weight(n, m, l, j, p) for j, p in a_side_labels(l)}
+    return weights, _falling(n, l) * (n - m)
+
+
+def symmetric_ratio(n: int, m: int, l: int, j: int, p: int) -> float:
+    """c_{j,p} / c_total: norm_constants' weights[(j, p)] / total for one
+    label, correctly rounded (int / int is)."""
+    return _weight(n, m, l, j, p) / (_falling(n, l) * (n - m))

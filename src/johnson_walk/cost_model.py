@@ -135,6 +135,22 @@ class OptimizeResult:
     m_canonical: int
 
 
+def _cost_step(n: int, m: int, l: int, variant: str) -> float:
+    """f(m+1) - f(m) of the simple or recursive cost, term by term: m^2
+    moves by 2m+1 and each term T(m) = c m^q of clique_cost by
+    T(m) expm1(q log1p(1/m)).  Near the minimum the difference of two costs
+    would be smaller than their rounding from n ~ 2e8 on."""
+    if variant == SIMPLE:
+        terms = [((n / m) ** (l / 2.0) * math.sqrt(m) * m, 1.5 - l / 2.0)]
+    else:
+        outer = (n / m) ** ((l - 1) / 2.0)
+        terms = [(outer * m ** ((l - 1) / l) * math.sqrt(n),
+                  (l - 1) / l - (l - 1) / 2.0),
+                 (outer * m ** 1.5, 1.5 - (l - 1) / 2.0)]
+    step = math.log1p(1.0 / m)
+    return 2 * m + 1 + sum(t * math.expm1(q * step) for t, q in terms)
+
+
 def _minimize_bracketed(n: int, l: int, variant: str) -> tuple:
     """The first integer minimizer of the cost in a 2x bracket around the
     analytic choice, by bisection on the sign of f(m+1) - f(m).
@@ -149,15 +165,14 @@ def _minimize_bracketed(n: int, l: int, variant: str) -> tuple:
     mc = _canonical_m(n, l, variant)
     if variant == MSS:
         return mc, clique_cost(n, mc, l, variant)
-    f = lambda m: clique_cost(n, m, l, variant)
     lo, hi = max(l, mc // 2), min(n - 1, 2 * mc)
     while lo < hi:
         mid = (lo + hi) // 2
-        if f(mid + 1) < f(mid):
+        if _cost_step(n, mid, l, variant) < 0:
             lo = mid + 1
         else:
             hi = mid
-    return lo, f(lo)
+    return lo, clique_cost(n, lo, l, variant)
 
 
 def optimize_m(n: int, l: int, variant: str) -> OptimizeResult:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
-from .combinat import NormConstants, a_side_labels, norm_constants, \
-    symmetric_ratio
+from .combinat import a_side_labels, norm_constants, symmetric_ratio
 from .cost_model import oracle_queries
 from .instances import ITEM, MarkedSet
 
@@ -41,9 +40,6 @@ class ReducedBasis:
 
     def index(self, j: int, p: int) -> int:
         return self.labels.index((j, p))
-
-    def constants(self) -> NormConstants:
-        return norm_constants(self.n, self.m, self.l)
 
 
 def _diffusion(basis: ReducedBasis, groups) -> np.ndarray:
@@ -137,14 +133,14 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
     if (ctx.n, ctx.m) != (basis.n, basis.m):
         raise ValueError(f"context is for (n, m) = ({ctx.n}, {ctx.m}), "
                          f"basis for ({basis.n}, {basis.m})")
-    nc = basis.constants()
-    # weights[j, p]; the label (l, 1) does not exist and keeps weight 0
-    weights = np.zeros((basis.l + 1, 2))
+    weights, total = norm_constants(basis.n, basis.m, basis.l)
+    # amp[j, p]; the label (l, 1) does not exist and keeps amplitude 0
+    amp = np.zeros((basis.l + 1, 2))
     for idx, (j, p) in enumerate(basis.labels):
-        c = nc.c_jp[(j, p)]
+        # exact: ctx.dim_a = C(n, m) (n-m) = c_total
+        c = weights[(j, p)] * ctx.dim_a // total
         if c:
-            weights[j, p] = state[idx] / math.sqrt(c)
+            amp[j, p] = state[idx] / math.sqrt(c)
     in_marked = np.zeros(basis.n, dtype=np.uint8)
     in_marked[list(marked.indices)] = 1
-    return weights[ctx.count_in(marked.indices)[:, None],
-                   ctx.at_coins(in_marked)]
+    return amp[ctx.count_in(marked.indices)[:, None], ctx.at_coins(in_marked)]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinat import symmetric_ratio
 from .cost_model import walk_steps
 from .reduced_sim import ReducedBasis, build_walk_matrix, coin1_matrix, \
     coin2_matrix, reduced_s
@@ -335,7 +334,8 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.
     """
     basis = _reduced_basis(n, m, l)
-    ws = math.sqrt(symmetric_ratio(n, m, l, l, 0))
+    s_vec = reduced_s(basis)
+    ws = float(s_vec[basis.index(l, 0)])
     if ws == 0.0:
         raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
     t1 = walk_steps(m, l)
@@ -353,7 +353,6 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     theta_plus, theta_minus = spectrum.thetas[plus], spectrum.thetas[minus]
 
     # each root's eigenvector is sum_j <u_j|theta> |u_j>
-    s_vec = reduced_s(basis)
     fidelity = min(float(abs(np.vdot(
         (w_vec + sign * 1j * s_vec) / math.sqrt(2.0),
         eigen.vectors @ spectrum.overlaps[:, root])) ** 2)

@@ -71,21 +71,21 @@ def check_rank_unrank() -> CheckResult:
 
 
 def check_norm_constant_sums() -> CheckResult:
-    """The c_{j,p} sum to c_total, and cross-multiply to the coins' weights:
-    c_{j,0} (l-j) = c_{j,1} (n-m-l+j) and c_{j,0} j = c_{j-1,1} (m+1-j)."""
+    """The weights w_{j,p} sum to their total, and cross-multiply to the
+    coins' weights: w_{j,0} (l-j) = w_{j,1} (n-m-l+j) and
+    w_{j,0} j = w_{j-1,1} (m+1-j)."""
     bad = []
     for n in range(4, 13):
         for m in range(1, n):
             for l in range(1, m + 1):
-                nc = norm_constants(n, m, l)
-                c = nc.c_jp
-                if sum(c.values()) != nc.c_total:
-                    bad.append((n, m, l, "c"))
+                w, total = norm_constants(n, m, l)
+                if sum(w.values()) != total:
+                    bad.append((n, m, l, "sum"))
                 for j in range(l):
-                    if c[(j, 0)] * (l - j) != c[(j, 1)] * (n - m - l + j):
+                    if w[(j, 0)] * (l - j) != w[(j, 1)] * (n - m - l + j):
                         bad.append((n, m, l, f"coin1 j={j}"))
                 for j in range(1, l + 1):
-                    if c[(j, 0)] * j != c[(j - 1, 1)] * (m + 1 - j):
+                    if w[(j, 0)] * j != w[(j - 1, 1)] * (m + 1 - j):
                         bad.append((n, m, l, f"coin2 j={j}"))
     return CheckResult("norm-constant-identities", not bad,
                        f"{len(bad)} failures" if bad else "grid clean")

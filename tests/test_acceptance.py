@@ -19,7 +19,7 @@ from johnson_walk import (
     MarkedSet, ReducedBasis, algorithm_rotation, apply_phase_flip,
     apply_walk_step, build_walk_matrix,
     choose_parameters, circular_phase_gap, eigendecompose_unitary,
-    embed_to_full, find_marked, make_family, norm_constants, prepare_s,
+    embed_to_full, find_marked, make_family, prepare_s,
     reduced_s, run_algorithm, run_reduced, table1,
     up_eigenphases, optimize_m, walk_spectrum,
 )
@@ -232,8 +232,7 @@ def test_criterion_8_small_scale_amplification():
     inst = make_family("element-distinctness", n=9, seed=1)
     p = choose_parameters(9, 2)
     rep = run_algorithm(inst, p.m, p.t1, p.t2)
-    nc = norm_constants(9, 4, 2)
-    baseline = nc.c_jp[(2, 0)] / nc.c_total
+    baseline = Fraction(math.comb(7, 2) * 5, math.comb(9, 4) * 5)
     assert abs(baseline - 1.0 / 6.0) < 1e-15
     frozen = 0.7953860624657066
     assert abs(rep.success_probability - frozen) < 1e-12

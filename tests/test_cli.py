@@ -414,6 +414,27 @@ def test_memcap_exit_3_without_the_count(capsys, monkeypatch):
                           "over 10^") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--engine", "reduced", "--n", "10000000", "--l", "2"),
+    ("spectrum", "--n", "100000000", "--l", "2"),
+    ("verify",),
+    ("cost", "--optimize", "--n", "1000000000000", "--l", "8"),
+], ids=["reduced", "spectrum", "verify", "optimize"])
+def test_no_giant_binomial(capsys, monkeypatch, argv):
+    """The reduced, spectral, verify and cost paths form no C(n, k) with
+    k > 64: C(n, m) at n = 10^8 alone takes minutes."""
+    comb = math.comb
+
+    def small_comb(n, k):
+        if k > 64:
+            raise AssertionError(f"C({n}, {k}) was formed")
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", small_comb)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("option, value", [
     ("n", 12), ("family", "zero-sum-xor"), ("l", 2), ("seed", 0),
     ("no-plant", True),

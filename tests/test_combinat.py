@@ -1,6 +1,8 @@
-"""Exact combinatorics: binomials, colex ranking, normalization tables."""
+"""Exact combinatorics: binomials, colex ranking, the class weights."""
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from johnson_walk import (
     a_side_labels, binomial, norm_constants, rank_subset,
     unrank_subset,
 )
+from johnson_walk.combinat import symmetric_ratio
 
 
 def test_binomial_examples():
@@ -89,15 +92,37 @@ def test_label_sets():
     assert len(a_side_labels(5)) == 11
 
 
+def class_counts(n, m, l):
+    """The oracle: c_{j,p} and c_total = C(n, m) (n-m) from math.comb."""
+    counts = {}
+    for j, p in a_side_labels(l):
+        base = math.comb(n - l, m - j) * math.comb(l, j)
+        counts[(j, p)] = base * ((n - l) - (m - j) if p == 0 else l - j)
+    return counts, math.comb(n, m) * (n - m)
+
+
+def as_counts(n, m, l):
+    """norm_constants' weights scaled by c_total / total, exactly."""
+    weights, total = norm_constants(n, m, l)
+    c_total = math.comb(n, m) * (n - m)
+    out = {}
+    for label, w in weights.items():
+        out[label], rest = divmod(w * c_total, total)
+        assert rest == 0, (n, m, l, label)
+    return out
+
+
 def test_norm_constants_942():
-    nc = norm_constants(9, 4, 2)
-    assert nc.c_jp[(2, 0)] == binomial(7, 2) * binomial(2, 2) * 5 == 105
-    assert sum(nc.c_jp.values()) == 630 == binomial(9, 4) * 5
-    assert nc.c_total == 630
+    weights, total = norm_constants(9, 4, 2)
+    assert total == 9 * 8 * (9 - 4)
+    assert sum(weights.values()) == total
+    counts = as_counts(9, 4, 2)
+    assert counts[(2, 0)] == math.comb(7, 2) * math.comb(2, 2) * 5 == 105
+    assert sum(counts.values()) == 630 == math.comb(9, 4) * 5
 
 
 def test_norm_constants_enumeration_oracle():
-    """Count legal (A, k) pairs directly and compare with the formulas."""
+    """Count legal (A, k) pairs directly and compare with the weights."""
     n, m, l = 8, 3, 2
     marked = set(range(l))
     counts = {}
@@ -108,45 +133,64 @@ def test_norm_constants_enumeration_oracle():
                 continue
             p = 1 if k in marked else 0
             counts[(j, p)] = counts.get((j, p), 0) + 1
-    nc = norm_constants(n, m, l)
+    weights, total = norm_constants(n, m, l)
     for label in a_side_labels(l):
-        assert nc.c_jp[label] == counts.get(label, 0)
+        assert (weights[label] * math.comb(n, m) * (n - m) // total
+                == counts.get(label, 0))
 
 
 def test_c_l1_would_vanish():
     # the (l, 1) label does not exist on the a side: with A containing
     # all of the marked set, no coin outside A can be marked
-    nc = norm_constants(9, 4, 2)
-    assert (2, 1) not in nc.c_jp
+    weights, _ = norm_constants(9, 4, 2)
+    assert (2, 1) not in weights
     # the factor l - j drives c_{j,1} toward zero as j grows
-    assert nc.c_jp[(1, 1)] == binomial(7, 3) * binomial(2, 1) * 1
+    assert as_counts(9, 4, 2)[(1, 1)] == math.comb(7, 3) * math.comb(2, 1) * 1
 
 
 def test_completeness_identities_grid():
     for n in range(4, 13):
         for m in range(1, n):
             for l in range(1, m + 1):
-                nc = norm_constants(n, m, l)
-                assert sum(nc.c_jp.values()) == nc.c_total
+                weights, total = norm_constants(n, m, l)
+                assert sum(weights.values()) == total
+                assert as_counts(n, m, l) == class_counts(n, m, l)[0]
 
 
 def test_coin_weight_identities():
     """The ratios the reduced coins' weights rest on, cross-multiplied:
-    c_{j,0} (l-j) = c_{j,1} (n-m-l+j) for coin 1 and
-    c_{j,0} j = c_{j-1,1} (m+1-j) for coin 2.  (6, 5, 3) has n - m < l."""
-    for n, m, l in [(9, 4, 2), (12, 5, 3), (20, 8, 4), (7, 5, 1), (6, 5, 3)]:
-        c = norm_constants(n, m, l).c_jp
+    w_{j,0} (l-j) = w_{j,1} (n-m-l+j) for coin 1 and
+    w_{j,0} j = w_{j-1,1} (m+1-j) for coin 2.  (6, 5, 3) has n - m < l.
+    (10^12, 10^9, 8) is far past any count of all m-subsets."""
+    for n, m, l in [(9, 4, 2), (12, 5, 3), (20, 8, 4), (7, 5, 1), (6, 5, 3),
+                    (10 ** 12, 10 ** 9, 8)]:
+        w, total = norm_constants(n, m, l)
+        assert sum(w.values()) == total
         for j in range(l):
-            assert c[(j, 0)] * (l - j) == c[(j, 1)] * (n - m - l + j)
+            assert w[(j, 0)] * (l - j) == w[(j, 1)] * (n - m - l + j)
         for j in range(1, l + 1):
-            assert c[(j, 0)] * j == c[(j - 1, 1)] * (m + 1 - j)
+            assert w[(j, 0)] * j == w[(j - 1, 1)] * (m + 1 - j)
 
 
 def test_norm_constants_no_overflow():
-    # hundreds of digits; everything must stay exact
-    nc = norm_constants(500, 120, 3)
-    assert sum(nc.c_jp.values()) == nc.c_total
-    assert nc.c_jp[(3, 0)] / nc.c_total > 0.0
+    # the counts have hundreds of digits; everything must stay exact
+    n, m, l = 500, 120, 3
+    weights, total = norm_constants(n, m, l)
+    assert sum(weights.values()) == total
+    assert as_counts(n, m, l) == class_counts(n, m, l)[0]
+    assert weights[(3, 0)] / total > 0.0
+
+
+def test_symmetric_ratio_is_the_rounded_count_ratio():
+    """symmetric_ratio equals the float of c_{j,p} / c_total, bit for bit."""
+    rng = random.Random(5)
+    for n in range(2, 41):
+        for m in range(1, n):
+            for l in {1, min(m, 3), rng.randint(1, m)}:
+                counts, c_total = class_counts(n, m, l)
+                for (j, p), c in counts.items():
+                    assert (symmetric_ratio(n, m, l, j, p)
+                            == float(Fraction(c, c_total))), (n, m, l, j, p)
 
 
 def test_norm_constants_validation():

@@ -1,5 +1,6 @@
 """Parameter choices, query counts, and the clique cost exponents."""
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from johnson_walk import (
     table1, table1_csv,
 )
 from johnson_walk import cost_model
-from johnson_walk.cost_model import _canonical_m, rotation_count, walk_size, \
-    walk_steps
+from johnson_walk.cost_model import _canonical_m, _cost_step, rotation_count, \
+    walk_size, walk_steps
 
 
 def test_nint_ties_away_from_zero():
@@ -186,6 +187,58 @@ def test_optimizer_m_star_is_the_first_brute_force_argmin(variant):
             res = optimize_m(n, l, variant)
             assert res.m_star == best, (n, l, variant)
             assert res.cost == clique_cost(n, best, l, variant)
+
+
+@pytest.mark.parametrize("variant", ["simple", "recursive"])
+def test_cost_step_is_the_cost_difference(variant):
+    """Over the bracket, the step the optimizer reads is
+    clique_cost(m+1) - clique_cost(m), to 1e-9 of the larger of that
+    difference and 2m+1: near the minimizer the difference crosses 0, and
+    both forms round on the scale of the m^2 term's own step there."""
+    for n in (10, 50, 100, 400, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
+        for l in range(1, min(16, n - 1)):
+            span = bracket(n, l, variant)[:-1]
+            for m in span[::max(1, len(span) // 60)]:
+                diff = (clique_cost(n, m + 1, l, variant)
+                        - clique_cost(n, m, l, variant))
+                step = _cost_step(n, m, l, variant)
+                assert abs(step - diff) <= 1e-9 * max(abs(diff), 2 * m + 1), \
+                    (n, l, m, step, diff)
+
+
+def decimal_first_argmin(n, l, variant):
+    """The first minimizer over the bracket of the cost formula evaluated
+    in 45-digit decimal, by bisection on the sign of f(m+1) - f(m)."""
+    def f(m):
+        n_, m = Decimal(n), Decimal(m)
+        if variant == "simple":
+            return m * m + (n_ / m) ** (Decimal(l) / 2) * m.sqrt() * m
+        return m * m + (n_ / m) ** (Decimal(l - 1) / 2) * (
+            m ** (Decimal(l - 1) / l) * n_.sqrt() + m ** Decimal("1.5"))
+
+    span = bracket(n, l, variant)
+    lo, hi = span[0], span[-1]
+    with localcontext() as ctx:
+        ctx.prec = 45
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if f(mid + 1) < f(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("variant", ["simple", "recursive"])
+@pytest.mark.parametrize("n", [10 ** 9, 3 * 10 ** 9, 10 ** 10, 10 ** 11,
+                               10 ** 12])
+def test_optimizer_m_star_is_the_decimal_first_argmin(n, variant):
+    """At these n the rounding of a cost near 10^17-10^22 exceeds
+    f(m+1) - f(m) over a window of m around the minimum; the step formed
+    term by term still has the exact sign there."""
+    for l in (2, 3, 5, 8, 15):
+        assert optimize_m(n, l, variant).m_star == \
+            decimal_first_argmin(n, l, variant), (n, l)
 
 
 @pytest.mark.parametrize("variant", ["simple", "recursive", "mss"])

@@ -11,7 +11,7 @@ from johnson_walk import (
     DEFAULT_MEMCAP, MarkedSet, MemoryCapError, ReducedBasis, WalkContext,
     apply_coin1, apply_coin2, apply_phase_flip, apply_shift, apply_walk_step,
     binomial, choose_parameters, embed_to_full, find_marked, get_context,
-    make_family, norm_constants, prepare_s, run_algorithm, run_reduced,
+    make_family, prepare_s, run_algorithm, run_reduced,
 )
 from johnson_walk.cli import main
 from johnson_walk.combinat import rank_subset, unrank_subset
@@ -472,8 +472,8 @@ def test_phase_flip_expectation():
     ref = state.copy()
     apply_phase_flip(state, marked)
     inner = np.vdot(ref.amps, state.amps)
-    nc = norm_constants(9, 4, 2)
-    assert abs(inner - (1.0 - 2.0 * nc.c_jp[(2, 0)] / nc.c_total)) < 1e-12
+    c20, c = math.comb(7, 2) * 5, math.comb(9, 4) * 5
+    assert abs(inner - (1.0 - 2.0 * c20 / c)) < 1e-12
 
 
 def test_phase_flip_no_amplitude_unchanged():
@@ -491,8 +491,8 @@ def test_phase_flip_no_amplitude_unchanged():
 def test_run_t2_zero_baseline():
     inst = make_family("element-distinctness", n=9, seed=1)
     rep = run_algorithm(inst, 4, 3, 0)
-    nc = norm_constants(9, 4, 2)
-    assert abs(rep.success_probability - nc.c_jp[(2, 0)] / nc.c_total) < 1e-12
+    c20, c = math.comb(7, 2) * 5, math.comb(9, 4) * 5
+    assert abs(rep.success_probability - c20 / c) < 1e-12
     assert rep.query_count == 4
 
 

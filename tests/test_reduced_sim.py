@@ -2,6 +2,7 @@
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,16 @@ from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
 from johnson_walk.instances import MarkedSet
 
 
+# c_{2,0} / c_total at n=9, m=4, l=2: C(7, 2) 5 of the C(9, 4) 5 pairs
+BASELINE_942 = float(Fraction(math.comb(7, 2) * 5, math.comb(9, 4) * 5))
+
+
 def test_basis_labels_and_weights():
     b = ReducedBasis(9, 4, 2)
     assert b.dim == 5
     assert b.labels == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
-    assert b.constants().c_total == 630
+    weights, total = norm_constants(b.n, b.m, b.l)
+    assert sum(weights.values()) == total == 9 * 8 * (9 - 4)
     assert b.index(2, 0) == 4
     with pytest.raises(ValueError):
         ReducedBasis(9, 4, 5)
@@ -118,16 +124,14 @@ def test_phase_flip_reduced():
     flipped = apply_phase_flip_reduced(s, b)
     assert flipped[b.index(2, 0)] == -s[b.index(2, 0)]
     assert np.array_equal(apply_phase_flip_reduced(flipped, b), s)
-    nc = norm_constants(9, 4, 2)
-    expect = 1.0 - 2.0 * nc.c_jp[(2, 0)] / nc.c_total
+    expect = 1.0 - 2.0 * BASELINE_942
     assert abs(float(s @ flipped) - expect) < 1e-12
 
 
 def test_run_t2_zero():
     b = ReducedBasis(9, 4, 2)
     rep = run_reduced(b, 5, 0)
-    nc = norm_constants(9, 4, 2)
-    assert abs(rep.overlap_w - nc.c_jp[(2, 0)] / nc.c_total) < 1e-12
+    assert abs(rep.overlap_w - BASELINE_942) < 1e-12
     assert rep.query_count == 4
     assert "modeled_queries" in rep.flags
 
@@ -187,11 +191,13 @@ def test_embed_refuses_a_context_of_another_walk():
 
 def reference_embed_a(state, basis, marked):
     """a-side amplitudes of embed_to_full, one Python step per (A, k) pair."""
-    nc = norm_constants(basis.n, basis.m, basis.l)
+    n, m, l = basis.n, basis.m, basis.l
     weights = {}
     for idx, (j, p) in enumerate(basis.labels):
-        if nc.c_jp[(j, p)]:
-            weights[(j, p)] = float(state[idx]) / math.sqrt(nc.c_jp[(j, p)])
+        c = math.comb(n - l, m - j) * math.comb(l, j) * (
+            (n - l) - (m - j) if p == 0 else l - j)
+        if c:
+            weights[(j, p)] = float(state[idx]) / math.sqrt(c)
     amps = np.zeros((math.comb(basis.n, basis.m), basis.n - basis.m))
     for a in itertools.combinations(range(basis.n), basis.m):
         j = len(set(a) & set(marked.indices))
@@ -264,8 +270,8 @@ def test_embed_basis_vector_is_marked_block():
 def test_w_s_overlap_expressions():
     """sqrt(c_{l,0}/c) equals the factorial form and ~ (m/n)^{l/2}."""
     for n, m, l in [(100, 40, 2), (1000, 178, 3), (10 ** 4, 464, 2)]:
-        nc = norm_constants(n, m, l)
-        ws = math.sqrt(nc.c_jp[(l, 0)] / nc.c_total)
+        weights, total = norm_constants(n, m, l)
+        ws = math.sqrt(weights[(l, 0)] / total)
         factorial_form = math.sqrt(
             math.factorial(n - l) * math.factorial(m)
             / (math.factorial(n) * math.factorial(m - l)))

@@ -9,7 +9,7 @@ import scipy.stats
 from johnson_walk import (
     ReducedBasis, algorithm_rotation, build_walk_matrix, choose_parameters,
     circular_phase_gap, delta_decomposition, eigendecompose_unitary,
-    norm_constants, up_eigenphases, walk_spectrum,
+    up_eigenphases, walk_spectrum,
 )
 from johnson_walk.cost_model import walk_size, walk_steps
 from johnson_walk.reduced_sim import reduced_s
@@ -352,8 +352,8 @@ def test_rotation_t1_fixture():
     # m=4, l=2: (pi/2) sqrt(2) = 2.221 -> 2
     rep = algorithm_rotation(9, 4, 2)
     assert rep.t1 == 2
-    nc = norm_constants(9, 4, 2)
-    assert abs(rep.w_s_overlap - math.sqrt(nc.c_jp[(2, 0)] / nc.c_total)) < 1e-15
+    c20, c = math.comb(7, 2) * 5, math.comb(9, 4) * 5
+    assert abs(rep.w_s_overlap - math.sqrt(c20 / c)) < 1e-15
 
 
 def test_root_count_conservation():
