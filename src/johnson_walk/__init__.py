@@ -2,11 +2,13 @@
 
 Two engines run the same (W^t1 P)^t2 loop, from algorithm: full_sim
 carries the complete state vector over (subset, coin) pairs and is the
-ground truth at small n; reduced_sim works in the (2l+1)-dimensional
-symmetric subspace and is exact at n up to 10^6 and beyond.  spectral
-verifies the eigenstructure both engines rely on, cost_model picks
-parameters and fits query-complexity exponents, and instances supplies
-the problem generators and the classical brute-force scan.
+ground truth at small n; reduced_sim works in the symmetric subspace of
+at most 2l+1 dimensions by t1*t2 float matrix-vector products, about 1 s
+at n=10^8, past which only 7-10 of the 17 printed digits are right
+(ROADMAP Direction 1).  spectral verifies the eigenstructure both
+engines rely on, cost_model picks parameters and fits query-complexity
+exponents, and instances supplies the problem generators and the
+classical brute-force scan.
 
 The public names below load their module, and numpy with the engines,
 on first use: `import johnson_walk` alone imports no submodule.

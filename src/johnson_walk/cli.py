@@ -3,8 +3,9 @@
 Single runs emit JSON, sweeps and tables emit CSV; all floats carry 17
 significant digits so identical configurations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 bad
-configuration (including an instance the generator cannot draw and a
-root the finder cannot bracket), 3 state space over the memory cap.
+configuration (including an instance the generator cannot draw, a size
+past float range and a root the finder cannot bracket), 3 state space
+over the memory cap.
 """
 from __future__ import annotations
 
@@ -98,11 +99,12 @@ def cmd_simulate(args) -> int:
         if family == "custom":
             raise ConfigError("the custom family needs --instance")
         check_family_l(family, l)
-        unscanned = args.engine == "reduced" and binomial(n, l) > _SCAN_LIMIT
-        if unscanned and args.no_plant:
-            raise ConfigError(f"--no-plant needs the marked-set scan, which "
-                              f"stops at C(n, l) = {_SCAN_LIMIT}")
-    p = choose_parameters(n, l, args.m, args.t1, args.t2)
+    p = choose_parameters(n, l, args.m, args.t1, args.t2)  # first: it refuses n <= l
+    unscanned = not args.instance and args.engine == "reduced" \
+        and binomial(n, l) > _SCAN_LIMIT
+    if unscanned and args.no_plant:
+        raise ConfigError(f"--no-plant needs the marked-set scan, which "
+                          f"stops at C(n, l) = {_SCAN_LIMIT}")
     if args.engine != "reduced":  # the byte cap first: exit 3 before the scan
         get_context(n, p.m)
     if not args.instance:
@@ -266,15 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exit_code(exc):
     """The exit code of an error that is the input's fault, else None.
-    ConfigError and JSONDecodeError are ValueErrors.  The engines' errors
-    are looked up, not imported: a module never loaded raised none."""
+    ConfigError and JSONDecodeError are ValueErrors; an OverflowError is a
+    size past float range.  The engines' errors are looked up, not
+    imported: a module never loaded raised none."""
     def raised(module, name):
         module = sys.modules.get(f"{__package__}.{module}")
         return module is not None and isinstance(exc, getattr(module, name))
 
     if raised("full_sim", "MemoryCapError"):
         return EXIT_MEMCAP
-    if isinstance(exc, (ValueError, OSError, GenerationError)) \
+    if isinstance(exc, (ValueError, OSError, OverflowError, GenerationError)) \
             or raised("spectral", "RootBracketError"):
         return EXIT_CONFIG
     return None
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except Exception as exc:
         code = _exit_code(exc)
         if code is None:
             raise

@@ -46,9 +46,6 @@ class MarkedSet:
             raise ValueError(f"marked indices must be sorted and distinct: {idx}")
         object.__setattr__(self, "indices", idx)
 
-    def __contains__(self, x):
-        return x in self.indices
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -80,11 +77,6 @@ class ProblemInstance:
             raise ValueError(
                 f"value table has {len(self.values)} entries, expected {expected}")
         object.__setattr__(self, "values", tuple(self.values))
-
-    def edge(self, i: int, j: int):
-        if self.mode != PAIRWISE:
-            raise ValueError("edge lookup requires pairwise mode")
-        return self.values[pair_index(i, j)]
 
     def subset_satisfies(self, indices) -> bool:
         """Evaluate the property on a sorted l-subset of indices."""

@@ -1,12 +1,15 @@
-"""Exact walk dynamics in the (2l+1)-dimensional symmetric subspace.
+"""Exact walk dynamics in the symmetric subspace, of dimension at most 2l+1.
 
 The walk and the phase flip preserve the span of the symmetric states
 labeled (j, p): j elements of the marked set inside the walking
-subset, coin inside (p=1) or outside (p=0) the marked set.  Each coin
-is a Grover diffusion 2vv^T - I on groups of these labels, weighted by
-class size; the second is built as S C2 S, so both act on the same
-labels.  The walk matrix is real orthogonal and tiny, so runs at n up to
-10^6 and beyond are exact and instant.
+subset, coin inside (p=1) or outside (p=0) the marked set.  Only the
+classes that hold pairs are labels: all 2l+1 when n-m > l, 2(n-m)
+otherwise.  Each coin is a Grover diffusion 2vv^T - I on groups of these
+labels, weighted by class size; the second is built as S C2 S, so both
+act on the same labels.  The walk matrix is real orthogonal and tiny, but
+a run takes t1*t2 float matrix-vector products: about 1 s at n=10^8,
+5 s at 10^10 and 8.7e13 products at 10^21, and past 10^8 only 7-10 of
+the 17 printed digits are right (ROADMAP Direction 1).
 """
 from __future__ import annotations
 
@@ -16,27 +19,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
-from .combinat import a_side_labels, norm_constants, symmetric_ratio
+from .combinat import norm_constants, symmetric_ratio
 from .cost_model import oracle_queries
 from .instances import ITEM, MarkedSet
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Walk sizes and the ordered (j, p) labels."""
+    """Walk sizes and the ordered (j, p) labels of the nonempty classes."""
     n: int
     m: int
     l: int
     labels: tuple = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.l <= self.m < self.n:
-            raise ValueError(f"need 1 <= l <= m < n, got n={self.n}, m={self.m}, l={self.l}")
-        object.__setattr__(self, "labels", tuple(a_side_labels(self.l)))
+        weights, _ = norm_constants(self.n, self.m, self.l)
+        object.__setattr__(self, "labels",
+                           tuple(label for label, w in weights.items() if w > 0))
 
     @property
     def dim(self) -> int:
-        return 2 * self.l + 1
+        return len(self.labels)
 
     def index(self, j: int, p: int) -> int:
         return self.labels.index((j, p))
@@ -45,12 +48,13 @@ class ReducedBasis:
 def _diffusion(basis: ReducedBasis, groups) -> np.ndarray:
     """2vv^T - I on each group of ((j, p), weight) pairs, where v holds the
     square roots of the weights over the group's total.  The groups cover
-    every label; a negative weight counts as 0 (an empty class, at n-m < l).
+    every label; members outside the basis (empty classes) are dropped.
     """
     out = np.zeros((basis.dim, basis.dim))
     for group in groups:
+        group = [(label, w) for label, w in group if label in basis.labels]
         idx = [basis.index(j, p) for (j, p), _ in group]
-        weights = [max(w, 0) for _, w in group]
+        weights = [w for _, w in group]
         t = sum(weights)
         for a, wa in zip(idx, weights):
             # +-(1 - 2x) with x the smaller integer share: within an ulp
@@ -81,7 +85,7 @@ def coin2_matrix(basis: ReducedBasis) -> np.ndarray:
 
 
 def build_walk_matrix(basis: ReducedBasis) -> np.ndarray:
-    """One walk step (S C2 S) C1 as a real orthogonal (2l+1) matrix."""
+    """One walk step (S C2 S) C1 as a real orthogonal matrix on the labels."""
     return coin2_matrix(basis) @ coin1_matrix(basis)
 
 
@@ -134,13 +138,11 @@ def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
         raise ValueError(f"context is for (n, m) = ({ctx.n}, {ctx.m}), "
                          f"basis for ({basis.n}, {basis.m})")
     weights, total = norm_constants(basis.n, basis.m, basis.l)
-    # amp[j, p]; the label (l, 1) does not exist and keeps amplitude 0
+    # amp[j, p]; (l, 1) and the empty classes hold no pair and keep 0
     amp = np.zeros((basis.l + 1, 2))
     for idx, (j, p) in enumerate(basis.labels):
         # exact: ctx.dim_a = C(n, m) (n-m) = c_total
-        c = weights[(j, p)] * ctx.dim_a // total
-        if c:
-            amp[j, p] = state[idx] / math.sqrt(c)
+        amp[j, p] = state[idx] / math.sqrt(weights[(j, p)] * ctx.dim_a // total)
     in_marked = np.zeros(basis.n, dtype=np.uint8)
     in_marked[list(marked.indices)] = 1
     return amp[ctx.count_in(marked.indices)[:, None], ctx.at_coins(in_marked)]

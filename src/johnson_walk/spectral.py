@@ -69,16 +69,6 @@ def eigendecompose_unitary(u: np.ndarray) -> UnitaryEigen:
 
 # --- walk spectrum ------------------------------------------------------
 
-def _reduced_basis(n: int, m: int, l: int) -> ReducedBasis:
-    """The (j, p) basis, refused at n - m < l: there the classes with
-    j < l - (n - m) are empty, and the closed-form spectrum, which does not
-    count them, no longer describes the walk."""
-    if n - m < l:
-        raise ValueError(f"the spectrum needs n - m >= l, got n={n}, m={m}, "
-                         f"l={l}: some (j, p) classes are empty")
-    return ReducedBasis(n, m, l)
-
-
 @dataclass
 class WalkSpectrumReport:
     n: int
@@ -86,8 +76,8 @@ class WalkSpectrumReport:
     l: int
     alpha: float
     beta: float
-    phases: np.ndarray                  # all 2l+1 eigenphases, sorted
-    theta: np.ndarray                   # positive branch, ascending, j = 1..l
+    phases: np.ndarray                  # all eigenphases, one per label, sorted
+    theta: np.ndarray                   # positive branch, ascending, j = 1..min(l, n-m)
     closed_form: np.ndarray             # sqrt(j (alpha + beta - j alpha beta))
     asymptotic: np.ndarray              # 2 sqrt(j / m)
     closed_form_residual: float         # max | |sin(theta_j/2)| - closed_form_j |
@@ -101,14 +91,15 @@ def walk_spectrum(n: int, m: int, l: int) -> WalkSpectrumReport:
 
     The exact form |sin(theta_j / 2)| = sqrt(j (alpha + beta - j alpha beta))
     is anchored by the 3-cycle case (n=3, m=1, l=1, phases 0, +-2pi/3).
+    At n - m <= l the last, j = n - m, is theta = pi, a simple eigenvalue -1.
     """
-    basis = _reduced_basis(n, m, l)
+    basis = ReducedBasis(n, m, l)
     w = build_walk_matrix(basis)
     eigen = eigendecompose_unitary(w)
-    # the phases are 0 and l pairs +-theta_j; a pair at pi is a double -1
+    # the phases are 0 and pairs +-theta_j, where a last theta_j = pi is one -1
     theta = np.sort(np.abs(eigen.phases))[1::2]
     alpha, beta = 1.0 / (n - m), 1.0 / (m + 1)
-    js = np.arange(1, l + 1)
+    js = np.arange(1, min(l, n - m) + 1)
     closed = np.sqrt(js * (alpha + beta - js * alpha * beta))
     asym = 2.0 * np.sqrt(js / m)
     residual = float(np.max(np.abs(np.abs(np.sin(theta / 2.0)) - closed)))
@@ -161,20 +152,24 @@ class DeltaDecomposition:
 def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     """Split C1 = C + Delta1, S C2 S = C + Delta2 with C = diag((-1)^p).
 
-    Delta2 C consists of l 2x2 blocks [[-2 b j, -2 r], [2 r, -2 b j]] with
-    r = sqrt(b j (1 - b j)), so its eigenvalues are -2 beta j +- 2i r and 0.
+    Delta2 C has a 2x2 block [[-2 b j, -2 r], [2 r, -2 b j]] with
+    r = sqrt(b j (1 - b j)) for each j whose labels (j, 0) and (j-1, 1)
+    exist (they are nonempty together), so its eigenvalues are
+    -2 beta j +- 2i r, and 0 if (0, 0) exists.
     """
-    basis = _reduced_basis(n, m, l)
+    basis = ReducedBasis(n, m, l)
     c_diag = np.array([(-1.0) ** p for _, p in basis.labels])
     c = np.diag(c_diag)
     delta1 = coin1_matrix(basis) - c
     delta2 = coin2_matrix(basis) - c
     delta2c = delta2 @ c
 
-    bj = 1.0 / (m + 1) * np.arange(1, l + 1)   # beta j
+    bj = 1.0 / (m + 1) * np.array([j for j in range(1, l + 1)
+                                   if (j, 0) in basis.labels])  # beta j
     r = np.sqrt(bj * (1.0 - bj))
+    zero = [0j] if (0, 0) in basis.labels else []
     # sorted by real, then imaginary part
-    expected = np.sort(np.concatenate([[0j], -2.0 * bj + 2j * r,
+    expected = np.sort(np.concatenate([zero, -2.0 * bj + 2j * r,
                                        -2.0 * bj - 2j * r]), kind="stable")
     eigs = np.sort(np.linalg.eigvals(delta2c), kind="stable")
 
@@ -333,7 +328,7 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
     at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.
     """
-    basis = _reduced_basis(n, m, l)
+    basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
     ws = float(s_vec[basis.index(l, 0)])
     if ws == 0.0:

@@ -112,7 +112,7 @@ def test_spectrum_underflowed_overlap_exit_2(capsys):
 @pytest.mark.parametrize("n", range(2, 16))
 def test_spectrum_grid_exit_0_or_one_line_2(capsys, n):
     """Every 1 <= l <= m < n gives a report or one error line and exit 2.
-    The grid holds walks with theta_l = pi (a double eigenvalue -1, on the
+    The grid holds walks with an eigenvalue -1 (theta = pi, on the
     eigensolver's branch cut), with n - m < l, and with one active root."""
     for m in range(1, n):
         for l in range(1, m + 1):
@@ -127,9 +127,9 @@ def test_spectrum_grid_exit_0_or_one_line_2(capsys, n):
 
 
 def test_spectrum_theta_l_at_pi(capsys):
-    """n=4, m=2, l=2: sin(theta_2 / 2) = 1, so -1 is a double eigenvalue.
-    theta lists pi once, and each extreme-pair target keeps a quarter of
-    its weight in that eigenspace (the null space of W + 1)."""
+    """n=4, m=2, l=2: sin(theta_2 / 2) = 1, so -1 is an eigenvalue, simple
+    at n - m = l.  theta lists pi once, and each extreme-pair target keeps a
+    quarter of its weight in that eigenspace (the null space of W + 1)."""
     code, out, _ = run_cli(capsys, "spectrum", "--n", "4", "--m", "2",
                            "--l", "2")
     assert code == 0
@@ -141,7 +141,7 @@ def test_spectrum_theta_l_at_pi(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("--n", "4", "--l", "2"),
-     "the spectrum needs n - m >= l, got n=4, m=3, l=2"),
+     "W^t1 P has no rotation pair at n=4, m=3, l=2"),
     (("--n", "3", "--m", "2", "--l", "1"),
      "W^t1 P has no rotation pair at n=3, m=2, l=1"),
 ])
@@ -149,6 +149,17 @@ def test_spectrum_refusals_name_the_cause(capsys, argv, message):
     code, out, err = run_cli(capsys, "spectrum", *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_spectrum_past_n_minus_m_below_l(capsys):
+    """n=9, l=4 walks at m=6: the classes (0, 0) and (0, 1) are empty, and
+    the closed form holds on the six labels left, theta_3 = pi included."""
+    code, out, err = run_cli(capsys, "spectrum", "--n", "9", "--l", "4")
+    assert code == 0 and err == ""
+    rep = json.loads(out)["walk_spectrum"]
+    assert rep["m"] == 6 and rep["closed_form_exact"]
+    assert len(rep["theta"]) == 3 and len(rep["phases"]) == 6
+    assert rep["theta"][-1] == pytest.approx(math.pi, abs=1e-12)
 
 
 ED_FILE = {"n": 9, "l": 2, "mode": "item",
@@ -369,6 +380,35 @@ def test_simulate_overflowing_t2_exit_2(capsys):
     code, out, _ = run_cli(capsys, *argv, "--t2", "1")
     assert code == 0
     assert json.loads(out)["reduced"]["t2"] == 1
+
+
+HUGE_N = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", HUGE_N),
+    ("simulate", "--n", HUGE_N, "--engine", "full"),
+    ("simulate", "--n", HUGE_N, "--m", "5", "--t1", "1", "--t2", "1"),
+    ("spectrum", "--n", HUGE_N),
+    ("sweep", "--n-values", HUGE_N),
+    ("cost", "--optimize", "--n", HUGE_N),
+    ("cost", "--optimize", "--n", HUGE_N, "--variant", "mss"),
+    ("cost", "--optimize", "--n", HUGE_N, "--variant", "recursive"),
+], ids=["simulate", "simulate-full", "simulate-given-m", "spectrum", "sweep",
+        "cost-simple", "cost-mss", "cost-recursive"])
+def test_size_past_float_range_exit_2(capsys, argv):
+    """n = 10^400 does not fit a float; the OverflowError is one line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["reduced", "full", "both"])
+def test_simulate_negative_n_exit_2(capsys, engine):
+    code, out, err = run_cli(capsys, "simulate", "--n", "-5",
+                             "--engine", engine)
+    assert code == 2 and out == ""
+    assert err == "error: need 1 <= l < n, got l=2, n=-5\n"
 
 
 def test_memcap_exit_3(capsys):

@@ -34,6 +34,21 @@ def test_basis_labels_and_weights():
         ReducedBasis(9, 4, 5)
 
 
+@pytest.mark.parametrize("n, m, l", [(9, 4, 2), (6, 3, 3), (6, 5, 3),
+                                     (7, 6, 4), (5, 4, 4)])
+def test_basis_holds_the_nonempty_classes(n, m, l):
+    """The labels, in order, are the (j, p) classes that hold a legal
+    (A, k) pair, found one pair at a time: all 2l+1 at n - m > l, else
+    2(n - m)."""
+    marked = set(range(l))
+    held = {(len(set(a) & marked), int(k in marked))
+            for a in itertools.combinations(range(n), m)
+            for k in range(n) if k not in a}
+    basis = ReducedBasis(n, m, l)
+    assert basis.labels == tuple(sorted(held))
+    assert basis.dim == (2 * l + 1 if n - m > l else 2 * (n - m))
+
+
 def test_three_cycle_walk_matrix():
     """n=3, m=1, l=1: W is the 3-cycle permutation of the basis."""
     b = ReducedBasis(3, 1, 1)
@@ -68,13 +83,14 @@ def test_each_coin_fixes_reduced_s():
 
 def exact_diffusion(labels, groups):
     """2vv^T - I on each group of ((j, p), weight) pairs, in 40-digit
-    decimals; a negative weight is an empty class and counts as 0."""
+    decimals; members outside the labels (empty classes) are skipped."""
     out = [[Decimal(0)] * len(labels) for _ in labels]
     with localcontext() as ctx:
         ctx.prec = 40
         for group in groups:
+            group = [(label, w) for label, w in group if label in labels]
             idx = [labels.index(label) for label, _ in group]
-            weights = [Decimal(max(w, 0)) for _, w in group]
+            weights = [Decimal(w) for _, w in group]
             t = sum(weights)
             for a, wa in zip(idx, weights):
                 for b, wb in zip(idx, weights):
