@@ -269,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc):
     """The exit code of an error that is the input's fault, else None.
     ConfigError and JSONDecodeError are ValueErrors; an OverflowError is a
-    size past float range.  The engines' errors are looked up, not
-    imported: a module never loaded raised none."""
+    size past float range, which main names.  The engines' errors are
+    looked up, not imported: a module never loaded raised none."""
     def raised(module, name):
         module = sys.modules.get(f"{__package__}.{module}")
         return module is not None and isinstance(exc, getattr(module, name))
@@ -297,6 +297,9 @@ def main(argv=None) -> int:
         code = _exit_code(exc)
         if code is None:
             raise
+        if isinstance(exc, OverflowError):  # only a size reaches that far
+            size = "--n-values" if args.command == "sweep" else "--n"
+            exc = f"{size} is too large: a size derived from it is past float range"
         print(f"error: {exc}", file=sys.stderr)
         return code
 

@@ -3,7 +3,10 @@
 An instance is a black-box value table (per element, or per element
 pair for subgraph problems) together with a permutation-invariant
 property over l-tuples.  The classical scan over all C(n, l) subsets
-is the ground truth every quantum engine is checked against.
+is the ground truth every quantum engine is checked against.  The
+generators need no scan for their one planted marked set, or none: the
+distinctness families hold it by construction, the others by scrubbing
+the chance solutions out of the drawn table.
 """
 from __future__ import annotations
 
@@ -20,12 +23,11 @@ from .combinat import binomial
 ITEM = "item"
 PAIRWISE = "pairwise"
 
-_MAX_PLANT_RETRIES = 200
+_MAX_SCRUB_PASSES = 200
 
 
 class GenerationError(RuntimeError):
-    """A generator could not draw an instance with the asked-for number of
-    marked sets (one planted, or none)."""
+    """The scrub could not rid a drawn table of its chance solutions."""
 
 
 def pair_index(i: int, j: int) -> int:
@@ -154,28 +156,12 @@ def _build(family, n, l, values, params, seed):
                            predicate=fam.predicate(params), seed=seed)
 
 
-def _plant_loop(make_candidate, want_unique):
-    """Redraw until the scan classification matches the plant flag."""
-    last = None
-    for _ in range(_MAX_PLANT_RETRIES):
-        inst = make_candidate()
-        res = find_marked(inst)
-        if want_unique and res.kind == "unique":
-            return inst
-        if not want_unique and res.kind == "none":
-            return inst
-        last = res.kind
-    raise GenerationError(
-        f"could not realize plant={want_unique} in {_MAX_PLANT_RETRIES} draws "
-        f"(last classification: {last})")
-
-
 def make_family(family: str, **params) -> ProblemInstance:
     """Build a ProblemInstance from one of the FAMILIES generators.
 
-    All generators but custom's take an explicit seed and a planted flag;
-    planted instances are guaranteed (by scan) to have exactly one marked
-    subset, unplanted ones none.
+    All generators but custom's take an explicit seed and a planted flag,
+    and draw exactly one marked subset if planted, else none: the
+    distinctness families by construction, the others by _scrub_accidental.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -201,19 +187,17 @@ def _gen_element_distinctness(n, l=2, seed=0, planted=True):
 
 
 def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
+    """Injective values hold no l >= 2 equal ones; the plant copies one
+    value to l - 1 other places, which makes those l the only equal ones."""
     if not 1 <= l < n:
         raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
     rng = random.Random(seed)
-    hi = 4 * n  # room to stay injective off the plant
-
-    def candidate():
-        vals = rng.sample(range(hi), n)
-        if planted:
-            where = rng.sample(range(n), l)
-            for i in where[1:]:
-                vals[i] = vals[where[0]]
-        return _build(family, n, l, vals, {"planted": planted}, seed)
-    return _plant_loop(candidate, planted)
+    vals = rng.sample(range(4 * n), n)
+    if planted:
+        where = rng.sample(range(n), l)
+        for i in where[1:]:
+            vals[i] = vals[where[0]]
+    return _build(family, n, l, vals, {"planted": planted}, seed)
 
 
 def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
@@ -236,7 +220,7 @@ def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
         for i in keep[:-1]:
             acc ^= vals[i]
         vals[keep[-1]] = acc
-    _scrub_accidental(vals, l, lambda v: np.bitwise_xor.reduce(v) == 0,
+    _scrub_accidental(vals, n, l, lambda v: np.bitwise_xor.reduce(v) == 0,
                       partial(rng.getrandbits, m_bits), keep)
     return _build("zero-sum-xor", n, l, vals,
                   {"m_bits": m_bits, "planted": planted}, seed)
@@ -268,7 +252,7 @@ def _default_range(draw, first, wide, crowded):
         return draw(wide)
 
 
-def _scrub_accidental(vals, l, is_hit, redraw, keep=()):
+def _scrub_accidental(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
     """Redraw one value of each accidental solution until none remain.
 
     Wide value ranges make accidental solutions rare but, beyond a few
@@ -277,31 +261,36 @@ def _scrub_accidental(vals, l, is_hit, redraw, keep=()):
     converge because each redraw breaks one solution and creates new
     ones only with the background density.  A planted solution is
     passed in `keep`: it is never counted as accidental and its values
-    are never touched.  A pass finds every hit among the l-subsets, in
-    itertools.combinations order, then redraws the last element outside
-    `keep` of each in turn.  is_hit maps an (l, C(n, l)) array of values,
-    one column per subset, to a mask of solutions.
+    are never touched.  A subset's slots are its elements, or in
+    pairwise mode its pairs' pair_index values.  A pass finds every hit
+    among the l-subsets, in itertools.combinations order, then redraws
+    each one's last slot that is not the plant's, in turn.  is_hit maps a
+    (slots, C(n, l)) array of values, one column per subset, to a mask.
 
     On return the table holds no solution but the planted one, so the
     generators that scrub need no classifying scan afterwards.
     """
     import numpy as np
 
-    n = len(vals)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), l))
     subsets = np.fromiter(flat, dtype=np.min_scalar_type(n),
                           count=binomial(n, l) * l).reshape(-1, l)
     accidental = np.ones(len(subsets), dtype=bool)
     if keep:
         accidental = np.any(subsets != np.sort(keep), axis=1)
-    # a subset other than the planted one has an element outside it
-    outside = ~np.isin(subsets, keep)
-    last_free = l - 1 - np.argmax(outside[:, ::-1], axis=1)
-    last_free = subsets[np.arange(len(subsets)), last_free]
-    # one row per element of a subset, indexed by the fastest gather type
-    columns = np.ascontiguousarray(subsets.T, dtype=np.intp)
-    for _ in range(_MAX_PLANT_RETRIES):
-        fits = l * max(vals) < 2 ** 62  # sums of l values fit in int64
+    slots = subsets
+    if mode == PAIRWISE:
+        lo, hi = np.triu_indices(l, 1)
+        hi = subsets[:, hi].astype(np.intp)
+        slots = hi * (hi - 1) // 2 + subsets[:, lo]
+    # a subset other than the planted one has a slot outside the plant's
+    outside = ~np.isin(slots, slots[~accidental])
+    last_free = -1 - np.argmax(outside[:, ::-1], axis=1)
+    last_free = slots[np.arange(len(slots)), last_free]
+    # one row per slot of a subset, indexed by the fastest gather type
+    columns = np.ascontiguousarray(slots.T, dtype=np.intp)
+    for _ in range(_MAX_SCRUB_PASSES):
+        fits = len(columns) * max(vals) < 2 ** 62  # subset sums fit int64
         values = np.array(vals, dtype=np.int64 if fits else object)
         hits = is_hit(values[columns]) & accidental
         if not hits.any():
@@ -309,7 +298,7 @@ def _scrub_accidental(vals, l, is_hit, redraw, keep=()):
         for i in last_free[hits].tolist():
             vals[i] = redraw()
     raise GenerationError(
-        f"could not scrub accidental solutions in {_MAX_PLANT_RETRIES} passes")
+        f"could not scrub accidental solutions in {_MAX_SCRUB_PASSES} passes")
 
 
 def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
@@ -325,30 +314,34 @@ def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
     if planted:
         keep = rng.sample(range(n), l)
         vals[keep[-1]] = (-sum(vals[i] for i in keep[:-1])) % q
-    _scrub_accidental(vals, l, lambda v: v.sum(axis=0) % q == 0,
+    _scrub_accidental(vals, n, l, lambda v: v.sum(axis=0) % q == 0,
                       partial(rng.randrange, q), keep)
     return _build("sum-mod-q", n, l, vals, {"q": q, "planted": planted}, seed)
 
 
 def _gen_consecutive(n, l=3, seed=0, planted=True):
+    import numpy as np
+
     rng = random.Random(seed)
     hi = 8 * n  # sparse values keep accidental runs rare
+    vals = rng.sample(range(hi), n)
+    keep = ()
+    if planted:
+        keep = rng.sample(range(n), l)
+        start = rng.randrange(hi - l)
+        for off, i in enumerate(keep):
+            vals[i] = start + off
 
-    def candidate():
-        vals = rng.sample(range(hi), n)
-        if planted:
-            where = rng.sample(range(n), l)
-            start = rng.randrange(hi - l)
-            for off, i in enumerate(where):
-                vals[i] = start + off
-        return _build("consecutive", n, l, vals, {"planted": planted}, seed)
-    return _plant_loop(candidate, planted)
+    def runs(v):  # sorted columns stepping by 1
+        return np.all(np.diff(np.sort(v, axis=0), axis=0) == 1, axis=0)
+    _scrub_accidental(vals, n, l, runs, partial(rng.randrange, hi), keep)
+    return _build("consecutive", n, l, vals, {"planted": planted}, seed)
 
 
 def _clique_edge_prob(n, l):
     """0.25, lowered where a G(n, 0.25) graph would hold more than 3.5
-    l-cliques by chance (l=3 from n=13 on), so that a unique planted clique,
-    or none, stays likely: C(n, l) p^C(l, 2) = 3.5."""
+    l-cliques by chance (l=3 from n=13 on), so that the scrub has few
+    edges to redraw: C(n, l) p^C(l, 2) = 3.5."""
     return min(0.25, (3.5 / binomial(n, l)) ** (1.0 / binomial(l, 2)))
 
 
@@ -363,17 +356,19 @@ def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=None):
         if len(clique) != l:
             raise ValueError(f"planted clique must have {l} vertices")
 
-    def candidate():
-        vals = [1 if rng.random() < edge_prob else 0
-                for _ in range(binomial(n, 2))]
-        if planted:
-            where = clique if clique is not None else tuple(sorted(rng.sample(range(n), l)))
-            for a, b in itertools.combinations(where, 2):
-                vals[pair_index(a, b)] = 1
-        return _build("l-clique", n, l, vals,
-                      {"edge_prob": edge_prob, "planted": planted,
-                       "clique": list(clique) if clique else None}, seed)
-    return _plant_loop(candidate, planted)
+    def edge():
+        return 1 if rng.random() < edge_prob else 0
+    vals = [edge() for _ in range(binomial(n, 2))]
+    keep = ()
+    if planted:
+        keep = clique if clique is not None else tuple(sorted(rng.sample(range(n), l)))
+        for a, b in itertools.combinations(keep, 2):
+            vals[pair_index(a, b)] = 1
+    _scrub_accidental(vals, n, l, lambda v: (v == 1).all(axis=0), edge,
+                      keep, PAIRWISE)
+    return _build("l-clique", n, l, vals,
+                  {"edge_prob": edge_prob, "planted": planted,
+                   "clique": list(clique) if clique else None}, seed)
 
 
 def _gen_custom(n, l, values, mode=ITEM, satisfying=None, predicate=None, seed=None):

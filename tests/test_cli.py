@@ -311,11 +311,12 @@ def test_simulate_scrubbed_families_past_l_3(capsys, argv):
 
 @pytest.mark.parametrize("family", ["consecutive", "zero-sum-xor"])
 def test_simulate_generation_failure_exit_2(capsys, monkeypatch, family):
-    """With no draws allowed, the plant loop (consecutive) or the scrubber
-    (zero-sum-xor, which scrubs first) gives up: one line, exit 2."""
+    """With no scrub passes allowed, the scrub of consecutive (values drawn
+    from 8n) and of zero-sum-xor (which widens its range first) gives up:
+    one line, exit 2."""
     from johnson_walk import instances
 
-    monkeypatch.setattr(instances, "_MAX_PLANT_RETRIES", 0)
+    monkeypatch.setattr(instances, "_MAX_SCRUB_PASSES", 0)
     code, out, err = run_cli(capsys, "simulate", "--family", family,
                              "--n", "9", "--l", "3", "--engine", "full")
     assert code == 2
@@ -394,13 +395,17 @@ HUGE_N = str(10 ** 400)
     ("cost", "--optimize", "--n", HUGE_N),
     ("cost", "--optimize", "--n", HUGE_N, "--variant", "mss"),
     ("cost", "--optimize", "--n", HUGE_N, "--variant", "recursive"),
+    ("cost", "--optimize", "--n", str(10 ** 250)),
 ], ids=["simulate", "simulate-full", "simulate-given-m", "spectrum", "sweep",
-        "cost-simple", "cost-mss", "cost-recursive"])
+        "cost-simple", "cost-mss", "cost-recursive", "cost-simple-10^250"])
 def test_size_past_float_range_exit_2(capsys, argv):
-    """n = 10^400 does not fit a float; the OverflowError is one line."""
+    """n = 10^400 does not fit a float, and at n = 10^250 the optimizer's
+    cost does not; the OverflowError is one line naming the size option."""
     code, out, err = run_cli(capsys, *argv)
+    size = "--n-values" if argv[0] == "sweep" else "--n"
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == (f"error: {size} is too large: a size derived from it is "
+                   "past float range\n")
 
 
 @pytest.mark.parametrize("engine", ["reduced", "full", "both"])

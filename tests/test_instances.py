@@ -175,9 +175,9 @@ def test_multiple_classification():
 
 
 def test_clique_edge_prob_keeps_one_plant_likely():
-    """0.25 up to n=12 at l=3, so those instances are unchanged; past it
-    the edge probability falls so that C(n, 3) p^3 = 3.5 chance triangles
-    are expected, and n=16 and n=20 plant one triangle, or none."""
+    """0.25 up to n=12 at l=3; past it the edge probability falls so that
+    C(n, 3) p^3 = 3.5 chance triangles are expected, few for the scrub to
+    clear, and n=16 and n=20 draw one planted triangle, or none."""
     for n in range(6, 13):
         inst = make_family("l-clique", n=n, l=3, seed=1)
         assert inst.property_params["edge_prob"] == 0.25
@@ -234,6 +234,32 @@ WIDENED_DRAWS = {
 }
 
 
+# The same digests for the families that draw no default range: the
+# distinctness families hold their classification by construction, and
+# consecutive and l-clique scrub their chance solutions.  The l-clique
+# n=9 seeds 1-3, n=12 draws and consecutive n=9 seed 3 held a chance
+# solution when first drawn; the other draws held none.
+SCRUBBED_DRAWS = {
+    ("l-clique", 9, 3, 0, True): "2fb0d9532eb9af782168ca31e60f9bc1",
+    ("l-clique", 9, 3, 1, True): "8d1cc527c26fb00dfbabe235ebe7e83c",
+    ("l-clique", 9, 3, 2, True): "86a562e40b3a67dccef35032817b19bd",
+    ("l-clique", 9, 3, 3, True): "390b204582c9dfa9d9cefa493cb60b54",
+    ("l-clique", 9, 3, 1, False): "d7c007abc30f838aeb248c7648e9d9e3",
+    ("l-clique", 12, 3, 2, False): "f93a604c44e502d27c9b2e4925386738",
+    ("l-clique", 12, 3, 0, True): "d79b7b4b0d03947f076d231c68bac9e7",
+    ("l-clique", 16, 4, 0, True): "5f2e2962396e6ae01c5c581b09d38e1c",
+    ("consecutive", 9, 3, 3, True): "853a33108bcf5b5aaa032b4e70ec7521",
+    ("consecutive", 9, 3, 0, True): "b351aa722b99f11c4c854dbf5212f2dc",
+    ("consecutive", 12, 3, 1, False): "849bc105510851faabe507da78e5757b",
+    ("consecutive", 16, 4, 2, True): "05921151d2a3a34f61608126bacca1d2",
+    ("l-distinctness", 9, 3, 0, True): "0f141e208ff22c43cd3ea00655faf689",
+    ("l-distinctness", 16, 4, 5, False): "6910d328d8980d5da33854677db55e86",
+    ("element-distinctness", 9, 2, 0, True): "74a50cdd55eeadd9e5f2e56c4f65505a",
+    ("element-distinctness", 12, 2, 3, False):
+        "d638cb196ae968e04a8f9a36c6ecbbd6",
+}
+
+
 def default_ranges(family, n, l):
     """(key, first, wide): the historical and the wide default range."""
     if family == "zero-sum-xor":
@@ -242,11 +268,12 @@ def default_ranges(family, n, l):
     return "q", 4 * n, binomial(n, l)
 
 
-def assert_draws(table, pick):
+def assert_draws(table, pick=None):
     for (family, n, l, seed, planted), digest in table.items():
         inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
-        key, first, wide = default_ranges(family, n, l)
-        assert inst.property_params[key] == (first, wide)[pick]
+        if pick is not None:
+            key, first, wide = default_ranges(family, n, l)
+            assert inst.property_params[key] == (first, wide)[pick]
         text = json.dumps(instance_to_json(inst), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
 
@@ -257,6 +284,35 @@ def test_default_range_keeps_every_draw_it_could_make():
 
 def test_crowded_default_range_draws_wide_at_once():
     assert_draws(WIDENED_DRAWS, 1)
+
+
+def test_scrubbed_and_constructed_draws_are_frozen():
+    assert_draws(SCRUBBED_DRAWS)
+
+
+def test_generators_never_scan(monkeypatch):
+    """Each generator guarantees its own classification: with find_marked
+    raising, every drawn family (all but custom, whose table is given),
+    planted and not, still draws at n = 9, 16, 24 and each l = 1..4 in its
+    range, and the real scan then finds the planted set alone, or none."""
+    from johnson_walk import instances
+
+    def scan(instance):
+        raise AssertionError("a generator scanned its draw")
+
+    draws = []
+    with monkeypatch.context() as patch:
+        patch.setattr(instances, "find_marked", scan)
+        for family, fam in instances.FAMILIES.items():
+            if family == "custom":
+                continue
+            for n, l in itertools.product((9, 16, 24), range(1, 5)):
+                if fam.min_l <= l <= fam.max_l:
+                    for planted in (True, False):
+                        draws.append((planted, make_family(
+                            family, n=n, l=l, seed=n + l, planted=planted)))
+    for planted, inst in draws:
+        assert find_marked(inst).kind == ("unique" if planted else "none")
 
 
 def solutions(inst, subsets):
@@ -297,46 +353,68 @@ def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
                     assert kind == ("unique" if planted else "none")
 
 
-def reference_scrub(vals, l, is_hit, redraw, keep=()):
+def reference_scrub(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
     """The scrub one subset at a time in Python, as it was written before
-    its scan was vectorized; returns whether it converged."""
-    keep = frozenset(keep)
+    its scan was vectorized; returns whether it converged.  A subset's
+    slots are its elements, or in pairwise mode its pairs' indices."""
+    def slots(s):
+        if mode == ITEM:
+            return list(s)
+        return [pair_index(a, b) for a, b in itertools.combinations(s, 2)]
+
+    kept = slots(sorted(keep))
     for _ in range(200):
-        hits = [s for s in itertools.combinations(range(len(vals)), l)
-                if frozenset(s) != keep and is_hit([vals[i] for i in s])]
+        hits = [s for s in itertools.combinations(range(n), l)
+                if set(s) != set(keep) and is_hit([vals[i] for i in slots(s)])]
         if not hits:
             return True
         for sub in hits:
-            vals[[i for i in sub if i not in keep][-1]] = redraw()
+            vals[[i for i in slots(sub) if i not in kept][-1]] = redraw()
     return False
+
+
+# (mode, values drawn from range(r), the scrub's check, one subset's check)
+SCRUB_RULES = {
+    "xor": (ITEM, 24, lambda v: np.bitwise_xor.reduce(v) == 0,
+            lambda row: np.bitwise_xor.reduce(row) == 0),
+    "sum": (ITEM, 24, lambda v: v.sum(axis=0) % 24 == 0,
+            lambda row: sum(row) % 24 == 0),
+    # consecutive's: the sorted values step by 1
+    "runs": (ITEM, 24,
+             lambda v: np.all(np.diff(np.sort(v, axis=0), axis=0) == 1, axis=0),
+             lambda row: all(b - a == 1 for a, b in zip(sorted(row),
+                                                         sorted(row)[1:]))),
+    # l-clique's: every edge label of the subset's pairs is 1
+    "clique": (PAIRWISE, 2, lambda v: (v == 1).all(axis=0),
+               lambda row: all(v == 1 for v in row)),
+}
 
 
 def test_scrub_matches_the_subset_loop():
     """Same redraws in the same order, so the same table, and the same
-    verdict, on xor and sum tables small enough to fail and to pass."""
+    verdict, on xor, sum and run tables small enough to fail and to pass,
+    and on edge tables, whose slots are pair indices."""
     from johnson_walk.instances import GenerationError, _scrub_accidental
 
-    rules = {"xor": (lambda v: np.bitwise_xor.reduce(v) == 0,
-                     lambda row: np.bitwise_xor.reduce(row) == 0),
-             "sum": (lambda v: v.sum(axis=0) % 24 == 0,
-                     lambda row: sum(row) % 24 == 0)}
     verdicts = set()
-    for n, l, seed in itertools.product((8, 10), (3, 4, 5), range(2)):
-        for is_hit, one_hit in rules.values():
+    for mode, r, is_hit, one_hit in SCRUB_RULES.values():
+        for n, l, seed in itertools.product((8, 10), (3, 4, 5), range(2)):
+            size = n if mode == ITEM else binomial(n, 2)
             for planted in (False, True):
                 rng = random.Random(seed)
-                vals = [rng.randrange(24) for _ in range(n)]
+                vals = [rng.randrange(r) for _ in range(size)]
                 keep = tuple(rng.sample(range(n), l)) if planted else ()
                 ours, theirs = list(vals), list(vals)
                 ours_rng, theirs_rng = random.Random(seed), random.Random(seed)
                 try:
-                    _scrub_accidental(ours, l, is_hit,
-                                      lambda: ours_rng.randrange(24), keep)
+                    _scrub_accidental(ours, n, l, is_hit,
+                                      lambda: ours_rng.randrange(r), keep, mode)
                     converged = True
                 except GenerationError:
                     converged = False
                 assert converged == reference_scrub(
-                    theirs, l, one_hit, lambda: theirs_rng.randrange(24), keep)
+                    theirs, n, l, one_hit, lambda: theirs_rng.randrange(r),
+                    keep, mode)
                 assert ours == theirs
                 verdicts.add(converged)
     assert verdicts == {True, False}
