@@ -1,9 +1,10 @@
 """The algorithm both engines run, and the report they return.
 
-The algorithm is one loop: flip the phase of the marked subsets (P),
-then take t1 walk steps (W), and repeat t2 times.  Each engine supplies
-its own start state and its own flip and step operations; this module
-imports neither engine.
+The algorithm is (W^t1 P)^t2: flip the phase of the marked subsets (P),
+then take t1 walk steps (W), and repeat t2 times.  The full engine runs
+it as the loop run_walk, with its own start state, flip and step; the
+reduced engine, whose W is a matrix of at most 2l+1 rows, as two matrix
+powers.  This module imports neither engine.
 """
 from __future__ import annotations
 

@@ -6,10 +6,9 @@ subset, coin inside (p=1) or outside (p=0) the marked set.  Only the
 classes that hold pairs are labels: all 2l+1 when n-m > l, 2(n-m)
 otherwise.  Each coin is a Grover diffusion 2vv^T - I on groups of these
 labels, weighted by class size; the second is built as S C2 S, so both
-act on the same labels.  The walk matrix is real orthogonal and tiny, but
-a run takes t1*t2 float matrix-vector products: about 1 s at n=10^8,
-5 s at 10^10 and 8.7e13 products at 10^21, and past 10^8 only 7-10 of
-the 17 printed digits are right (ROADMAP Direction 1).
+act on the same labels.  W is real orthogonal and tiny, so a run is two
+matrix powers, within t1*t2*2^-52 of a 45-digit reference (1.7e-11 up to
+n=10^8, 6.4e-8 at 10^12); past that bound's 1e-6 a run is refused.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import RunReport, run_walk, scan_flags
+from .algorithm import RunReport, scan_flags
 from .combinat import norm_constants, symmetric_ratio
 from .cost_model import oracle_queries
 from .instances import ITEM, MarkedSet
@@ -96,31 +95,31 @@ def reduced_s(basis: ReducedBasis) -> np.ndarray:
                      for j, p in basis.labels])
 
 
-def apply_phase_flip_reduced(state: np.ndarray, basis: ReducedBasis) -> np.ndarray:
-    """Negate the (l, 0) amplitude, the only label with the marked set inside."""
-    out = state.copy()
-    out[basis.index(basis.l, 0)] *= -1.0
-    return out
-
-
 def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
                 mode: str = ITEM) -> RunReport:
-    """Apply (W^t1 P)^t2 to the start state by repeated multiplication.
-
-    found is the instance's marked-set scan (None: a unique marked set is
-    assumed).  The subspace models one marked set, so several are refused;
-    with none, P is the identity.  The query count is modeled: it is what
-    the full algorithm would spend with the given oracle mode.
+    """Apply (W^t1 P)^t2 to the start state as U^t2 s, where U = W^t1 P is
+    W^t1 with its (l, 0) column negated: the flip acts first.  found is the
+    instance's marked-set scan (None: a unique marked set is assumed).  The
+    subspace models one marked set, so several are refused, as is a run
+    past the error bound; with none, P is the identity.  The query count
+    is modeled: the full algorithm's with the given oracle mode.
     """
     if found is not None and found.kind == "multiple":
         raise ValueError(
             f"the scan found {found.count} marked sets, but the reduced engine "
             f"models exactly one; use the full engine (--engine full)")
+    if t1 < 0 or t2 < 0:  # matrix_power would invert W
+        raise ValueError("t1, t2 must be nonnegative")
+    if t1 * t2 > 1e-6 * 2 ** 52:
+        raise ValueError(f"the reduced engine refuses n={basis.n}, l={basis.l}: "
+                         f"its t1*t2 = {t1 * t2} float walk steps put the error "
+                         f"bound t1*t2*2^-52 past 1e-06")
     marked = found is None or found.kind == "unique"
-    w = build_walk_matrix(basis)
-    flip = (lambda s: apply_phase_flip_reduced(s, basis)) if marked else (lambda s: s)
-    state = run_walk(reduced_s(basis), t1, t2, flip, w.__matmul__)
-    overlap_w = float(state[basis.index(basis.l, 0)] ** 2) if marked else 0.0
+    w_idx = basis.index(basis.l, 0)
+    u = np.linalg.matrix_power(build_walk_matrix(basis), t1)
+    u[:, w_idx] *= -1.0 if marked else 1.0
+    state = np.linalg.matrix_power(u, t2) @ reduced_s(basis)
+    overlap_w = float(state[w_idx] ** 2) if marked else 0.0
     return RunReport(n=basis.n, m=basis.m, l=basis.l, t1=t1, t2=t2,
                      mode=mode, engine="reduced",
                      success_probability=overlap_w, overlap_w=overlap_w,

@@ -326,7 +326,8 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     """Smallest eigenphase pair of W^t1 P and its rotation-plane vectors.
 
     t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
-    at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.
+    at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.  A size whose
+    float W^t1 is not unitary to 1e-10 (l = 2: n >= 10^18) is refused.
     """
     basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
@@ -338,7 +339,12 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     w_vec = np.zeros(basis.dim)
     w_vec[basis.index(l, 0)] = 1.0
 
-    eigen = eigendecompose_unitary(u)
+    try:
+        eigen = eigendecompose_unitary(u)
+    except ValueError as exc:  # its one refusal: u is not unitary
+        raise ValueError(
+            f"--n {n} is too large: the float W^t1 (t1={t1}) drifts past "
+            f"the 1e-10 orthogonality check at this size ({exc})") from None
     spectrum = up_eigenphases(eigen, w_vec)
     if len(spectrum.thetas) < 2:
         raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "

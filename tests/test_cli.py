@@ -53,6 +53,25 @@ def test_simulate_large_reduced(capsys):
     assert "assumed_unique" in rep["reduced"]["flags"]
 
 
+@pytest.mark.parametrize("argv, n, l, steps", [
+    (("simulate", "--n", str(10 ** 20)), 10 ** 20, 2, 5155509 * 3645495),
+    (("simulate", "--n", "100000000", "--l", "3", "--t1", "4503599628",
+      "--t2", "1"), 10 ** 8, 3, 4503599628),
+    (("sweep", "--n-values", "1000", str(10 ** 16)), 10 ** 16, 2,
+     239298 * 169209),
+], ids=["rule", "given-t1-t2", "sweep"])
+def test_reduced_past_the_error_bound_exit_2(capsys, argv, n, l, steps):
+    """At n=10^20 the rule's t1*t2 = 1.9e13 steps bound the float error
+    only by 0.0042, past 1e-6: one line, before any walk.  Given t1 and
+    t2 are held to the bound too (4503599628 steps is the first past it),
+    and so is each point of a sweep."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: the reduced engine refuses n={n}, l={l}: its "
+                   f"t1*t2 = {steps} float walk steps put the error bound "
+                   f"t1*t2*2^-52 past 1e-06\n")
+
+
 def test_simulate_explicit_overrides(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "9", "--l", "2",
                            "--m", "4", "--t1", "2", "--t2", "2",
@@ -144,6 +163,9 @@ def test_spectrum_theta_l_at_pi(capsys):
      "W^t1 P has no rotation pair at n=4, m=3, l=2"),
     (("--n", "3", "--m", "2", "--l", "1"),
      "W^t1 P has no rotation pair at n=3, m=2, l=1"),
+    (("--n", "1000000000000000000", "--l", "2"),
+     "--n 1000000000000000000 is too large: the float W^t1 (t1=1110721) "
+     "drifts past the 1e-10 orthogonality check at this size"),
 ])
 def test_spectrum_refusals_name_the_cause(capsys, argv, message):
     code, out, err = run_cli(capsys, "spectrum", *argv)

@@ -31,8 +31,8 @@ prepare_s run_algorithm
 ITEM PAIRWISE FindResult GenerationError MarkedSet ProblemInstance
 find_marked instance_from_json instance_to_json load_instance make_family
 pair_index
-ReducedBasis apply_phase_flip_reduced build_walk_matrix coin1_matrix
-coin2_matrix embed_to_full reduced_s run_reduced
+ReducedBasis build_walk_matrix coin1_matrix coin2_matrix embed_to_full
+reduced_s run_reduced
 DeltaDecomposition RootBracketError RotationReport UnitaryEigen UPSpectrum
 WalkSpectrumReport algorithm_rotation circular_phase_gap delta_decomposition
 eigendecompose_unitary up_eigenphases walk_spectrum
@@ -112,7 +112,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 65
+    assert len(EXPORTS) == len(set(EXPORTS)) == 64
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    ReducedBasis, WalkContext, apply_phase_flip_reduced, build_walk_matrix,
-    choose_parameters, coin1_matrix, coin2_matrix, embed_to_full,
-    find_marked, make_family, norm_constants, prepare_s, reduced_s,
-    run_algorithm, run_reduced,
+    ReducedBasis, WalkContext, build_walk_matrix, choose_parameters,
+    coin1_matrix, coin2_matrix, embed_to_full, find_marked, make_family,
+    norm_constants, prepare_s, reduced_s, run_algorithm, run_reduced,
 )
+from johnson_walk.algorithm import run_walk
 from johnson_walk.combinat import rank_subset
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
     get_context
-from johnson_walk.instances import MarkedSet
+from johnson_walk.instances import FindResult, MarkedSet
 
 
 # c_{2,0} / c_total at n=9, m=4, l=2: C(7, 2) 5 of the C(9, 4) 5 pairs
@@ -134,12 +134,20 @@ def test_walk_fixes_reduced_s():
         assert np.max(np.abs(w @ s - s)) <= 1e-12
 
 
+def flip_w(state, basis):
+    """P on the labels: negate (l, 0), the one label with the marked set
+    inside."""
+    out = state.copy()
+    out[basis.index(basis.l, 0)] *= -1.0
+    return out
+
+
 def test_phase_flip_reduced():
     b = ReducedBasis(9, 4, 2)
     s = reduced_s(b)
-    flipped = apply_phase_flip_reduced(s, b)
+    flipped = flip_w(s, b)
     assert flipped[b.index(2, 0)] == -s[b.index(2, 0)]
-    assert np.array_equal(apply_phase_flip_reduced(flipped, b), s)
+    assert np.array_equal(flip_w(flipped, b), s)
     expect = 1.0 - 2.0 * BASELINE_942
     assert abs(float(s @ flipped) - expect) < 1e-12
 
@@ -150,6 +158,25 @@ def test_run_t2_zero():
     assert abs(rep.overlap_w - BASELINE_942) < 1e-12
     assert rep.query_count == 4
     assert "modeled_queries" in rep.flags
+
+
+@pytest.mark.parametrize("n, m, l", [(9, 4, 2), (100, 40, 4), (7, 6, 4)])
+def test_matrix_form_matches_the_step_loop(n, m, l):
+    """run_reduced's two matrix powers against run_walk's loop on the same
+    float W with the flip above, with a marked set and with none (P = 1),
+    at every t1, t2 in {0, 1, 2, 3, 5}.  (7, 6, 4) has n - m < l."""
+    basis = ReducedBasis(n, m, l)
+    w = build_walk_matrix(basis)
+    w_idx = basis.index(l, 0)
+    none = FindResult("none", None, 0)
+    for t1, t2 in itertools.product((0, 1, 2, 3, 5), repeat=2):
+        for found, flip in ((None, lambda s: flip_w(s, basis)),
+                            (none, lambda s: s)):
+            loop = run_walk(reduced_s(basis), t1, t2, flip, w.__matmul__)
+            rep = run_reduced(basis, t1, t2, found)
+            assert np.max(np.abs(rep.final_state - loop)) <= 1e-13, (t1, t2)
+            overlap = loop[w_idx] ** 2 if found is None else 0.0
+            assert abs(rep.overlap_w - overlap) <= 1e-13, (t1, t2)
 
 
 def test_matches_full_engine():
@@ -175,7 +202,7 @@ def test_stepwise_embedding_agreement():
             red = w @ red
         else:
             apply_phase_flip(full, marked)
-            red = apply_phase_flip_reduced(red, basis)
+            red = flip_w(red, basis)
         emb = embed_to_full(red, basis, marked, full.ctx)
         dev = np.max(np.abs(emb - full.amps))
         assert dev <= 1e-9, f"step {t}: deviation {dev}"
