@@ -2,11 +2,13 @@
 
 An instance is a black-box value table (per element, or per element
 pair for subgraph problems) together with a permutation-invariant
-property over l-tuples.  The classical scan over all C(n, l) subsets
-is the ground truth every quantum engine is checked against.  The
-generators need no scan for their one planted marked set, or none: the
-distinctness families hold it by construction, the others by scrubbing
-the chance solutions out of the drawn table.
+property of l-subsets, stated once per family as a vectorized test over
+a block of them.  The classical scan (find_marked) runs that test over
+all C(n, l) subsets and is the ground truth every quantum engine is
+checked against.  The generators need no scan for their one planted
+marked set, or none: the distinctness families hold it by construction,
+the others by scrubbing the chance solutions out of the drawn table
+with the same test over the same blocks.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import xor
 from typing import Callable, NamedTuple
 
 from .combinat import binomial
@@ -24,6 +27,7 @@ ITEM = "item"
 PAIRWISE = "pairwise"
 
 _MAX_SCRUB_PASSES = 200
+_BLOCK = 1 << 15  # l-subsets per block of a scan
 
 
 class GenerationError(RuntimeError):
@@ -55,12 +59,15 @@ class ProblemInstance:
 
     values is a tuple of n range values (item mode) or C(n, 2) edge
     labels indexed by pair_index (pairwise mode).  predicate is the
-    property test; its calling convention depends on the mode:
+    property test on B l-subsets at once, one column per subset:
 
-      item:     predicate(((i1, v1), ..., (il, vl))) -> bool
-      pairwise: predicate((i1, ..., il), (((a, b), vab), ...)) -> bool
+      predicate(subsets, values) -> bool array of length B
 
-    and it must be invariant under permutations of the tuple.
+    subsets is (l, B), each column sorted; values is (k, B), the values
+    of each subset's slots: its l elements (item mode) or its k = C(l, 2)
+    pairs in itertools.combinations order (pairwise); an integer table
+    comes as int64 where a sum of k fits, else as Python ints.  The test
+    must be invariant under permutations of a subset's elements.
     """
     n: int
     l: int
@@ -80,15 +87,6 @@ class ProblemInstance:
                 f"value table has {len(self.values)} entries, expected {expected}")
         object.__setattr__(self, "values", tuple(self.values))
 
-    def subset_satisfies(self, indices) -> bool:
-        """Evaluate the property on a sorted l-subset of indices."""
-        idx = tuple(sorted(indices))
-        if self.mode == ITEM:
-            return bool(self.predicate(tuple((i, self.values[i]) for i in idx)))
-        edges = tuple(((a, b), self.values[pair_index(a, b)])
-                      for a, b in itertools.combinations(idx, 2))
-        return bool(self.predicate(idx, edges))
-
 
 @dataclass(frozen=True)
 class FindResult:
@@ -99,53 +97,76 @@ class FindResult:
 
 
 def find_marked(instance: ProblemInstance) -> FindResult:
-    """Exhaustive scan of all C(n, l) subsets against the property."""
-    hits = [s for s in itertools.combinations(range(instance.n), instance.l)
-            if instance.subset_satisfies(s)]
+    """Exhaustive scan of all C(n, l) subsets against the property, _BLOCK
+    subsets at a time, so that its memory is bounded at any C(n, l)."""
+    n, l, mode = instance.n, instance.l, instance.mode
+    hits = [MarkedSet(tuple(s)) for subsets, _ in _hits(
+        _blocks(n, l, mode), instance.predicate, instance.values, l, mode)
+        for s in subsets.T.tolist()]
     if not hits:
         return FindResult("none", None, 0)
-    marked = MarkedSet(hits[0])
     kind = "unique" if len(hits) == 1 else "multiple"
-    return FindResult(kind, marked, len(hits),
-                      tuple(MarkedSet(h) for h in hits))
+    return FindResult(kind, hits[0], len(hits), tuple(hits))
 
 
-# --- property families -------------------------------------------------
+def _blocks(n, l, mode):
+    """The l-subsets of range(n) in itertools.combinations order, _BLOCK
+    at a time, as an (l, B) array and the (k, B) array of their slots (the
+    subsets in item mode, their pairs' pair_index values in pairwise),
+    C-contiguous so that a reduction over a column runs along the block."""
+    import numpy as np
 
-def _pred_all_equal(items):
-    vals = [v for _, v in items]
-    return all(v == vals[0] for v in vals)
-
-
-def _pred_zero_sum_xor(items):
-    acc = 0
-    for _, v in items:
-        acc ^= v
-    return acc == 0
-
-
-def _make_pred_sum_mod_q(q):
-    def pred(items):
-        return sum(v for _, v in items) % q == 0
-    return pred
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), l))
+    lo, hi = np.triu_indices(l, 1)
+    for _ in range(0, binomial(n, l), _BLOCK):
+        s = np.fromiter(itertools.islice(flat, _BLOCK * l), dtype=np.intp)
+        s = np.ascontiguousarray(s.reshape(-1, l).T)
+        yield s, s if mode == ITEM else s[hi] * (s[hi] - 1) // 2 + s[lo]
 
 
-def _pred_consecutive(items):
-    vals = sorted(v for _, v in items)
-    return all(b == a + 1 for a, b in zip(vals, vals[1:]))
+def _hits(blocks, test, vals, l, mode):
+    """Each block's subsets and slots that pass test.  vals is read at the
+    first block, as numpy numbers where a sum of k fits, else as objects."""
+    import numpy as np
+
+    k = l if mode == ITEM else l * (l - 1) // 2
+    fits = k * max(map(abs, vals)) < 2 ** 62
+    values = np.array(vals, dtype=None if fits else object)
+    for subsets, slots in blocks:
+        hit = np.flatnonzero(test(subsets, values[slots]))
+        yield subsets[:, hit], slots[:, hit]
 
 
-def _pred_clique(indices, edges):
-    return all(v == 1 for _, v in edges)
+# --- property families: one vectorized test each -------------------------
+
+def _test_all_equal(subsets, values):
+    return (values == values[0]).all(axis=0)
 
 
-def _make_pred_explicit(satisfying):
-    """Membership in an explicit list of l-sets of (index, value) tuples."""
-    canon = {tuple(sorted(tuple(pair) for pair in subset)) for subset in satisfying}
+def _test_zero_sum_xor(subsets, values):
+    return reduce(xor, values) == 0
 
-    def pred(items):
-        return tuple(sorted(tuple(p) for p in items)) in canon
-    return pred
+
+def _test_sum_mod_q(q):
+    return lambda subsets, values: values.sum(axis=0) % q == 0
+
+
+def _test_consecutive(subsets, values):
+    import numpy as np
+
+    return (np.diff(np.sort(values, axis=0), axis=0) == 1).all(axis=0)
+
+
+def _test_clique(subsets, values):
+    return (values == 1).all(axis=0)
+
+
+def _test_explicit(satisfying):
+    """Membership in an explicit list of l-sets of [index, value] pairs."""
+    canon = {tuple(sorted(map(tuple, s))) for s in satisfying}
+    return lambda subsets, values: [
+        tuple(zip(*col)) in canon
+        for col in zip(subsets.T.tolist(), values.T.tolist())]
 
 
 def _build(family, n, l, values, params, seed):
@@ -209,18 +230,13 @@ def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
             _crowded(n, l, 2 ** first))
     if m_bits < 1:
         raise ValueError("m_bits must be positive")
-    import numpy as np
-
     rng = random.Random(seed)
     vals = [rng.getrandbits(m_bits) for _ in range(n)]
     keep = ()
     if planted:
         keep = rng.sample(range(n), l)
-        acc = 0
-        for i in keep[:-1]:
-            acc ^= vals[i]
-        vals[keep[-1]] = acc
-    _scrub_accidental(vals, n, l, lambda v: np.bitwise_xor.reduce(v) == 0,
+        vals[keep[-1]] = reduce(xor, (vals[i] for i in keep[:-1]), 0)
+    _scrub_accidental(vals, n, l, _test_zero_sum_xor,
                       partial(rng.getrandbits, m_bits), keep)
     return _build("zero-sum-xor", n, l, vals,
                   {"m_bits": m_bits, "planted": planted}, seed)
@@ -252,7 +268,7 @@ def _default_range(draw, first, wide, crowded):
         return draw(wide)
 
 
-def _scrub_accidental(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
+def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
     """Redraw one value of each accidental solution until none remain.
 
     Wide value ranges make accidental solutions rare but, beyond a few
@@ -261,41 +277,28 @@ def _scrub_accidental(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
     converge because each redraw breaks one solution and creates new
     ones only with the background density.  A planted solution is
     passed in `keep`: it is never counted as accidental and its values
-    are never touched.  A subset's slots are its elements, or in
-    pairwise mode its pairs' pair_index values.  A pass finds every hit
-    among the l-subsets, in itertools.combinations order, then redraws
-    each one's last slot that is not the plant's, in turn.  is_hit maps a
-    (slots, C(n, l)) array of values, one column per subset, to a mask.
+    are never touched.  A pass runs the family's test over the blocks
+    find_marked scans, then redraws each hit's last slot (element, or
+    edge in pairwise mode) that is not the plant's, in turn.
 
     On return the table holds no solution but the planted one, so the
     generators that scrub need no classifying scan afterwards.
     """
     import numpy as np
 
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), l))
-    subsets = np.fromiter(flat, dtype=np.min_scalar_type(n),
-                          count=binomial(n, l) * l).reshape(-1, l)
-    accidental = np.ones(len(subsets), dtype=bool)
-    if keep:
-        accidental = np.any(subsets != np.sort(keep), axis=1)
-    slots = subsets
-    if mode == PAIRWISE:
-        lo, hi = np.triu_indices(l, 1)
-        hi = subsets[:, hi].astype(np.intp)
-        slots = hi * (hi - 1) // 2 + subsets[:, lo]
-    # a subset other than the planted one has a slot outside the plant's
-    outside = ~np.isin(slots, slots[~accidental])
-    last_free = -1 - np.argmax(outside[:, ::-1], axis=1)
-    last_free = slots[np.arange(len(slots)), last_free]
-    # one row per slot of a subset, indexed by the fastest gather type
-    columns = np.ascontiguousarray(slots.T, dtype=np.intp)
+    kept = keep if mode == ITEM else [
+        pair_index(a, b) for a, b in itertools.combinations(keep, 2)]
+    blocks = list(_blocks(n, l, mode))
     for _ in range(_MAX_SCRUB_PASSES):
-        fits = len(columns) * max(vals) < 2 ** 62  # subset sums fit int64
-        values = np.array(vals, dtype=np.int64 if fits else object)
-        hits = is_hit(values[columns]) & accidental
-        if not hits.any():
+        redraws = []
+        for _, slots in _hits(blocks, test, vals, l, mode):
+            outside = ~np.isin(slots, kept)
+            other = np.flatnonzero(outside.any(axis=0))  # all but the plant
+            last = -1 - np.argmax(outside[::-1, other], axis=0)
+            redraws += slots[last, other].tolist()
+        if not redraws:
             return
-        for i in last_free[hits].tolist():
+        for i in redraws:
             vals[i] = redraw()
     raise GenerationError(
         f"could not scrub accidental solutions in {_MAX_SCRUB_PASSES} passes")
@@ -314,14 +317,12 @@ def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
     if planted:
         keep = rng.sample(range(n), l)
         vals[keep[-1]] = (-sum(vals[i] for i in keep[:-1])) % q
-    _scrub_accidental(vals, n, l, lambda v: v.sum(axis=0) % q == 0,
+    _scrub_accidental(vals, n, l, _test_sum_mod_q(q),
                       partial(rng.randrange, q), keep)
     return _build("sum-mod-q", n, l, vals, {"q": q, "planted": planted}, seed)
 
 
 def _gen_consecutive(n, l=3, seed=0, planted=True):
-    import numpy as np
-
     rng = random.Random(seed)
     hi = 8 * n  # sparse values keep accidental runs rare
     vals = rng.sample(range(hi), n)
@@ -331,10 +332,8 @@ def _gen_consecutive(n, l=3, seed=0, planted=True):
         start = rng.randrange(hi - l)
         for off, i in enumerate(keep):
             vals[i] = start + off
-
-    def runs(v):  # sorted columns stepping by 1
-        return np.all(np.diff(np.sort(v, axis=0), axis=0) == 1, axis=0)
-    _scrub_accidental(vals, n, l, runs, partial(rng.randrange, hi), keep)
+    _scrub_accidental(vals, n, l, _test_consecutive,
+                      partial(rng.randrange, hi), keep)
     return _build("consecutive", n, l, vals, {"planted": planted}, seed)
 
 
@@ -364,8 +363,7 @@ def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=None):
         keep = clique if clique is not None else tuple(sorted(rng.sample(range(n), l)))
         for a, b in itertools.combinations(keep, 2):
             vals[pair_index(a, b)] = 1
-    _scrub_accidental(vals, n, l, lambda v: (v == 1).all(axis=0), edge,
-                      keep, PAIRWISE)
+    _scrub_accidental(vals, n, l, _test_clique, edge, keep, PAIRWISE)
     return _build("l-clique", n, l, vals,
                   {"edge_prob": edge_prob, "planted": planted,
                    "clique": list(clique) if clique else None}, seed)
@@ -373,7 +371,8 @@ def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=None):
 
 def _gen_custom(n, l, values, mode=ITEM, satisfying=None, predicate=None, seed=None):
     """Explicit property: either a list of satisfying l-subsets of
-    (index, value) tuples, or a raw callable (not serializable)."""
+    (index, value) tuples, or a raw test in ProblemInstance.predicate's
+    calling convention (not serializable)."""
     if (satisfying is None) == (predicate is None):
         raise ValueError("custom family needs exactly one of satisfying/predicate")
     if predicate is not None:
@@ -397,7 +396,7 @@ def _int_lists(value, depth: int) -> bool:
 class Family(NamedTuple):
     generate: Callable      # keyword parameters -> ProblemInstance
     mode: str               # oracle mode: ITEM or PAIRWISE
-    predicate: Callable     # property params, as stored -> predicate
+    predicate: Callable     # property params, as stored -> vectorized test
     min_l: int = 1          # smallest l the generator can plant one set at
     max_l: float = math.inf  # largest l it takes
     params: tuple = ()      # (name, test, what it must be) per param it reads
@@ -405,21 +404,21 @@ class Family(NamedTuple):
 
 FAMILIES = {
     "element-distinctness": Family(_gen_element_distinctness, ITEM,
-                                   lambda params: _pred_all_equal, 2, 2),
+                                   lambda params: _test_all_equal, 2, 2),
     "l-distinctness": Family(_gen_l_distinctness, ITEM,
-                             lambda params: _pred_all_equal, 2),
+                             lambda params: _test_all_equal, 2),
     "zero-sum-xor": Family(_gen_zero_sum_xor, ITEM,
-                           lambda params: _pred_zero_sum_xor),
+                           lambda params: _test_zero_sum_xor),
     "sum-mod-q": Family(_gen_sum_mod_q, ITEM,
-                        lambda params: _make_pred_sum_mod_q(params["q"]),
+                        lambda params: _test_sum_mod_q(params["q"]),
                         params=(("q", lambda q: _int_lists(q, 0) and q >= 2,
                                  "an integer >= 2"),)),
     "consecutive": Family(_gen_consecutive, ITEM,
-                          lambda params: _pred_consecutive, 2),
-    "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _pred_clique, 3),
+                          lambda params: _test_consecutive, 2),
+    "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _test_clique, 3),
     # a custom property stored in JSON is the list form, item-mode only
     "custom": Family(_gen_custom, ITEM,
-                     lambda params: _make_pred_explicit(params["satisfying"]),
+                     lambda params: _test_explicit(params["satisfying"]),
                      params=(("satisfying", lambda s: _int_lists(s, 3),
                               "a list of lists of [index, value] pairs"),)),
 }

@@ -1,0 +1,56 @@
+"""`simulate` stdout, frozen byte for byte: the sha256 of each command's
+output as the per-subset scan printed it before the marked-set scan was
+vectorized, for one small two-engine draw per family, an unplanted draw,
+two custom instance files (one marked set, two) and three scans of
+C(n, l) = 5·10^5, 1.6·10^5 and 1.6·10^5 subsets."""
+import hashlib
+import json
+
+import pytest
+
+from johnson_walk.cli import main
+
+# custom instance files: the satisfying list holds one set found in the
+# table, or that one and a second
+CUSTOM = {"n": 6, "l": 2, "mode": "item", "values": [3, 1, 4, 1, 5, 9],
+          "seed": None}
+SETS = [[[1, 1], [3, 1]], [[0, 3], [2, 4]]]
+
+FROZEN = [
+    ("--family element-distinctness --n 9 --engine both",
+     "7d29ca519b7ca63f39a1b55e51fe0c89cee5ce854dea8be4c939cf08e14554d6"),
+    ("--family l-distinctness --n 10 --l 3 --engine both",
+     "333cebf3c39e3a6f44b616e70e273958fca6f3cb06c5a09b02db050d6d7f67ff"),
+    ("--family zero-sum-xor --n 10 --l 3 --engine both",
+     "b39f80d0dffa36fd7aa57fcdcffddbed23eb6590c384beb0b54f208a9bf7da0a"),
+    ("--family sum-mod-q --n 10 --l 3 --engine both",
+     "d4ac48276c94bf0e27739542b936e923f87375730415f19f849090c9c235d415"),
+    ("--family consecutive --n 12 --l 3 --engine both",
+     "9e1c0bf3526c17e62335e1a5a803e74b35c453b9b627a42732b4b449b5ff92fc"),
+    ("--family l-clique --n 9 --l 3 --engine both",
+     "994ed55fb9adb6946acebc0e6e9f8dc9448c92234be13e8bc3e2f0343128cdcc"),
+    ("--family sum-mod-q --n 12 --l 3 --no-plant --engine both",
+     "0568fc71eee34e9fb2ce19f4d46aa267208ef10924eb1d7a6cbe780225b7d299"),
+    ("--instance {one} --engine both",
+     "a153786bdf706dc8111c37b3e5a7f61244ac293e359e4fd37c6c510063861da1"),
+    ("--instance {two} --engine full",
+     "39f627c981e6643abea3b82c97961a5302ae1a8b55c55f8d0228815113b230e9"),
+    ("--family l-distinctness --n 1000 --l 2 --engine reduced",
+     "d2bbb1ae21359ff8e6f0bdbf505232b72a87cb1a552f7b85f9812c08f5b03289"),
+    ("--family l-clique --n 100 --l 3 --engine reduced",
+     "e4ae093e6d0fcd2a0eb9d6b47fab56603c73e7007777c5d63196117f7cf45c44"),
+    ("--family consecutive --n 100 --l 3 --engine reduced",
+     "6991421314056a0d7b6339c7ecfed676483e4e099e461ec4f5275c18085f571a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FROZEN, ids=[a for a, _ in FROZEN])
+def test_simulate_stdout_is_frozen(capsys, tmp_path, argv, digest):
+    files = {}
+    for name, sets in (("one", SETS[:1]), ("two", SETS)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({**CUSTOM, "property": {
+            "family": "custom", "params": {"satisfying": sets}}}))
+    assert main(["simulate", *argv.format(**files).split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,6 +13,80 @@ from johnson_walk import (
     instance_from_json, instance_to_json, load_instance, make_family,
     pair_index,
 )
+from johnson_walk.instances import FAMILIES
+
+# --- the reference scan ---------------------------------------------------
+# The per-subset loop and scalar predicates find_marked ran before its scan
+# was vectorized; they share no code with it or with the scrub.  A
+# predicate maps a sorted subset and the list of its slot values (element
+# values, or in pairwise mode the edge labels of its pairs) to a verdict.
+
+
+def all_equal(subset, vals):
+    return all(v == vals[0] for v in vals)
+
+
+def zero_xor(subset, vals):
+    acc = 0
+    for v in vals:
+        acc ^= v
+    return acc == 0
+
+
+def sum_mod(q):
+    return lambda subset, vals: sum(vals) % q == 0
+
+
+def consecutive(subset, vals):
+    vals = sorted(vals)
+    return all(b == a + 1 for a, b in zip(vals, vals[1:]))
+
+
+def all_edges(subset, vals):
+    return all(v == 1 for v in vals)
+
+
+def listed(satisfying):
+    canon = {tuple(sorted(tuple(pair) for pair in s)) for s in satisfying}
+    return lambda subset, vals: tuple(sorted(zip(subset, vals))) in canon
+
+
+REFERENCE = {  # family -> (property params -> predicate)
+    "element-distinctness": lambda params: all_equal,
+    "l-distinctness": lambda params: all_equal,
+    "zero-sum-xor": lambda params: zero_xor,
+    "sum-mod-q": lambda params: sum_mod(params["q"]),
+    "consecutive": lambda params: consecutive,
+    "l-clique": lambda params: all_edges,
+    "custom": lambda params: listed(params["satisfying"]),
+}
+
+
+def subset_slots(subset, mode):
+    if mode == ITEM:
+        return list(subset)
+    return [pair_index(a, b) for a, b in itertools.combinations(subset, 2)]
+
+
+def reference_scan(inst, predicate=None):
+    """The subsets of inst that satisfy its property, in
+    itertools.combinations order.  predicate defaults to the reference of
+    inst's family; a raw custom test needs a scalar one given."""
+    if predicate is None:
+        predicate = REFERENCE[inst.family_tag](inst.property_params)
+    return [s for s in itertools.combinations(range(inst.n), inst.l)
+            if predicate(s, [inst.values[i]
+                             for i in subset_slots(s, inst.mode)])]
+
+
+def assert_matches_reference(inst, predicate=None):
+    hits = reference_scan(inst, predicate)
+    res = find_marked(inst)
+    assert [m.indices for m in res.all_marked] == hits
+    assert res.count == len(hits)
+    assert res.kind == ("none", "unique", "multiple")[min(len(hits), 2)]
+    assert res.marked == (MarkedSet(hits[0]) if hits else None)
+    return res
 
 
 def test_pair_index_is_colex():
@@ -38,7 +112,7 @@ def test_element_distinctness_fixture():
     inst = ProblemInstance(
         n=6, l=2, mode=ITEM, values=(3, 1, 4, 1, 5, 9),
         family_tag="element-distinctness", property_params={},
-        predicate=lambda items: items[0][1] == items[1][1])
+        predicate=lambda subsets, values: values[0] == values[1])
     res = find_marked(inst)
     assert res.kind == "unique"
     assert res.marked.indices == (1, 3)
@@ -48,7 +122,7 @@ def test_injective_values_reject():
     inst = ProblemInstance(
         n=6, l=2, mode=ITEM, values=(3, 1, 4, 7, 5, 9),
         family_tag="element-distinctness", property_params={},
-        predicate=lambda items: items[0][1] == items[1][1])
+        predicate=lambda subsets, values: values[0] == values[1])
     assert find_marked(inst).kind == "none"
 
 
@@ -104,18 +178,24 @@ def test_clique_planted_triangle():
 
 
 def test_predicates_permutation_invariant():
+    """Each item family's test gives the same verdicts on a block of
+    subsets with their elements (rows) shuffled, the plant among them."""
     rng = random.Random(11)
     for family, params in [("l-distinctness", {"n": 10, "l": 3}),
                            ("zero-sum-xor", {"n": 10, "l": 3}),
                            ("sum-mod-q", {"n": 10, "l": 3}),
                            ("consecutive", {"n": 12, "l": 3})]:
         inst = make_family(family, seed=2, planted=True, **params)
-        for _ in range(30):
-            idx = rng.sample(range(inst.n), inst.l)
-            items = tuple((i, inst.values[i]) for i in idx)
-            shuffled = list(items)
-            rng.shuffle(shuffled)
-            assert inst.predicate(items) == inst.predicate(tuple(shuffled))
+        subsets = np.array([sorted(rng.sample(range(inst.n), inst.l))
+                            for _ in range(30)]
+                           + [find_marked(inst).marked.indices]).T
+        values = np.array(inst.values)[subsets]
+        verdicts = inst.predicate(subsets, values)
+        assert verdicts[-1]
+        for _ in range(5):
+            order = rng.sample(range(inst.l), inst.l)
+            assert np.array_equal(
+                inst.predicate(subsets[order], values[order]), verdicts)
 
 
 def test_seed_determinism():
@@ -137,7 +217,7 @@ def test_custom_family_list_form():
 
 def test_custom_family_callable_form():
     inst = make_family("custom", n=5, l=2, values=(1, 2, 3, 4, 6),
-                       predicate=lambda items: items[0][1] + items[1][1] == 7)
+                       predicate=lambda s, v: v[0] + v[1] == 7)
     assert find_marked(inst).kind == "multiple"
     with pytest.raises(ValueError):
         instance_to_json(inst)
@@ -167,7 +247,8 @@ def test_json_round_trip_pairwise():
 def test_multiple_classification():
     inst = ProblemInstance(
         n=5, l=2, mode=ITEM, values=(1, 1, 1, 3, 4), family_tag="custom",
-        property_params={}, predicate=lambda it: it[0][1] == it[1][1])
+        property_params={},
+        predicate=lambda subsets, values: values[0] == values[1])
     res = find_marked(inst)
     assert res.kind == "multiple"
     assert res.count == 3
@@ -294,7 +375,8 @@ def test_generators_never_scan(monkeypatch):
     """Each generator guarantees its own classification: with find_marked
     raising, every drawn family (all but custom, whose table is given),
     planted and not, still draws at n = 9, 16, 24 and each l = 1..4 in its
-    range, and the real scan then finds the planted set alone, or none."""
+    range, and the reference scan, which shares no code with the scrub,
+    then finds the planted set alone, or none."""
     from johnson_walk import instances
 
     def scan(instance):
@@ -312,7 +394,7 @@ def test_generators_never_scan(monkeypatch):
                         draws.append((planted, make_family(
                             family, n=n, l=l, seed=n + l, planted=planted)))
     for planted, inst in draws:
-        assert find_marked(inst).kind == ("unique" if planted else "none")
+        assert len(reference_scan(inst)) == planted
 
 
 def solutions(inst, subsets):
@@ -355,38 +437,28 @@ def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
 
 def reference_scrub(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
     """The scrub one subset at a time in Python, as it was written before
-    its scan was vectorized; returns whether it converged.  A subset's
-    slots are its elements, or in pairwise mode its pairs' indices."""
-    def slots(s):
-        if mode == ITEM:
-            return list(s)
-        return [pair_index(a, b) for a, b in itertools.combinations(s, 2)]
-
-    kept = slots(sorted(keep))
+    its scan was vectorized; returns whether it converged.  is_hit is a
+    reference predicate."""
+    kept = subset_slots(sorted(keep), mode)
     for _ in range(200):
         hits = [s for s in itertools.combinations(range(n), l)
-                if set(s) != set(keep) and is_hit([vals[i] for i in slots(s)])]
+                if set(s) != set(keep)
+                and is_hit(s, [vals[i] for i in subset_slots(s, mode)])]
         if not hits:
             return True
         for sub in hits:
-            vals[[i for i in slots(sub) if i not in kept][-1]] = redraw()
+            vals[[i for i in subset_slots(sub, mode)
+                  if i not in kept][-1]] = redraw()
     return False
 
 
-# (mode, values drawn from range(r), the scrub's check, one subset's check)
+# (family, its property params, values drawn from range(r)): the scrub runs
+# the family's test, the reference scrub the family's reference predicate
 SCRUB_RULES = {
-    "xor": (ITEM, 24, lambda v: np.bitwise_xor.reduce(v) == 0,
-            lambda row: np.bitwise_xor.reduce(row) == 0),
-    "sum": (ITEM, 24, lambda v: v.sum(axis=0) % 24 == 0,
-            lambda row: sum(row) % 24 == 0),
-    # consecutive's: the sorted values step by 1
-    "runs": (ITEM, 24,
-             lambda v: np.all(np.diff(np.sort(v, axis=0), axis=0) == 1, axis=0),
-             lambda row: all(b - a == 1 for a, b in zip(sorted(row),
-                                                         sorted(row)[1:]))),
-    # l-clique's: every edge label of the subset's pairs is 1
-    "clique": (PAIRWISE, 2, lambda v: (v == 1).all(axis=0),
-               lambda row: all(v == 1 for v in row)),
+    "xor": ("zero-sum-xor", {}, 24),
+    "sum": ("sum-mod-q", {"q": 24}, 24),
+    "runs": ("consecutive", {}, 24),
+    "clique": ("l-clique", {}, 2),
 }
 
 
@@ -397,7 +469,10 @@ def test_scrub_matches_the_subset_loop():
     from johnson_walk.instances import GenerationError, _scrub_accidental
 
     verdicts = set()
-    for mode, r, is_hit, one_hit in SCRUB_RULES.values():
+    for family, params, r in SCRUB_RULES.values():
+        mode = FAMILIES[family].mode
+        is_hit = FAMILIES[family].predicate(params)
+        one_hit = REFERENCE[family](params)
         for n, l, seed in itertools.product((8, 10), (3, 4, 5), range(2)):
             size = n if mode == ITEM else binomial(n, 2)
             for planted in (False, True):
@@ -418,3 +493,93 @@ def test_scrub_matches_the_subset_loop():
                 assert ours == theirs
                 verdicts.add(converged)
     assert verdicts == {True, False}
+
+
+# A table of small values for each family, loaded as an instance file and
+# so never scrubbed: most hold several solutions.
+SMALL_RANGE = {"l-clique": 2, "consecutive": 6, "zero-sum-xor": 4}
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "custom"])
+def test_find_marked_matches_the_reference(family):
+    """The same marked sets in the same order as the reference scan, on
+    every draw at n = 9, 12, 16, each l up to 4 in the family's range,
+    seeds 0-2, planted and not, and on the same instance with its table
+    replaced by small values."""
+    fam = FAMILIES[family]
+    kinds = set()
+    for n, l, seed, planted in itertools.product(
+            (9, 12, 16), range(fam.min_l, min(fam.max_l, 4) + 1), range(3),
+            (True, False)):
+        inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
+        assert assert_matches_reference(inst).kind == (
+            "unique" if planted else "none")
+        d = instance_to_json(inst)
+        rng = random.Random(seed)
+        key = "values" if fam.mode == ITEM else "pairs"
+        r = SMALL_RANGE.get(family, 3)
+        d[key] = [rng.randrange(r) for _ in d[key]]
+        kinds.add(assert_matches_reference(instance_from_json(d)).kind)
+    assert "multiple" in kinds
+
+
+def test_custom_instances_match_the_reference():
+    """A satisfying list (with entries that can never match: a wrong value,
+    a repeated index, the wrong size) and a raw test, one scalar predicate
+    beside it for the reference."""
+    values = (5, 5, 7, 9, 5, 7)
+    inst = make_family("custom", n=6, l=2, values=values, satisfying=[
+        [(0, 5), (1, 5)], [(2, 7), (5, 7)], [(3, 8), (4, 5)],
+        [(1, 5), (1, 5)], [(0, 5), (1, 5), (4, 5)]])
+    assert assert_matches_reference(inst).count == 2
+    inst = make_family("custom", n=6, l=3, values=values,
+                       predicate=lambda subsets, values:
+                       values.sum(axis=0) % 3 == 0)
+    assert assert_matches_reference(
+        inst, lambda subset, vals: sum(vals) % 3 == 0).kind == "multiple"
+    # values are taken as given, not cast to integers
+    inst = make_family("custom", n=4, l=2, values=(0.25, 0.75, 2.0, 2.0),
+                       predicate=lambda s, v: v[0] == v[1])
+    assert assert_matches_reference(
+        inst, lambda subset, vals: vals[0] == vals[1]).marked.indices == (2, 3)
+
+
+def test_scan_spans_blocks():
+    """Instances with C(n, l) above one scan block: a planted l-clique at
+    n=100, l=3 (161,700 subsets) and a raw test whose hits fall in every
+    block of n=60, l=3 (34,220 subsets)."""
+    from johnson_walk.instances import _BLOCK
+
+    inst = make_family("l-clique", n=100, l=3, seed=0)
+    assert binomial(100, 3) > 4 * _BLOCK
+    assert assert_matches_reference(inst).kind == "unique"
+    rng = random.Random(1)
+    inst = make_family("custom", n=60, l=3,
+                       values=[rng.randrange(1000) for _ in range(60)],
+                       predicate=lambda subsets, values:
+                       values.sum(axis=0) % 50 == 0)
+    res = assert_matches_reference(
+        inst, lambda subset, vals: sum(vals) % 50 == 0)
+    ranks = list(itertools.combinations(range(60), 3))
+    assert ranks.index(res.all_marked[0].indices) < _BLOCK
+    assert ranks.index(res.all_marked[-1].indices) >= _BLOCK
+
+
+@pytest.mark.parametrize("scale", [2 ** 70, -2 ** 70, -3 * 2 ** 60],
+                         ids=["2^70", "-2^70", "-3*2^60"])
+@pytest.mark.parametrize("family, params", [
+    ("sum-mod-q", {"q": 7}), ("zero-sum-xor", {"m_bits": 72})])
+def test_huge_values_classify_exactly(tmp_path, family, params, scale):
+    """Instance files of values around +-2^70, past int64, and around
+    -3*2^60, where one value fits int64 but a sum of three does not,
+    classify as the reference does with Python ints."""
+    rng = random.Random(5)
+    values = [scale + rng.randrange(100) for _ in range(10)]
+    values[2] = values[0] ^ values[1]  # a zero-xor triple
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "n": 10, "l": 3, "mode": ITEM, "values": values, "seed": None,
+        "property": {"family": family, "params": params}}))
+    res = assert_matches_reference(load_instance(path))
+    assert res.kind == {"sum-mod-q": "multiple",
+                        "zero-sum-xor": "unique"}[family]
