@@ -13,11 +13,12 @@ colex rank; no b-side buffer exists.  Like the union table, it is
 stored slot-major (Fortran order): each coin slot is one contiguous
 column.  Coin 1 inverts each subset row about its mean, coin 2 (applied
 as S C2 S) the a-pairs (A, k) that share one union A ∪ {k}, found by its
-colex rank.  WalkContext builds those ranks and the sorted subsets
-block by block from the colex order's prefix property, and reads which
-elements a subset holds and which coin sits in a slot off the subsets
-alone.  The shift S, a bijection between the a-pairs and the b-pairs,
-is the reference the step is checked against.
+colex rank.  WalkContext takes the sorted subsets from
+combinat.colex_table, builds those ranks block by block from the colex
+order's prefix property, and reads which elements a subset holds and
+which coin sits in a slot off the subsets alone.  The shift S, a
+bijection between the a-pairs and the b-pairs, is the reference the
+step is checked against.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
-from .combinat import binomial
+from .combinat import binomial, colex_table
 from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
 
 # Bytes; admits n <= 27 at the parameter rule's m for l=2 (2.07e9 B at
@@ -75,24 +76,24 @@ def binomial_upto(n: int, k: int, limit: int) -> int | None:
 class WalkContext:
     """Precomputed index structure for the (n, m) bipartite walk space.
 
-    subsets_a is the (num_a, m) array of m-subsets in colex-rank order,
-    each sorted, and union_rank[r, slot] the colex rank of the
-    (m+1)-subset A ∪ {k}; both are stored slot-major like the state, and
-    they are the only arrays a context holds.  The coins of subset r are
-    the elements outside it, in increasing order, so the a-pair (r, slot)
-    has coin k = the slot-th element missing from subsets_a[r].
+    subsets_a, combinat.colex_table(n, m), is the (num_a, m) array of
+    m-subsets in colex-rank order, each sorted, and union_rank[r, slot]
+    the colex rank of the (m+1)-subset A ∪ {k}; both are stored
+    slot-major like the state, and they are the only arrays a context
+    holds.  The coins of subset r are the elements outside it, in
+    increasing order, so the a-pair (r, slot) has coin k = the slot-th
+    element missing from subsets_a[r].
 
-    The build runs level by level over k = 1..m, on the k-subsets of
-    {0..n-m+k-1}, each with the same n - m coin slots.  In colex order the
-    k-subsets with largest element c fill the block of rows
-    [C(c, k), C(c+1, k)), and their first k-1 entries run through the
-    (k-1)-subsets of {0..c-1}: the first rows of the previous level.  So
-    a block copies those rows with c appended; its first c-k+1 coins lie
-    below c and its union ranks are the previous level's plus C(c, k+1).
-    The coin c of the C(c, k) rows before the block sits in slot c-k, with
-    union rank C(c, k+1) + row.  Every level is a prefix of the final
-    arrays, and the blocks are written from the largest c down, so that
-    no block overwrites rows a smaller c still reads.
+    The union ranks follow colex_table's level recursion, over k = 1..m,
+    on the k-subsets of {0..n-m+k-1}, each with the same n - m coin
+    slots.  The block of k-subsets with largest element c, rows
+    [C(c, k), C(c+1, k)), is the previous level's first rows with c
+    appended; its first c-k+1 coins lie below c, so its union ranks there
+    are the previous level's plus C(c, k+1).  The coin c of the C(c, k)
+    rows before the block sits in slot c-k, with union rank C(c, k+1) +
+    row.  Every level is a prefix of the final array, and the blocks are
+    written from the largest c down, so that no block overwrites rows a
+    smaller c still reads.
     """
 
     def __init__(self, n: int, m: int):
@@ -114,21 +115,18 @@ class WalkContext:
         self.dim_b = self.num_b * (m + 1)  # equals dim_a: shift is a bijection
 
         width = n - m
-        subsets = np.empty((self.num_a, m), np.min_scalar_type(n), order="F")
         union = np.empty((self.num_a, width), np.int64, order="F")
         union[0] = np.arange(width)  # level 0: the rank of {k} is k
         row = np.arange(self.num_a, dtype=np.int64)
         for k in range(1, m + 1):
             for c in range(width + k - 1, k - 2, -1):
                 lo, hi, below = binomial(c, k), binomial(c + 1, k), c - k + 1
-                subsets[lo:hi, :k - 1] = subsets[:hi - lo, :k - 1]
-                subsets[lo:hi, k - 1] = c
                 np.add(union[:hi - lo, :below], binomial(c, k + 1),
                        out=union[lo:hi, :below])
             for c in range(k, width + k):
                 lo = binomial(c, k)
                 np.add(row[:lo], binomial(c, k + 1), out=union[:lo, c - k])
-        self.subsets_a, self.union_rank = subsets, union
+        self.subsets_a, self.union_rank = colex_table(n, m), union
 
     @property
     def shift_map(self) -> np.ndarray:

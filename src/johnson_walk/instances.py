@@ -4,11 +4,12 @@ An instance is a black-box value table (per element, or per element
 pair for subgraph problems) together with a permutation-invariant
 property of l-subsets, stated once per family as a vectorized test over
 a block of them.  The classical scan (find_marked) runs that test over
-all C(n, l) subsets and is the ground truth every quantum engine is
-checked against.  The generators need no scan for their one planted
-marked set, or none: the distinctness families hold it by construction,
-the others by scrubbing the chance solutions out of the drawn table
-with the same test over the same blocks.
+all C(n, l) subsets, in the blocks of combinat.colex_blocks, and is the
+ground truth every quantum engine is checked against; its few hits are
+sorted into lexicographic order.  The generators need no scan for their
+one planted marked set, or none: the distinctness families hold it by
+construction, the others by scrubbing the chance solutions out of the
+drawn table with the same test over the same blocks.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from functools import partial, reduce
 from operator import xor
 from typing import Callable, NamedTuple
 
-from .combinat import binomial
+from .combinat import binomial, colex_blocks
 
 ITEM = "item"
 PAIRWISE = "pairwise"
@@ -98,11 +99,13 @@ class FindResult:
 
 def find_marked(instance: ProblemInstance) -> FindResult:
     """Exhaustive scan of all C(n, l) subsets against the property, _BLOCK
-    subsets at a time, so that its memory is bounded at any C(n, l)."""
+    subsets at a time, so that its memory is bounded at any C(n, l).  The
+    marked sets come in itertools.combinations (lexicographic) order."""
     n, l, mode = instance.n, instance.l, instance.mode
-    hits = [MarkedSet(tuple(s)) for subsets, _ in _hits(
-        _blocks(n, l, mode), instance.predicate, instance.values, l, mode)
-        for s in subsets.T.tolist()]
+    hits = [MarkedSet(s) for s in sorted(
+        tuple(s) for subsets, _ in _hits(
+            _blocks(n, l, mode), instance.predicate, instance.values, l, mode)
+        for s in subsets.T.tolist())]
     if not hits:
         return FindResult("none", None, 0)
     kind = "unique" if len(hits) == 1 else "multiple"
@@ -110,17 +113,15 @@ def find_marked(instance: ProblemInstance) -> FindResult:
 
 
 def _blocks(n, l, mode):
-    """The l-subsets of range(n) in itertools.combinations order, _BLOCK
-    at a time, as an (l, B) array and the (k, B) array of their slots (the
-    subsets in item mode, their pairs' pair_index values in pairwise),
-    C-contiguous so that a reduction over a column runs along the block."""
+    """The l-subsets of range(n) in colex order, _BLOCK at a time, as an
+    (l, B) intp array and the (k, B) array of their slots (the subsets in
+    item mode, their pairs' pair_index values in pairwise), C-contiguous
+    so that a reduction over a column runs along the block."""
     import numpy as np
 
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), l))
-    lo, hi = np.triu_indices(l, 1)
-    for _ in range(0, binomial(n, l), _BLOCK):
-        s = np.fromiter(itertools.islice(flat, _BLOCK * l), dtype=np.intp)
-        s = np.ascontiguousarray(s.reshape(-1, l).T)
+    lo, hi = np.triu_indices(l, 1) if mode == PAIRWISE else (None, None)
+    for block in colex_blocks(n, l, _BLOCK):
+        s = block.T.astype(np.intp)  # the transpose of slot-major is C order
         yield s, s if mode == ITEM else s[hi] * (s[hi] - 1) // 2 + s[lo]
 
 
@@ -279,7 +280,9 @@ def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
     passed in `keep`: it is never counted as accidental and its values
     are never touched.  A pass runs the family's test over the blocks
     find_marked scans, then redraws each hit's last slot (element, or
-    edge in pairwise mode) that is not the plant's, in turn.
+    edge in pairwise mode) that is not the plant's, in turn, the hits in
+    itertools.combinations (lexicographic) order.  Each pass streams the
+    blocks anew, so its memory is bounded at any C(n, l).
 
     On return the table holds no solution but the planted one, so the
     generators that scrub need no classifying scan afterwards.
@@ -288,17 +291,17 @@ def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
 
     kept = keep if mode == ITEM else [
         pair_index(a, b) for a, b in itertools.combinations(keep, 2)]
-    blocks = list(_blocks(n, l, mode))
     for _ in range(_MAX_SCRUB_PASSES):
         redraws = []
-        for _, slots in _hits(blocks, test, vals, l, mode):
+        for subsets, slots in _hits(_blocks(n, l, mode), test, vals, l, mode):
             outside = ~np.isin(slots, kept)
             other = np.flatnonzero(outside.any(axis=0))  # all but the plant
             last = -1 - np.argmax(outside[::-1, other], axis=0)
-            redraws += slots[last, other].tolist()
+            redraws += zip(subsets[:, other].T.tolist(),
+                           slots[last, other].tolist())
         if not redraws:
             return
-        for i in redraws:
+        for _, i in sorted(redraws):
             vals[i] = redraw()
     raise GenerationError(
         f"could not scrub accidental solutions in {_MAX_SCRUB_PASSES} passes")

@@ -1,9 +1,11 @@
-"""Exact combinatorics: binomials, colex ranking, the class weights."""
+"""Exact combinatorics: binomials, colex ranking and enumeration, the
+class weights."""
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from johnson_walk import (
     a_side_labels, binomial, norm_constants, rank_subset,
     unrank_subset,
 )
-from johnson_walk.combinat import symmetric_ratio
+from johnson_walk.combinat import colex_blocks, colex_table, symmetric_ratio
 
 
 def test_binomial_examples():
@@ -55,6 +57,27 @@ def test_rank_enumerates_colex_order():
     assert ranks[1] == (0, 1, 3)
     assert ranks[-1] == (3, 4, 5)
     assert [rank_subset(s, 6) for s in ranks] == list(range(20))
+
+
+def test_colex_table_and_blocks_match_itertools():
+    """Every k <= n <= 12: the table, and the blocks at rows 1, 7,
+    C(n, k) - 1, C(n, k) and 2^15 concatenated, equal the itertools list
+    sorted by the reversed tuple (colex order); no block is longer than
+    rows, only the last is shorter, and the dtype holds n."""
+    for n in range(13):
+        for k in range(n + 1):
+            ref = sorted(itertools.combinations(range(n), k),
+                         key=lambda s: s[::-1])
+            ref = np.array(ref).reshape(len(ref), k)
+            table = colex_table(n, k)
+            assert np.array_equal(table, ref), (n, k)
+            assert np.iinfo(table.dtype).max >= n
+            for rows in {1, 7, len(ref) - 1, len(ref), 2 ** 15} - {0}:
+                blocks = list(colex_blocks(n, k, rows))
+                assert np.array_equal(np.concatenate(blocks), ref), (n, k, rows)
+                assert all(len(b) == rows for b in blocks[:-1])
+                assert 1 <= len(blocks[-1]) <= rows
+                assert all(np.iinfo(b.dtype).max >= n for b in blocks)
 
 
 def test_rank_unrank_bijection():

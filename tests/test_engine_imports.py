@@ -1,6 +1,7 @@
 """The two engines stand alone: neither module imports the other.  The
 full engine serves one state form, real and slot-major: it has no
-complex branch."""
+complex branch.  The package lists subsets one way, combinat's colex
+recursion: no itertools.combinations over a range and no np.fromiter."""
 import ast
 from pathlib import Path
 
@@ -44,3 +45,21 @@ def test_full_engine_has_no_complex_branch():
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, complex)]
     assert calls == [] and literals == [], (calls, literals)
+
+
+def test_one_subset_enumerator():
+    """No combinations(range(...)) call and no fromiter anywhere in the
+    package, so that the walk and the scan keep one enumeration of all
+    subsets: combinat.colex_table and colex_blocks."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and node.args
+                    and ast.unparse(node.func).endswith("combinations")
+                    and isinstance(node.args[0], ast.Call)
+                    and ast.unparse(node.args[0].func) == "range"):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+            elif "fromiter" in (getattr(node, "attr", None),
+                                getattr(node, "id", None)):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+    assert found == [], found

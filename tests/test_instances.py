@@ -565,6 +565,29 @@ def test_scan_spans_blocks():
     assert ranks.index(res.all_marked[-1].indices) >= _BLOCK
 
 
+@pytest.mark.parametrize("n, l", [(20, 2), (2 ** 15, 1), (60, 3), (257, 2),
+                                  (2 ** 15 + 1, 1)])
+def test_scan_calls_the_test_once_a_block(n, l):
+    """A counting raw test: one call where C(n, l) <= _BLOCK (the whole scan
+    at n=20, l=2), else ceil(C(n, l) / _BLOCK) calls of at most _BLOCK
+    subsets each, which together see every subset once."""
+    from johnson_walk.instances import _BLOCK
+
+    calls = []
+
+    def count(subsets, values):
+        calls.append(subsets.T.tolist())
+        return np.zeros(subsets.shape[1], bool)
+
+    inst = make_family("custom", n=n, l=l, values=[0] * n, predicate=count)
+    assert find_marked(inst).kind == "none"
+    assert len(calls) == -(-binomial(n, l) // _BLOCK)
+    assert max(map(len, calls)) <= _BLOCK
+    seen = [tuple(s) for call in calls for s in call]
+    assert len(seen) == binomial(n, l)
+    assert set(seen) == set(itertools.combinations(range(n), l))
+
+
 @pytest.mark.parametrize("scale", [2 ** 70, -2 ** 70, -3 * 2 ** 60],
                          ids=["2^70", "-2^70", "-3*2^60"])
 @pytest.mark.parametrize("family, params", [
