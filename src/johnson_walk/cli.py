@@ -74,7 +74,8 @@ def cmd_simulate(args) -> int:
     set is assumed and flagged, and the oracle mode is the family's; only
     the scan can honour --no-plant, so it is refused there.  A full-engine
     walk gets its context before the draw, so that one over the byte cap
-    exits 3 before the scan."""
+    exits 3 before the scan.  run_algorithm scans for itself, so the
+    command scans only for the reduced engine: --engine full scans once."""
     import numpy as np
 
     from .full_sim import get_context, run_algorithm
@@ -110,7 +111,7 @@ def cmd_simulate(args) -> int:
     if not args.instance:
         inst = None if unscanned else make_family(
             family, n=n, l=l, seed=seed, planted=not args.no_plant)
-    found = find_marked(inst) if inst else None
+    found = find_marked(inst) if inst and args.engine != "full" else None
     out = {"command": "simulate",
            "family": inst.family_tag if inst else family,
            "seed": inst.seed if inst else seed,

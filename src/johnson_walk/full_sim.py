@@ -29,7 +29,7 @@ import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import binomial, colex_table
-from .instances import ITEM, MarkedSet, ProblemInstance, find_marked
+from .instances import ITEM, ProblemInstance, find_marked
 
 # Bytes; admits n <= 27 at the parameter rule's m for l=2 (2.07e9 B at
 # n=27, m=9; 3.21e9 B at n=28, m=9).
@@ -255,11 +255,9 @@ def apply_walk_step(state: FullState, instance: ProblemInstance) -> FullState:
     return state
 
 
-def apply_phase_flip(state: FullState, marked) -> FullState:
-    """Negate amplitudes on m-subsets containing a marked set; zero queries."""
-    if isinstance(marked, MarkedSet):
-        marked = [marked]
-    rows = np.flatnonzero(state.ctx.marked_row_mask(marked))
+def apply_phase_flip(state: FullState, rows) -> FullState:
+    """P: negate the given a-side subset rows in place; zero queries.  The
+    rows are integer ranks, found once per run from marked_row_mask."""
     state.amps[rows] *= -1.0
     return state
 
@@ -267,23 +265,21 @@ def apply_phase_flip(state: FullState, marked) -> FullState:
 def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunReport:
     """Run (W^t1 P)^t2 on the uniform start state, exactly.
 
-    success_probability sums |amp|^2 over m-subsets containing a marked
-    set; overlap_w is |<A_{l,0}|psi>|^2, the marked block's sum squared
-    over its size, since that block of |s> is uniform.  The query count is
-    the state's running counter.
+    One scan, then the rows of the m-subsets holding a marked set, found
+    once: each flip negates them, and success_probability sums |amp|^2
+    over them (0.0 if none).  overlap_w is |<A_{l,0}|psi>|^2, the marked
+    block's sum squared over its size, since that block of |s> is uniform.
+    The query count is the state's running counter.
     """
     found = find_marked(instance)
-    marked = list(found.all_marked)
-    state = run_walk(prepare_s(instance, m), t1, t2,
-                     flip=lambda s: apply_phase_flip(s, marked),
+    state = prepare_s(instance, m)
+    rows = np.flatnonzero(state.ctx.marked_row_mask(found.all_marked))
+    state = run_walk(state, t1, t2, flip=lambda s: apply_phase_flip(s, rows),
                      step=lambda s: apply_walk_step(s, instance))
 
-    if found.count:
-        block = state.amps[np.flatnonzero(state.ctx.marked_row_mask(marked))]
-        success = float(np.sum(block ** 2))
-        overlap_w = float(block.sum() ** 2 / block.size) if block.size else 0.0
-    else:
-        success, overlap_w = 0.0, 0.0
+    block = state.amps[rows]
+    success = float(np.sum(block ** 2))
+    overlap_w = float(block.sum() ** 2 / block.size) if block.size else 0.0
 
     return RunReport(n=instance.n, m=m, l=instance.l, t1=t1, t2=t2,
                      mode=instance.mode, engine="full",

@@ -40,7 +40,8 @@ def reflection_cases(ctx, marked) -> dict:
     def on_a(op):
         return lambda x: op(FullState(ctx, x)).amps
 
-    c1, flip = on_a(apply_coin1), on_a(lambda s: apply_phase_flip(s, marked))
+    rows = np.flatnonzero(ctx.marked_row_mask([marked]))
+    c1, flip = on_a(apply_coin1), on_a(lambda s: apply_phase_flip(s, rows))
     c2 = partial(apply_coin2, ctx)
     out, back = partial(apply_shift, ctx), partial(apply_shift, ctx, back=True)
     a, b = (ctx.num_a, ctx.n - ctx.m), (ctx.num_b, ctx.m + 1)

@@ -49,6 +49,7 @@ def test_criterion_1_full_reduced_equivalence():
     w = build_walk_matrix(basis)
 
     full = prepare_s(inst, 4)
+    rows = np.flatnonzero(full.ctx.marked_row_mask([marked]))
     red = reduced_s(basis).astype(float)
     worst = 0.0
     for t in range(1, 51):
@@ -56,7 +57,7 @@ def test_criterion_1_full_reduced_equivalence():
             apply_walk_step(full, inst)
             red = w @ red
         else:
-            apply_phase_flip(full, marked)
+            apply_phase_flip(full, rows)
             red = flip_w(red, basis)
         emb = embed_to_full(red, basis, marked, full.ctx)
         worst = max(worst, float(np.max(np.abs(emb - full.amps))))

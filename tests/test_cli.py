@@ -465,6 +465,28 @@ def test_memcap_exit_3_before_the_draw(capsys, monkeypatch, argv):
     assert err.startswith("error: the walk at ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("engine", ["full", "reduced"])
+def test_simulate_scans_once(capsys, monkeypatch, engine):
+    """simulate scans the C(n, l) subsets once with either engine: the
+    full engine's run scans for itself, and the command scans only for the
+    reduced engine."""
+    from johnson_walk import cli, full_sim, instances
+
+    scans = []
+
+    def counted(instance):
+        scans.append(instance.n)
+        return instances.find_marked(instance)
+
+    for module in (cli, full_sim):
+        monkeypatch.setattr(module, "find_marked", counted)
+    code, out, _ = run_cli(capsys, "simulate", "--engine", engine,
+                           "--n", "9", "--seed", "1")
+    flags = json.loads(out)[engine]["flags"]
+    assert code == 0 and not {"assumed_unique", "unguaranteed"} & set(flags)
+    assert scans == [9]
+
+
 def test_memcap_exit_3_without_the_count(capsys, monkeypatch):
     """Far past the cap, the refusal forms no C(n, m): at n=10^8 that count
     alone took over a minute."""

@@ -244,13 +244,13 @@ def test_reflection_suite():
     """
     rng = np.random.default_rng(0)
     ctx = get_context(7, 3)
-    marked = MarkedSet((0, 5))
+    rows = np.flatnonzero(ctx.marked_row_mask([MarkedSet((0, 5))]))
     shape_a, shape_b = (ctx.num_a, 4), (ctx.num_b, 4)
 
     def on_a(op):
         return lambda x: op(FullState(ctx, x.copy())).amps
 
-    flip = on_a(lambda s: apply_phase_flip(s, marked))
+    flip = on_a(lambda s: apply_phase_flip(s, rows))
     ops = {"C1": (shape_a, on_a(apply_coin1), on_a(apply_coin1)),
            "P": (shape_a, flip, flip),
            "C2": (shape_a, lambda x: apply_coin2(ctx, x.copy()),
@@ -336,11 +336,12 @@ def test_coin2_makes_no_state_sized_temporary():
     inst = make_family("element-distinctness", n=18, seed=1)
     marked = find_marked(inst).marked
     state = prepare_s(inst, 7)
+    rows = np.flatnonzero(state.ctx.marked_row_mask([marked]))
     state.amps[...] = random_unit(state.amps.shape, np.random.default_rng(3))
     nbytes = state.amps.nbytes
     for name, f in (("coin2", lambda: apply_coin2(state.ctx, state.amps)),
                     ("step", lambda: apply_walk_step(state, inst)),
-                    ("flip", lambda: apply_phase_flip(state, marked)),
+                    ("flip", lambda: apply_phase_flip(state, rows)),
                     ("norm", state.norm)):
         peak = traced_peak(f)
         assert peak < nbytes / 2, (name, peak, nbytes)
@@ -370,12 +371,13 @@ def test_engine_state_stays_slot_major():
     inst = make_family("element-distinctness", n=9, seed=1)
     marked = find_marked(inst).marked
     state = prepare_s(inst, 4)
+    rows = np.flatnonzero(state.ctx.marked_row_mask([marked]))
     amps = state.amps
     address = amps.ctypes.data
     assert amps.flags.f_contiguous and not amps.flags.c_contiguous
     for name, f in (("coin1", lambda: apply_coin1(state)),
                     ("coin2", lambda: apply_coin2(state.ctx, state.amps)),
-                    ("flip", lambda: apply_phase_flip(state, marked)),
+                    ("flip", lambda: apply_phase_flip(state, rows)),
                     ("step", lambda: apply_walk_step(state, inst))):
         f()
         assert state.amps is amps and amps.ctypes.data == address, name
@@ -470,7 +472,7 @@ def test_phase_flip_expectation():
     marked = find_marked(inst).marked
     state = prepare_s(inst, 4)
     ref = state.copy()
-    apply_phase_flip(state, marked)
+    apply_phase_flip(state, np.flatnonzero(state.ctx.marked_row_mask([marked])))
     inner = np.vdot(ref.amps, state.amps)
     c20, c = math.comb(7, 2) * 5, math.comb(9, 4) * 5
     assert abs(inner - (1.0 - 2.0 * c20 / c)) < 1e-12
@@ -484,7 +486,7 @@ def test_phase_flip_no_amplitude_unchanged():
     mask = ctx.marked_row_mask([marked])
     state.amps[~mask, :] = 1.0
     before = state.amps.copy()
-    apply_phase_flip(state, marked)
+    apply_phase_flip(state, np.flatnonzero(mask))
     assert np.array_equal(before, state.amps)
 
 
@@ -503,6 +505,56 @@ def test_run_no_marked_stays_at_s():
     assert rep.success_probability == 0.0
     uniform = 1.0 / math.sqrt(rep.final_state.ctx.dim_a)
     assert np.max(np.abs(rep.final_state.amps - uniform)) < 1e-10
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """Counts WalkContext.marked_row_mask calls."""
+    calls = []
+    original = WalkContext.marked_row_mask
+
+    def counted(self, marked_sets):
+        calls.append(marked_sets)
+        return original(self, marked_sets)
+
+    monkeypatch.setattr(WalkContext, "marked_row_mask", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t2", [0, 1, 2, 5])
+def test_run_finds_the_marked_rows_once(mask_calls, t2):
+    """run_algorithm derives the marked rows once a run, whatever t2, on a
+    one-set instance, on two listed sets, and on an instance with none,
+    whose success and overlap stay exactly 0.0."""
+    one = make_family("element-distinctness", n=9, seed=1)
+    two = make_family("custom", n=9, l=2, values=tuple(range(9)),
+                      satisfying=[[(0, 0), (3, 3)], [(3, 3), (7, 7)]])
+    none = make_family("element-distinctness", n=8, seed=2, planted=False)
+    assert find_marked(two).count == 2
+    for inst, m, flags in ((one, 4, ()), (two, 4, ("unguaranteed",)),
+                           (none, 3, ("unguaranteed", "no_marked"))):
+        mask_calls.clear()
+        rep = run_algorithm(inst, m, 2, t2)
+        assert len(mask_calls) == 1, (inst.family_tag, t2)
+        assert rep.flags == flags
+    assert rep.success_probability == rep.overlap_w == 0.0
+
+
+def test_phase_flip_negates_the_given_rows():
+    """apply_phase_flip(state, rows) against a flip of the rows whose
+    subset holds either of two overlapping marked sets, read as sets."""
+    ctx = get_context(9, 4)
+    marked = [MarkedSet((1, 2)), MarkedSet((2, 6))]
+    amps = np.asfortranarray(random_unit((ctx.num_a, 5),
+                                         np.random.default_rng(4)))
+    expect = amps.copy()
+    for r, subset in enumerate(ctx.subsets_a.tolist()):
+        if any(set(ms.indices) <= set(subset) for ms in marked):
+            expect[r] *= -1.0
+    rows = np.flatnonzero(ctx.marked_row_mask(marked))
+    state = apply_phase_flip(FullState(ctx, amps), rows)
+    assert np.array_equal(state.amps, expect)
+    assert 0 < len(rows) < ctx.num_a
 
 
 def test_run_fixture_942():

@@ -195,13 +195,14 @@ def test_stepwise_embedding_agreement():
     w = build_walk_matrix(basis)
 
     full = prepare_s(inst, 4)
+    rows = np.flatnonzero(full.ctx.marked_row_mask([marked]))
     red = reduced_s(basis).astype(float)
     for t in range(1, 51):
         if t % 2 == 1:
             apply_walk_step(full, inst)
             red = w @ red
         else:
-            apply_phase_flip(full, marked)
+            apply_phase_flip(full, rows)
             red = flip_w(red, basis)
         emb = embed_to_full(red, basis, marked, full.ctx)
         dev = np.max(np.abs(emb - full.amps))
