@@ -10,14 +10,13 @@ import numpy as np
 
 from johnson_walk import (
     ReducedBasis, build_walk_matrix, choose_parameters, embed_to_full,
-    find_marked, make_family, norm_constants, reduced_s, run_algorithm,
-    run_reduced,
+    make_family, norm_constants, reduced_s, run_algorithm, run_reduced,
 )
 
 inst = make_family("element-distinctness", n=9, seed=1)
-found = find_marked(inst)
+(marked,) = inst.marked_sets  # the generator plants exactly one
 print("instance values:", inst.values)
-print("marked pair:", found.marked.indices, f"({found.kind})")
+print("marked pair:", marked.indices, "(unique)")
 
 params = choose_parameters(9, 2)
 print(f"\nparameters: m={params.m}, t1={params.t1}, t2={params.t2}, "
@@ -37,7 +36,7 @@ print(f"reduced engine: success = {reduced.success_probability:.12f}")
 print(f"amplification over baseline: {full.success_probability / baseline:.2f}x")
 
 # embed the 5-component reduced state back into the 630-amplitude space
-embedded = embed_to_full(reduced.final_state, basis, found.marked,
+embedded = embed_to_full(reduced.final_state, basis, marked,
                          full.final_state.ctx)
 dev = np.max(np.abs(embedded - full.final_state.amps))
 print(f"max amplitude deviation between engines: {dev:.3e}")

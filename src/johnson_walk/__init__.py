@@ -27,7 +27,7 @@ _MODULE_OF = {name: module for module, names in {
                 "apply_coin1 apply_coin2 apply_phase_flip apply_shift "
                 "apply_walk_step get_context memory_cap prepare_s "
                 "run_algorithm",
-    "instances": "ITEM PAIRWISE FindResult GenerationError MarkedSet "
+    "instances": "ITEM PAIRWISE GenerationError MarkedSet "
                  "ProblemInstance find_marked instance_from_json "
                  "instance_to_json load_instance make_family pair_index",
     "reduced_sim": "ReducedBasis build_walk_matrix coin1_matrix "

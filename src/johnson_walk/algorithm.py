@@ -43,15 +43,13 @@ def run_walk(state, t1: int, t2: int, flip, step):
 
 
 def scan_flags(found) -> tuple:
-    """Report flags for a marked-set scan result (None: no scan was made).
+    """Report flags for an instance's marked sets (None: no scan was made).
 
     A run is "unguaranteed" unless the scan finds exactly one marked set;
     without a scan, a unique marked set is assumed.
     """
     if found is None:
         return ("assumed_unique",)
-    if found.kind == "unique":
-        return ()
-    if found.kind == "none":
+    if not found:
         return ("unguaranteed", "no_marked")
-    return ("unguaranteed",)
+    return () if len(found) == 1 else ("unguaranteed",)

@@ -18,7 +18,7 @@ from .combinat import binomial
 from .cost_model import SIMPLE, VARIANTS, choose_parameters, optimize_m, \
     table1_csv, walk_size
 from .instances import FAMILIES, GenerationError, check_family_l, \
-    find_marked, load_instance, make_family
+    load_instance, make_family
 from .serialize import csv_line, dumps_report
 
 EXIT_CONFIG = 2
@@ -74,8 +74,8 @@ def cmd_simulate(args) -> int:
     set is assumed and flagged, and the oracle mode is the family's; only
     the scan can honour --no-plant, so it is refused there.  A full-engine
     walk gets its context before the draw, so that one over the byte cap
-    exits 3 before the scan.  run_algorithm scans for itself, so the
-    command scans only for the reduced engine: --engine full scans once."""
+    exits 3 before the scan.  The engines and the command read the
+    instance's marked_sets, so any --engine scans it once."""
     import numpy as np
 
     from .full_sim import get_context, run_algorithm
@@ -111,7 +111,7 @@ def cmd_simulate(args) -> int:
     if not args.instance:
         inst = None if unscanned else make_family(
             family, n=n, l=l, seed=seed, planted=not args.no_plant)
-    found = find_marked(inst) if inst and args.engine != "full" else None
+    found = inst.marked_sets if inst else None
     out = {"command": "simulate",
            "family": inst.family_tag if inst else family,
            "seed": inst.seed if inst else seed,
@@ -125,10 +125,10 @@ def cmd_simulate(args) -> int:
         full = out["full"] = run_algorithm(inst, p.m, p.t1, p.t2)
     if args.engine != "full":
         out["reduced"] = reduced
-    if args.engine == "both" and found.kind == "unique":
+    if args.engine == "both" and len(found) == 1:
         fs = full.final_state
         # in place: embed_to_full's array is the third one walk_bytes charges
-        gap = embed_to_full(reduced.final_state, basis, found.marked, fs.ctx)
+        gap = embed_to_full(reduced.final_state, basis, found[0], fs.ctx)
         gap -= fs.amps
         out["max_state_deviation"] = float(np.max(np.abs(gap, out=gap)))
     _emit(dumps_report(out), args.output)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import binomial, colex_table
-from .instances import ITEM, ProblemInstance, find_marked
+from .instances import ITEM, ProblemInstance
 
 # Bytes; admits n <= 27 at the parameter rule's m for l=2 (2.07e9 B at
 # n=27, m=9; 3.21e9 B at n=28, m=9).
@@ -265,15 +265,15 @@ def apply_phase_flip(state: FullState, rows) -> FullState:
 def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunReport:
     """Run (W^t1 P)^t2 on the uniform start state, exactly.
 
-    One scan, then the rows of the m-subsets holding a marked set, found
+    The rows of the m-subsets holding one of instance.marked_sets, found
     once: each flip negates them, and success_probability sums |amp|^2
     over them (0.0 if none).  overlap_w is |<A_{l,0}|psi>|^2, the marked
     block's sum squared over its size, since that block of |s> is uniform.
     The query count is the state's running counter.
     """
-    found = find_marked(instance)
+    found = instance.marked_sets
     state = prepare_s(instance, m)
-    rows = np.flatnonzero(state.ctx.marked_row_mask(found.all_marked))
+    rows = np.flatnonzero(state.ctx.marked_row_mask(found))
     state = run_walk(state, t1, t2, flip=lambda s: apply_phase_flip(s, rows),
                      step=lambda s: apply_walk_step(s, instance))
 

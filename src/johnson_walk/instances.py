@@ -18,7 +18,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from operator import xor
 from typing import Callable, NamedTuple
 
@@ -88,28 +88,22 @@ class ProblemInstance:
                 f"value table has {len(self.values)} entries, expected {expected}")
         object.__setattr__(self, "values", tuple(self.values))
 
-
-@dataclass(frozen=True)
-class FindResult:
-    kind: str              # "unique" | "none" | "multiple"
-    marked: object         # MarkedSet or None
-    count: int
-    all_marked: tuple = ()
+    @cached_property
+    def marked_sets(self) -> tuple:
+        """find_marked(self), made on the first read and kept, so that all
+        readers share one scan; equality and hashing still read the fields."""
+        return find_marked(self)
 
 
-def find_marked(instance: ProblemInstance) -> FindResult:
-    """Exhaustive scan of all C(n, l) subsets against the property, _BLOCK
-    subsets at a time, so that its memory is bounded at any C(n, l).  The
-    marked sets come in itertools.combinations (lexicographic) order."""
+def find_marked(instance: ProblemInstance) -> tuple:
+    """The marked sets, a tuple of MarkedSets in lexicographic order: all
+    C(n, l) subsets tested _BLOCK at a time, so that memory is bounded at
+    any C(n, l).  Readers use ProblemInstance.marked_sets, its one scan."""
     n, l, mode = instance.n, instance.l, instance.mode
-    hits = [MarkedSet(s) for s in sorted(
+    return tuple(MarkedSet(s) for s in sorted(
         tuple(s) for subsets, _ in _hits(
             _blocks(n, l, mode), instance.predicate, instance.values, l, mode)
-        for s in subsets.T.tolist())]
-    if not hits:
-        return FindResult("none", None, 0)
-    kind = "unique" if len(hits) == 1 else "multiple"
-    return FindResult(kind, hits[0], len(hits), tuple(hits))
+        for s in subsets.T.tolist()))
 
 
 def _blocks(n, l, mode):
@@ -477,6 +471,7 @@ def instance_from_json(d: dict) -> ProblemInstance:
             for key in ("n", "l"))
     seed = _entry(d, "seed", lambda s: s is None or _int_lists(s, 0),
                   "an integer or null") if "seed" in d else None
+    check_family_l(family, l)
     return _build(family, n, l, values, params, seed)
 
 

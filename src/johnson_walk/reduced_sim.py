@@ -99,14 +99,14 @@ def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
                 mode: str = ITEM) -> RunReport:
     """Apply (W^t1 P)^t2 to the start state as U^t2 s, where U = W^t1 P is
     W^t1 with its (l, 0) column negated: the flip acts first.  found is the
-    instance's marked-set scan (None: a unique marked set is assumed).  The
+    instance's marked_sets (None: no scan, one marked set assumed).  The
     subspace models one marked set, so several are refused, as is a run
     past the error bound; with none, P is the identity.  The query count
     is modeled: the full algorithm's with the given oracle mode.
     """
-    if found is not None and found.kind == "multiple":
+    if found is not None and len(found) > 1:
         raise ValueError(
-            f"the scan found {found.count} marked sets, but the reduced engine "
+            f"the scan found {len(found)} marked sets, but the reduced engine "
             f"models exactly one; use the full engine (--engine full)")
     if t1 < 0 or t2 < 0:  # matrix_power would invert W
         raise ValueError("t1, t2 must be nonnegative")
@@ -114,7 +114,7 @@ def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
         raise ValueError(f"the reduced engine refuses n={basis.n}, l={basis.l}: "
                          f"its t1*t2 = {t1 * t2} float walk steps put the error "
                          f"bound t1*t2*2^-52 past 1e-06")
-    marked = found is None or found.kind == "unique"
+    marked = found is None or len(found) == 1
     w_idx = basis.index(basis.l, 0)
     u = np.linalg.matrix_power(build_walk_matrix(basis), t1)
     u[:, w_idx] *= -1.0 if marked else 1.0

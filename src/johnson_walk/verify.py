@@ -18,7 +18,7 @@ from .combinat import binomial, norm_constants, rank_subset, unrank_subset
 from .cost_model import choose_parameters, optimize_m, oracle_queries, table1
 from .full_sim import FullState, apply_coin1, apply_coin2, apply_phase_flip, \
     apply_shift, get_context, run_algorithm
-from .instances import MarkedSet, find_marked, make_family
+from .instances import MarkedSet, make_family
 from .reduced_sim import ReducedBasis, build_walk_matrix, embed_to_full, \
     reduced_s, run_reduced
 from .spectral import algorithm_rotation, circular_phase_gap, \
@@ -147,12 +147,11 @@ def check_walk_orthogonal() -> CheckResult:
 def check_full_reduced_agreement() -> CheckResult:
     """Both engines run (W^t1 P)^t2 at n=9, m=4, l=2 and must agree."""
     inst = make_family("element-distinctness", n=9, seed=1)
-    found = find_marked(inst)
     basis = ReducedBasis(9, 4, 2)
-    full = run_algorithm(inst, 4, 2, 2)
-    reduced = run_reduced(basis, 2, 2, found, inst.mode)
-    fs = full.final_state
-    embedded = embed_to_full(reduced.final_state, basis, found.marked, fs.ctx)
+    fs = run_algorithm(inst, 4, 2, 2).final_state
+    reduced = run_reduced(basis, 2, 2, inst.marked_sets, inst.mode)
+    embedded = embed_to_full(reduced.final_state, basis, inst.marked_sets[0],
+                             fs.ctx)
     dev = float(np.max(np.abs(embedded - fs.amps)))
     return CheckResult("full-reduced-agreement", dev <= 1e-9,
                        f"max amplitude deviation {dev:.3e}")

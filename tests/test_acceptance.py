@@ -44,7 +44,7 @@ def test_criterion_1_full_reduced_equivalence():
     """50 alternating W / P applications, embedded deviation <= 1e-9, < 5 s."""
     start = time.time()
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     basis = ReducedBasis(9, 4, 2)
     w = build_walk_matrix(basis)
 

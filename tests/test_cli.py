@@ -316,6 +316,27 @@ def test_simulate_element_distinctness_refuses_l_other_than_2(capsys, l,
     assert err == "error: element-distinctness is an l=2 family\n"
 
 
+@pytest.mark.parametrize("family, l, rule", [
+    ("element-distinctness", 3, "l=2"), ("l-distinctness", 1, "l >= 2"),
+    ("consecutive", 1, "l >= 2"), ("l-clique", 2, "l >= 3")])
+def test_instance_file_obeys_the_family_l_range(capsys, tmp_path, family, l,
+                                                rule):
+    """An instance file at an l outside its family's range is refused with
+    the line --family gives for that l: a loaded table is held to the rule
+    a drawn one is."""
+    mode = "pairs" if family == "l-clique" else "values"
+    path = tmp_path / "out_of_range.json"
+    path.write_text(json.dumps({
+        "n": 6, "l": l, "mode": "pairwise" if mode == "pairs" else "item",
+        mode: [0] * 15 if mode == "pairs" else [1, 2, 3, 4, 5, 6],
+        "property": {"family": family, "params": {}}, "seed": None}))
+    code, out, err = run_cli(capsys, "simulate", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {family} is an {rule} family\n"
+    assert run_cli(capsys, "simulate", "--family", family, "--n", "6",
+                   "--l", str(l)) == (2, "", err)
+
+
 @pytest.mark.parametrize("argv", [
     ("--family", "zero-sum-xor", "--n", "14", "--l", "4"),
     ("--family", "sum-mod-q", "--n", "20", "--l", "5"),
@@ -465,26 +486,18 @@ def test_memcap_exit_3_before_the_draw(capsys, monkeypatch, argv):
     assert err.startswith("error: the walk at ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("engine", ["full", "reduced"])
-def test_simulate_scans_once(capsys, monkeypatch, engine):
-    """simulate scans the C(n, l) subsets once with either engine: the
-    full engine's run scans for itself, and the command scans only for the
-    reduced engine."""
-    from johnson_walk import cli, full_sim, instances
-
-    scans = []
-
-    def counted(instance):
-        scans.append(instance.n)
-        return instances.find_marked(instance)
-
-    for module in (cli, full_sim):
-        monkeypatch.setattr(module, "find_marked", counted)
+@pytest.mark.parametrize("engine", ["full", "reduced", "both"])
+def test_simulate_scans_once(capsys, scans, engine):
+    """simulate scans the C(n, l) subsets once with any engine: the
+    command and both engines read the instance's marked_sets, which scans
+    on its first read."""
     code, out, _ = run_cli(capsys, "simulate", "--engine", engine,
                            "--n", "9", "--seed", "1")
-    flags = json.loads(out)[engine]["flags"]
-    assert code == 0 and not {"assumed_unique", "unguaranteed"} & set(flags)
-    assert scans == [9]
+    assert code == 0
+    for report in ("full", "reduced") if engine == "both" else (engine,):
+        flags = json.loads(out)[report]["flags"]
+        assert not {"assumed_unique", "unguaranteed"} & set(flags)
+    assert [inst.n for inst in scans] == [9]
 
 
 def test_memcap_exit_3_without_the_count(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from johnson_walk import MarkedSet, ReducedBasis, embed_to_full, find_marked, \
+from johnson_walk import MarkedSet, ReducedBasis, embed_to_full, \
     make_family, run_algorithm, run_reduced
 
 # family -> marked-set sizes at which its generator can plant a unique
@@ -45,14 +45,14 @@ def test_engines_agree(run):
     if family != "element-distinctness":
         params["l"] = l
     inst = make_family(family, **params)
-    found = find_marked(inst)
+    found = inst.marked_sets
     full = run_algorithm(inst, m, t1, t2)
     basis = ReducedBasis(n, m, l)
     reduced = run_reduced(basis, t1, t2, found, inst.mode)
 
     # with nothing marked both states stay uniform, which embeds alike
     # from any l-set
-    marked = found.marked or MarkedSet(tuple(range(l)))
+    marked = found[0] if found else MarkedSet(tuple(range(l)))
     fs = full.final_state
     embedded = embed_to_full(reduced.final_state, basis, marked, fs.ctx)
     assert np.max(np.abs(embedded - fs.amps)) <= 1e-9

@@ -1,7 +1,8 @@
 """The two engines stand alone: neither module imports the other.  The
 full engine serves one state form, real and slot-major: it has no
 complex branch.  The package lists subsets one way, combinat's colex
-recursion: no itertools.combinations over a range and no np.fromiter."""
+recursion: no itertools.combinations over a range and no np.fromiter.
+An instance's marked sets are scanned one way, its marked_sets."""
 import ast
 from pathlib import Path
 
@@ -61,5 +62,24 @@ def test_one_subset_enumerator():
                 found.append(f"{path.name}: {ast.unparse(node)}")
             elif "fromiter" in (getattr(node, "attr", None),
                                 getattr(node, "id", None)):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+    assert found == [], found
+
+
+def test_one_scan_path():
+    """No module but instances names find_marked, by import or by call:
+    every reader goes through ProblemInstance.marked_sets, which scans once
+    per instance."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "instances.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            else:
+                names = [getattr(node, "id", None),
+                         getattr(node, "attr", None)]
+            if "find_marked" in names:
                 found.append(f"{path.name}: {ast.unparse(node)}")
     assert found == [], found

@@ -334,7 +334,7 @@ def test_coin2_makes_no_state_sized_temporary():
     embed_to_full makes one state-sized array, the third that walk_bytes
     charges for."""
     inst = make_family("element-distinctness", n=18, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     state = prepare_s(inst, 7)
     rows = np.flatnonzero(state.ctx.marked_row_mask([marked]))
     state.amps[...] = random_unit(state.amps.shape, np.random.default_rng(3))
@@ -369,7 +369,7 @@ def test_engine_state_stays_slot_major():
     layout, and a whole run's final state is still slot-major.  A silent
     C-order copy would lose the layout's speed without changing a number."""
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     state = prepare_s(inst, 4)
     rows = np.flatnonzero(state.ctx.marked_row_mask([marked]))
     amps = state.amps
@@ -393,7 +393,7 @@ def reference_run(instance, m, t1, t2):
     overlap_w, query count and final amplitudes."""
     state = prepare_s(instance, m)
     ctx, x = state.ctx, state.amps
-    mask = ctx.marked_row_mask(list(find_marked(instance).all_marked))
+    mask = ctx.marked_row_mask(list(find_marked(instance)))
     for _ in range(t2):
         x[mask, :] *= -1.0
         for _ in range(t1):
@@ -469,7 +469,7 @@ def test_walk_step_matches_dense_matrix():
 def test_phase_flip_expectation():
     """<s|P|s> = 1 - 2 c_{l,0}/c."""
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     state = prepare_s(inst, 4)
     ref = state.copy()
     apply_phase_flip(state, np.flatnonzero(state.ctx.marked_row_mask([marked])))
@@ -530,7 +530,7 @@ def test_run_finds_the_marked_rows_once(mask_calls, t2):
     two = make_family("custom", n=9, l=2, values=tuple(range(9)),
                       satisfying=[[(0, 0), (3, 3)], [(3, 3), (7, 7)]])
     none = make_family("element-distinctness", n=8, seed=2, planted=False)
-    assert find_marked(two).count == 2
+    assert len(find_marked(two)) == 2
     for inst, m, flags in ((one, 4, ()), (two, 4, ("unguaranteed",)),
                            (none, 3, ("unguaranteed", "no_marked"))):
         mask_calls.clear()
@@ -577,7 +577,7 @@ def test_query_accounting_matches_formula():
 def test_permutation_covariance():
     """Relabeling elements while fixing the marked set leaves success alone."""
     inst = make_family("element-distinctness", n=8, seed=3)
-    marked = find_marked(inst).marked.indices
+    marked = find_marked(inst)[0].indices
     rng = np.random.default_rng(5)
     others = [i for i in range(8) if i not in marked]
     base = run_algorithm(inst, 3, 2, 2).success_probability
@@ -592,7 +592,7 @@ def test_permutation_covariance():
             new_vals[perm[i]] = v
         relabeled = make_family("custom", n=8, l=2, values=new_vals,
                                 predicate=inst.predicate)
-        assert find_marked(relabeled).marked.indices == marked
+        assert find_marked(relabeled)[0].indices == marked
         got = run_algorithm(relabeled, 3, 2, 2).success_probability
         assert abs(got - base) < 1e-12
 

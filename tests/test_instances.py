@@ -1,4 +1,5 @@
 """Problem instances, generators, the scan oracle, and JSON round trips."""
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -82,10 +83,9 @@ def reference_scan(inst, predicate=None):
 def assert_matches_reference(inst, predicate=None):
     hits = reference_scan(inst, predicate)
     res = find_marked(inst)
-    assert [m.indices for m in res.all_marked] == hits
-    assert res.count == len(hits)
-    assert res.kind == ("none", "unique", "multiple")[min(len(hits), 2)]
-    assert res.marked == (MarkedSet(hits[0]) if hits else None)
+    assert isinstance(res, tuple)
+    assert all(isinstance(m, MarkedSet) for m in res)
+    assert [m.indices for m in res] == hits
     return res
 
 
@@ -114,8 +114,8 @@ def test_element_distinctness_fixture():
         family_tag="element-distinctness", property_params={},
         predicate=lambda subsets, values: values[0] == values[1])
     res = find_marked(inst)
-    assert res.kind == "unique"
-    assert res.marked.indices == (1, 3)
+    assert len(res) == 1
+    assert res[0].indices == (1, 3)
 
 
 def test_injective_values_reject():
@@ -123,7 +123,30 @@ def test_injective_values_reject():
         n=6, l=2, mode=ITEM, values=(3, 1, 4, 7, 5, 9),
         family_tag="element-distinctness", property_params={},
         predicate=lambda subsets, values: values[0] == values[1])
-    assert find_marked(inst).kind == "none"
+    assert find_marked(inst) == ()
+
+
+def test_marked_sets_scan_once_per_instance(scans):
+    """marked_sets is find_marked's tuple, scanned on the first read only; a
+    replaced table is a new instance, which scans anew; the cache leaves
+    equality and hashing to the fields."""
+    inst = ProblemInstance(
+        n=6, l=2, mode=ITEM, values=(3, 1, 4, 1, 5, 9),
+        family_tag="element-distinctness", property_params={},
+        predicate=lambda subsets, values: values[0] == values[1])
+    first = inst.marked_sets
+    assert first == (MarkedSet((1, 3)),) and inst.marked_sets is first
+    assert len(scans) == 1 and scans[0] is inst
+    other = dataclasses.replace(inst, values=(3, 1, 4, 1, 5, 3))
+    assert other.marked_sets == (MarkedSet((0, 5)), MarkedSet((1, 3)))
+    assert inst.marked_sets is first
+    assert len(scans) == 2 and scans[1] is other
+
+    a = make_family("zero-sum-xor", n=10, l=3, seed=13)
+    b = make_family("zero-sum-xor", n=10, l=3, seed=13)
+    assert len(a.marked_sets) == 1
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != inst and a.marked_sets == b.marked_sets
 
 
 def test_value_table_length_checked():
@@ -145,7 +168,7 @@ def test_value_table_length_checked():
 ])
 def test_planted_families_are_unique(family, params):
     inst = make_family(family, seed=3, planted=True, **params)
-    assert find_marked(inst).kind == "unique"
+    assert len(find_marked(inst)) == 1
 
 
 @pytest.mark.parametrize("family,params", [
@@ -157,14 +180,14 @@ def test_planted_families_are_unique(family, params):
 ])
 def test_unplanted_families_have_no_solution(family, params):
     inst = make_family(family, seed=5, planted=False, **params)
-    assert find_marked(inst).kind == "none"
+    assert find_marked(inst) == ()
 
 
 def test_zero_sum_example():
     inst = make_family("zero-sum-xor", n=8, l=3, m_bits=4, seed=7, planted=True)
     res = find_marked(inst)
-    assert res.kind == "unique"
-    a, b, c = (inst.values[i] for i in res.marked.indices)
+    assert len(res) == 1
+    a, b, c = (inst.values[i] for i in res[0].indices)
     assert a ^ b ^ c == 0
 
 
@@ -172,7 +195,7 @@ def test_clique_planted_triangle():
     inst = make_family("l-clique", n=5, l=3, clique=(0, 1, 2), seed=0,
                        planted=True, edge_prob=0.0)
     assert inst.mode == PAIRWISE
-    assert find_marked(inst).marked.indices == (0, 1, 2)
+    assert find_marked(inst)[0].indices == (0, 1, 2)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         assert inst.values[pair_index(a, b)] == 1
 
@@ -188,7 +211,7 @@ def test_predicates_permutation_invariant():
         inst = make_family(family, seed=2, planted=True, **params)
         subsets = np.array([sorted(rng.sample(range(inst.n), inst.l))
                             for _ in range(30)]
-                           + [find_marked(inst).marked.indices]).T
+                           + [find_marked(inst)[0].indices]).T
         values = np.array(inst.values)[subsets]
         verdicts = inst.predicate(subsets, values)
         assert verdicts[-1]
@@ -211,14 +234,14 @@ def test_custom_family_list_form():
     inst = make_family("custom", n=4, l=2, values=values,
                        satisfying=[[(0, 5), (1, 5)]])
     res = find_marked(inst)
-    assert res.kind == "unique"
-    assert res.marked.indices == (0, 1)
+    assert len(res) == 1
+    assert res[0].indices == (0, 1)
 
 
 def test_custom_family_callable_form():
     inst = make_family("custom", n=5, l=2, values=(1, 2, 3, 4, 6),
                        predicate=lambda s, v: v[0] + v[1] == 7)
-    assert find_marked(inst).kind == "multiple"
+    assert len(find_marked(inst)) > 1
     with pytest.raises(ValueError):
         instance_to_json(inst)
 
@@ -229,7 +252,7 @@ def test_json_round_trip(tmp_path):
     back = instance_from_json(json.loads(json.dumps(d)))
     assert back.values == inst.values
     assert back.n == inst.n and back.l == inst.l and back.mode == inst.mode
-    assert find_marked(back).marked == find_marked(inst).marked
+    assert find_marked(back)[0] == find_marked(inst)[0]
 
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(d))
@@ -241,7 +264,7 @@ def test_json_round_trip_pairwise():
     d = instance_to_json(inst)
     assert "pairs" in d and "values" not in d
     back = instance_from_json(d)
-    assert find_marked(back).marked == find_marked(inst).marked
+    assert find_marked(back)[0] == find_marked(inst)[0]
 
 
 def test_multiple_classification():
@@ -250,9 +273,7 @@ def test_multiple_classification():
         property_params={},
         predicate=lambda subsets, values: values[0] == values[1])
     res = find_marked(inst)
-    assert res.kind == "multiple"
-    assert res.count == 3
-    assert len(res.all_marked) == 3
+    assert len(res) == 3
 
 
 def test_clique_edge_prob_keeps_one_plant_likely():
@@ -263,9 +284,9 @@ def test_clique_edge_prob_keeps_one_plant_likely():
         inst = make_family("l-clique", n=n, l=3, seed=1)
         assert inst.property_params["edge_prob"] == 0.25
     for n in (16, 20):
-        for planted, kind in ((True, "unique"), (False, "none")):
+        for planted in (True, False):
             inst = make_family("l-clique", n=n, l=3, seed=1, planted=planted)
-            assert find_marked(inst).kind == kind
+            assert len(find_marked(inst)) == planted
             p = inst.property_params["edge_prob"]
             assert binomial(n, 3) * p ** 3 == pytest.approx(3.5)
 
@@ -431,8 +452,7 @@ def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
                     (wide,) if crowded else (first, wide))
                 assert solutions(inst, subsets) == planted, (n, seed, planted)
                 if n == 12:
-                    kind = find_marked(inst).kind
-                    assert kind == ("unique" if planted else "none")
+                    assert len(find_marked(inst)) == planted
 
 
 def reference_scrub(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
@@ -507,20 +527,19 @@ def test_find_marked_matches_the_reference(family):
     seeds 0-2, planted and not, and on the same instance with its table
     replaced by small values."""
     fam = FAMILIES[family]
-    kinds = set()
+    counts = set()
     for n, l, seed, planted in itertools.product(
             (9, 12, 16), range(fam.min_l, min(fam.max_l, 4) + 1), range(3),
             (True, False)):
         inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
-        assert assert_matches_reference(inst).kind == (
-            "unique" if planted else "none")
+        assert len(assert_matches_reference(inst)) == planted
         d = instance_to_json(inst)
         rng = random.Random(seed)
         key = "values" if fam.mode == ITEM else "pairs"
         r = SMALL_RANGE.get(family, 3)
         d[key] = [rng.randrange(r) for _ in d[key]]
-        kinds.add(assert_matches_reference(instance_from_json(d)).kind)
-    assert "multiple" in kinds
+        counts.add(len(assert_matches_reference(instance_from_json(d))))
+    assert max(counts) > 1
 
 
 def test_custom_instances_match_the_reference():
@@ -531,17 +550,17 @@ def test_custom_instances_match_the_reference():
     inst = make_family("custom", n=6, l=2, values=values, satisfying=[
         [(0, 5), (1, 5)], [(2, 7), (5, 7)], [(3, 8), (4, 5)],
         [(1, 5), (1, 5)], [(0, 5), (1, 5), (4, 5)]])
-    assert assert_matches_reference(inst).count == 2
+    assert len(assert_matches_reference(inst)) == 2
     inst = make_family("custom", n=6, l=3, values=values,
                        predicate=lambda subsets, values:
                        values.sum(axis=0) % 3 == 0)
-    assert assert_matches_reference(
-        inst, lambda subset, vals: sum(vals) % 3 == 0).kind == "multiple"
+    assert len(assert_matches_reference(
+        inst, lambda subset, vals: sum(vals) % 3 == 0)) > 1
     # values are taken as given, not cast to integers
     inst = make_family("custom", n=4, l=2, values=(0.25, 0.75, 2.0, 2.0),
                        predicate=lambda s, v: v[0] == v[1])
     assert assert_matches_reference(
-        inst, lambda subset, vals: vals[0] == vals[1]).marked.indices == (2, 3)
+        inst, lambda subset, vals: vals[0] == vals[1])[0].indices == (2, 3)
 
 
 def test_scan_spans_blocks():
@@ -552,7 +571,7 @@ def test_scan_spans_blocks():
 
     inst = make_family("l-clique", n=100, l=3, seed=0)
     assert binomial(100, 3) > 4 * _BLOCK
-    assert assert_matches_reference(inst).kind == "unique"
+    assert len(assert_matches_reference(inst)) == 1
     rng = random.Random(1)
     inst = make_family("custom", n=60, l=3,
                        values=[rng.randrange(1000) for _ in range(60)],
@@ -561,8 +580,8 @@ def test_scan_spans_blocks():
     res = assert_matches_reference(
         inst, lambda subset, vals: sum(vals) % 50 == 0)
     ranks = list(itertools.combinations(range(60), 3))
-    assert ranks.index(res.all_marked[0].indices) < _BLOCK
-    assert ranks.index(res.all_marked[-1].indices) >= _BLOCK
+    assert ranks.index(res[0].indices) < _BLOCK
+    assert ranks.index(res[-1].indices) >= _BLOCK
 
 
 @pytest.mark.parametrize("n, l", [(20, 2), (2 ** 15, 1), (60, 3), (257, 2),
@@ -580,7 +599,7 @@ def test_scan_calls_the_test_once_a_block(n, l):
         return np.zeros(subsets.shape[1], bool)
 
     inst = make_family("custom", n=n, l=l, values=[0] * n, predicate=count)
-    assert find_marked(inst).kind == "none"
+    assert find_marked(inst) == ()
     assert len(calls) == -(-binomial(n, l) // _BLOCK)
     assert max(map(len, calls)) <= _BLOCK
     seen = [tuple(s) for call in calls for s in call]
@@ -604,5 +623,4 @@ def test_huge_values_classify_exactly(tmp_path, family, params, scale):
         "n": 10, "l": 3, "mode": ITEM, "values": values, "seed": None,
         "property": {"family": family, "params": params}}))
     res = assert_matches_reference(load_instance(path))
-    assert res.kind == {"sum-mod-q": "multiple",
-                        "zero-sum-xor": "unique"}[family]
+    assert len(res) > 1 if family == "sum-mod-q" else len(res) == 1

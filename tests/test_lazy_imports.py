@@ -28,7 +28,7 @@ table1 table1_csv
 DEFAULT_MEMCAP FullState MemoryCapError WalkContext apply_coin1 apply_coin2
 apply_phase_flip apply_shift apply_walk_step get_context memory_cap
 prepare_s run_algorithm
-ITEM PAIRWISE FindResult GenerationError MarkedSet ProblemInstance
+ITEM PAIRWISE GenerationError MarkedSet ProblemInstance
 find_marked instance_from_json instance_to_json load_instance make_family
 pair_index
 ReducedBasis build_walk_matrix coin1_matrix coin2_matrix embed_to_full
@@ -112,7 +112,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 64
+    assert len(EXPORTS) == len(set(EXPORTS)) == 63
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

@@ -16,7 +16,7 @@ from johnson_walk.algorithm import run_walk
 from johnson_walk.combinat import rank_subset
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
     get_context
-from johnson_walk.instances import FindResult, MarkedSet
+from johnson_walk.instances import MarkedSet
 
 
 # c_{2,0} / c_total at n=9, m=4, l=2: C(7, 2) 5 of the C(9, 4) 5 pairs
@@ -168,10 +168,9 @@ def test_matrix_form_matches_the_step_loop(n, m, l):
     basis = ReducedBasis(n, m, l)
     w = build_walk_matrix(basis)
     w_idx = basis.index(l, 0)
-    none = FindResult("none", None, 0)
     for t1, t2 in itertools.product((0, 1, 2, 3, 5), repeat=2):
         for found, flip in ((None, lambda s: flip_w(s, basis)),
-                            (none, lambda s: s)):
+                            ((), lambda s: s)):
             loop = run_walk(reduced_s(basis), t1, t2, flip, w.__matmul__)
             rep = run_reduced(basis, t1, t2, found)
             assert np.max(np.abs(rep.final_state - loop)) <= 1e-13, (t1, t2)
@@ -190,7 +189,7 @@ def test_matches_full_engine():
 def test_stepwise_embedding_agreement():
     """Alternating W / P for 50 steps: embedded reduced == full to 1e-9."""
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     basis = ReducedBasis(9, 4, 2)
     w = build_walk_matrix(basis)
 
@@ -211,7 +210,7 @@ def test_stepwise_embedding_agreement():
 
 def test_embed_is_isometry():
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     basis = ReducedBasis(9, 4, 2)
     ctx = get_context(9, 4)
     rng = np.random.default_rng(3)
@@ -298,7 +297,7 @@ def test_subset_queries_match_reference_on_every_row(n, m):
 
 def test_embed_basis_vector_is_marked_block():
     inst = make_family("element-distinctness", n=9, seed=1)
-    marked = find_marked(inst).marked
+    marked = find_marked(inst)[0]
     basis = ReducedBasis(9, 4, 2)
     e_w = np.zeros(basis.dim)
     e_w[basis.index(2, 0)] = 1.0

@@ -4,13 +4,20 @@ import random
 import numpy as np
 
 from johnson_walk import reduced_sim
-from johnson_walk.verify import gaussian, haar_orthogonal, run_all
+from johnson_walk.verify import check_full_reduced_agreement, gaussian, \
+    haar_orthogonal, run_all
 
 
 def test_all_checks_pass():
     results = run_all()
     assert len(results) == 16
     assert [r.name for r in results if not r.passed] == []
+
+
+def test_full_reduced_agreement_scans_once(scans):
+    """Both engines of the check read one instance's marked_sets: one scan."""
+    assert check_full_reduced_agreement().passed
+    assert [inst.n for inst in scans] == [9]
 
 
 def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
