@@ -178,6 +178,8 @@ def make_family(family: str, **params) -> ProblemInstance:
     All generators but custom's take an explicit seed and a planted flag,
     and draw exactly one marked subset if planted, else none: the
     distinctness families by construction, the others by _scrub_accidental.
+    zero-sum-xor and sum-mod-q draw from about C(n, l) values by default,
+    so that about one chance solution is expected and a few passes clear it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -218,11 +220,7 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
 
 def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
     if m_bits is None:
-        first = math.ceil(math.log2(n)) + 2
-        return _default_range(
-            lambda bits: _gen_zero_sum_xor(n, l, bits, seed, planted),
-            first, (binomial(n, l) - 1).bit_length(),
-            _crowded(n, l, 2 ** first))
+        m_bits = (binomial(n, l) - 1).bit_length()
     if m_bits < 1:
         raise ValueError("m_bits must be positive")
     rng = random.Random(seed)
@@ -235,32 +233,6 @@ def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
                       partial(rng.getrandbits, m_bits), keep)
     return _build("zero-sum-xor", n, l, vals,
                   {"m_bits": m_bits, "planted": planted}, seed)
-
-
-def _crowded(n, l, values):
-    """Whether a range of `values` values expects more than 8 chance
-    solutions at l >= 4.  At n = 12..24 the scrub there gave up on up to
-    all draws (every zero-sum-xor draw at l = 4 from n = 13 on); at l = 3
-    every draw measured converged, up to 163 expected (n = 64)."""
-    return l >= 4 and binomial(n, l) > 8 * values
-
-
-def _default_range(draw, first, wide, crowded):
-    """draw(first), the family's historical default value range; where that
-    is crowded or cannot be drawn, draw(wide), a range with about C(n, l)
-    values, so that about one accidental solution is expected and a few
-    scrub passes remove it.  The range is m_bits for zero-sum-xor and q for
-    sum-mod-q.  Trying the first range where it is not crowded keeps every
-    instance it can draw there unchanged.
-    """
-    if crowded:
-        return draw(wide)
-    try:
-        return draw(first)
-    except GenerationError:
-        if wide <= first:
-            raise
-        return draw(wide)
 
 
 def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
@@ -303,9 +275,7 @@ def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
 
 def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
     if q is None:
-        return _default_range(
-            lambda q: _gen_sum_mod_q(n, l, q, seed, planted),
-            4 * n, binomial(n, l), _crowded(n, l, 4 * n))
+        q = binomial(n, l)
     if q < 2:
         raise ValueError("q must be at least 2")
     rng = random.Random(seed)
@@ -465,8 +435,13 @@ def instance_from_json(d: dict) -> ProblemInstance:
     for name, test, what in fam.params:
         _entry(params, f"property.params.{name}", test, what)
     _entry(d, "mode", lambda mode: mode == fam.mode, f"{fam.mode!r} for {family}")
-    values = _entry(d, "values" if fam.mode == ITEM else "pairs",
-                    lambda v: _int_lists(v, 1), "a list of integers")
+    if fam.mode == ITEM:
+        values = _entry(d, "values", lambda v: _int_lists(v, 1),
+                        "a list of integers")
+    else:
+        values = _entry(d, "pairs",
+                        lambda v: _int_lists(v, 1) and set(v) <= {0, 1},
+                        "a list of 0/1 edge labels")
     n, l = (_entry(d, key, lambda v: _int_lists(v, 0), "an integer")
             for key in ("n", "l"))
     seed = _entry(d, "seed", lambda s: s is None or _int_lists(s, 0),

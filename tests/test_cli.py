@@ -191,6 +191,9 @@ ED_FILE = {"n": 9, "l": 2, "mode": "item",
 SMQ_FILE = {"n": 6, "l": 3, "mode": "item", "values": [1, 2, 3, 4, 5, 6],
             "property": {"family": "sum-mod-q", "params": {"q": 7}},
             "seed": None}
+CLIQUE_FILE = {"n": 4, "l": 3, "mode": "pairwise", "pairs": [1, 1, 1, 0, 0, 0],
+               "property": {"family": "l-clique", "params": {}},
+               "seed": None}
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -208,9 +211,12 @@ SMQ_FILE = {"n": 6, "l": 3, "mode": "item", "values": [1, 2, 3, 4, 5, 6],
     ({**ED_FILE, "seed": {"x": [1.5]}}, "'seed'"),
     ({**ED_FILE, "seed": 1.5}, "'seed'"),
     ({**ED_FILE, "seed": True}, "'seed'"),
+    ({**CLIQUE_FILE, "pairs": [1, 1, 7, 0, 0, 0]}, "'pairs'"),
+    ({**CLIQUE_FILE, "pairs": [1, 1, 1, 0, -1, 0]}, "'pairs'"),
 ], ids=["empty-object", "array", "property-string", "no-values",
         "sum-mod-q-no-q", "custom-no-satisfying", "n-string", "n-float",
-        "string-values", "seed-object", "seed-float", "seed-bool"])
+        "string-values", "seed-object", "seed-float", "seed-bool",
+        "clique-label-7", "clique-label-negative"])
 def test_malformed_instance_file_exit_2(capsys, tmp_path, doc, key):
     """A malformed instance file is one error line naming the bad key."""
     path = tmp_path / "bad.json"
@@ -342,8 +348,8 @@ def test_instance_file_obeys_the_family_l_range(capsys, tmp_path, family, l,
     ("--family", "sum-mod-q", "--n", "20", "--l", "5"),
 ])
 def test_simulate_scrubbed_families_past_l_3(capsys, argv):
-    """ceil(log2 n) + 2 bits, or q = 4n, cannot be scrubbed of chance
-    solutions here; the draw widens to about C(n, l) values."""
+    """Past l = 3 the default range of about C(n, l) values is scrubbed of
+    its chance solutions too."""
     code, out, _ = run_cli(capsys, "simulate", *argv, "--engine", "reduced",
                            "--seed", "0")
     assert code == 0
@@ -355,8 +361,8 @@ def test_simulate_scrubbed_families_past_l_3(capsys, argv):
 @pytest.mark.parametrize("family", ["consecutive", "zero-sum-xor"])
 def test_simulate_generation_failure_exit_2(capsys, monkeypatch, family):
     """With no scrub passes allowed, the scrub of consecutive (values drawn
-    from 8n) and of zero-sum-xor (which widens its range first) gives up:
-    one line, exit 2."""
+    from 8n) and of zero-sum-xor (about C(n, l) values) gives up: one line,
+    exit 2."""
     from johnson_walk import instances
 
     monkeypatch.setattr(instances, "_MAX_SCRUB_PASSES", 0)

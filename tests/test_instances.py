@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import random
 
 import numpy as np
@@ -310,19 +309,17 @@ def test_element_distinctness_refuses_l_other_than_2(l):
 
 
 # sha256 (first 32 hex digits) of the instance JSON, each drawn with the
-# historical default range (m_bits = ceil(log2 n) + 2, q = 4n) before it
-# widened where that range cannot be drawn
+# default range of about C(n, l) values (m_bits = bit length of
+# C(n, l) - 1, q = C(n, l)); an explicit range of that size draws the same
 FROZEN_DRAWS = {
-    ("zero-sum-xor", 12, 4, 0, True): "94629fd3cb7e38aa533e1ad9c6c8c579",
-    ("zero-sum-xor", 12, 4, 9, True): "dcc01983cbd11582f559e2c06502132e",
-    ("zero-sum-xor", 24, 3, 5, True): "a79e9ef2ef9d22c71127221c61b2b5bd",
-    ("zero-sum-xor", 16, 3, 2, False): "1d931998ee47ccca9066528e868580f0",
-    ("sum-mod-q", 16, 3, 4, True): "c8679e22e43955e69e8488c18f36d9b7",
+    ("zero-sum-xor", 12, 4, 0, True): "50b1f1a2d30b67238123837db4794704",
+    ("zero-sum-xor", 12, 4, 9, True): "eafb3e6f04a718043de60fcad8e2e4dc",
+    ("zero-sum-xor", 24, 3, 5, True): "e1502e61d59bd109280ec61e2cf9934f",
+    ("zero-sum-xor", 16, 3, 2, False): "d64a5a943e0a51370ffc69539c291d01",
+    ("sum-mod-q", 16, 3, 4, True): "1ce5fccb50a1bbf142c330d8cfb1af78",
 }
 
-# The same digests for draws the historical range could make but where, at
-# l >= 4, it expects more than 8 chance solutions: these now go straight to
-# the wide range (m_bits = bit length of C(n, l) - 1, q = C(n, l))
+# The same digests for more draws at the default range, at l = 4 and 5
 WIDENED_DRAWS = {
     ("zero-sum-xor", 13, 5, 0, False): "b613e9cb7ee678790370ba4c8600f19a",
     ("zero-sum-xor", 17, 5, 10, True): "12a92190ae2dece497a1a22803df165b",
@@ -363,29 +360,28 @@ SCRUBBED_DRAWS = {
 
 
 def default_ranges(family, n, l):
-    """(key, first, wide): the historical and the wide default range."""
+    """(key, wide): the default range, about C(n, l) values."""
     if family == "zero-sum-xor":
-        return ("m_bits", math.ceil(math.log2(n)) + 2,
-                (binomial(n, l) - 1).bit_length())
-    return "q", 4 * n, binomial(n, l)
+        return "m_bits", (binomial(n, l) - 1).bit_length()
+    return "q", binomial(n, l)
 
 
-def assert_draws(table, pick=None):
+def assert_draws(table, default_range=False):
     for (family, n, l, seed, planted), digest in table.items():
         inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
-        if pick is not None:
-            key, first, wide = default_ranges(family, n, l)
-            assert inst.property_params[key] == (first, wide)[pick]
+        if default_range:
+            key, wide = default_ranges(family, n, l)
+            assert inst.property_params[key] == wide
         text = json.dumps(instance_to_json(inst), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
 
 
 def test_default_range_keeps_every_draw_it_could_make():
-    assert_draws(FROZEN_DRAWS, 0)
+    assert_draws(FROZEN_DRAWS, default_range=True)
 
 
 def test_crowded_default_range_draws_wide_at_once():
-    assert_draws(WIDENED_DRAWS, 1)
+    assert_draws(WIDENED_DRAWS, default_range=True)
 
 
 def test_scrubbed_and_constructed_draws_are_frozen():
@@ -433,26 +429,48 @@ def solutions(inst, subsets):
 @pytest.mark.parametrize("family", ["zero-sum-xor", "sum-mod-q"])
 def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
     """Planted and unplanted draws at n = 12..24 all build, with one
-    solution or none.  The default range is the historical one where that
-    can be drawn, else about C(n, l) values: from l = 4 on the historical
-    range often cannot (at n = 14, l = 4 the scrub gave up), and where it
-    expects more than 8 chance solutions the draw goes there at once.
+    solution or none, at the default range of about C(n, l) values.
     l = 4 and 5 take two seeds here; all twelve seeds 0..11 build there
     too."""
     for n in range(12, 25):
-        key, first, wide = default_ranges(family, n, l)
-        values = 2 ** first if key == "m_bits" else first
-        crowded = l >= 4 and binomial(n, l) > 8 * values
+        key, wide = default_ranges(family, n, l)
         subsets = np.array(list(itertools.combinations(range(n), l)))
         for seed in seeds:
             for planted in (True, False):
                 inst = make_family(family, n=n, l=l, seed=seed,
                                    planted=planted)
-                assert inst.property_params[key] in (
-                    (wide,) if crowded else (first, wide))
+                assert inst.property_params[key] == wide
                 assert solutions(inst, subsets) == planted, (n, seed, planted)
                 if n == 12:
                     assert len(find_marked(inst)) == planted
+
+
+@pytest.mark.parametrize("family", ["zero-sum-xor", "sum-mod-q"])
+def test_default_range_needs_few_scrub_passes(monkeypatch, family):
+    """One range is enough: at n = 4..100 and every l up to 5 with
+    C(n, l) <= 2·10^5, seeds 0-2, planted and not, each default draw takes
+    the wide range and clears its chance solutions in at most 12 scrub
+    passes (one _hits call each)."""
+    from johnson_walk import instances
+
+    passes = []
+    hits = instances._hits
+
+    def counted(*args):
+        passes[-1] += 1
+        return hits(*args)
+
+    monkeypatch.setattr(instances, "_hits", counted)
+    for n, l in itertools.product((4, 9, 16, 24, 40, 64, 100), range(1, 6)):
+        if l >= n or binomial(n, l) > 2 * 10 ** 5:
+            continue
+        key, wide = default_ranges(family, n, l)
+        for seed, planted in itertools.product(range(3), (True, False)):
+            passes.append(0)
+            inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
+            assert inst.property_params[key] == wide
+            assert passes[-1] <= 12, (n, l, seed, planted, passes[-1])
+    assert len(passes) == 168
 
 
 def reference_scrub(vals, n, l, is_hit, redraw, keep=(), mode=ITEM):
