@@ -18,10 +18,9 @@ import importlib
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in {
     "algorithm": "RunReport",
-    "combinat": "a_side_labels binomial norm_constants "
-                "rank_subset unrank_subset",
+    "combinat": "binomial norm_constants",
     "cost_model": "MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult "
-                  "ParameterChoice choose_parameters clique_cost mss_walk_size "
+                  "ParameterChoice choose_parameters clique_cost "
                   "nint optimize_m oracle_queries table1 table1_csv",
     "full_sim": "DEFAULT_MEMCAP FullState MemoryCapError WalkContext "
                 "apply_coin1 apply_coin2 apply_phase_flip apply_shift "

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import sys
 
-from .combinat import binomial
 from .cost_model import SIMPLE, VARIANTS, choose_parameters, optimize_m, \
     table1_csv, walk_size
 from .instances import FAMILIES, GenerationError, check_family_l, \
@@ -63,7 +62,8 @@ def _config_tokens(args) -> list:
     return tokens
 
 
-_SCAN_LIMIT = 500_000  # largest C(n, l) the brute-force scan will walk
+_SCAN_LIMIT = 500_000  # largest C(n, l) the reduced engine scans
+_SCAN_CAP = 10 ** 8  # largest C(n, l) any scan walks: about 1.3 s of it
 
 
 def cmd_simulate(args) -> int:
@@ -74,11 +74,12 @@ def cmd_simulate(args) -> int:
     set is assumed and flagged, and the oracle mode is the family's; only
     the scan can honour --no-plant, so it is refused there.  A full-engine
     walk gets its context before the draw, so that one over the byte cap
-    exits 3 before the scan.  The engines and the command read the
-    instance's marked_sets, so any --engine scans it once."""
+    exits 3 before the scan; then a run that must scan exits 2 past the
+    scan cap.  The engines and the command read the instance's
+    marked_sets, so any --engine scans it once."""
     import numpy as np
 
-    from .full_sim import get_context, run_algorithm
+    from .full_sim import binomial_upto, get_context, run_algorithm
     from .reduced_sim import ReducedBasis, embed_to_full, run_reduced
 
     if args.instance:
@@ -101,13 +102,17 @@ def cmd_simulate(args) -> int:
             raise ConfigError("the custom family needs --instance")
         check_family_l(family, l)
     p = choose_parameters(n, l, args.m, args.t1, args.t2)  # first: it refuses n <= l
+    count = binomial_upto(n, l, _SCAN_CAP)  # C(n, l), None past the cap
     unscanned = not args.instance and args.engine == "reduced" \
-        and binomial(n, l) > _SCAN_LIMIT
+        and (count is None or count > _SCAN_LIMIT)
     if unscanned and args.no_plant:
         raise ConfigError(f"--no-plant needs the marked-set scan, which "
                           f"stops at C(n, l) = {_SCAN_LIMIT}")
     if args.engine != "reduced":  # the byte cap first: exit 3 before the scan
         get_context(n, p.m)
+    if count is None and not unscanned:
+        raise ConfigError(f"the marked-set scan stops at C(n, l) = "
+                          f"{_SCAN_CAP}; C({n}, {l}) is past it")
     if not args.instance:
         inst = None if unscanned else make_family(
             family, n=n, l=l, seed=seed, planted=not args.no_plant)
@@ -127,7 +132,7 @@ def cmd_simulate(args) -> int:
         out["reduced"] = reduced
     if args.engine == "both" and len(found) == 1:
         fs = full.final_state
-        # in place: embed_to_full's array is the third one walk_bytes charges
+        # in place: embed_to_full's array is the third one the byte cap charges
         gap = embed_to_full(reduced.final_state, basis, found[0], fs.ctx)
         gap -= fs.amps
         out["max_state_deviation"] = float(np.max(np.abs(gap, out=gap)))

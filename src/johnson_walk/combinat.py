@@ -1,9 +1,9 @@
 """Exact combinatorics underlying the subset-walk state space.
 
-Everything here is integer arithmetic: binomials, colexicographic
-subset ranking and enumeration, and the exact class weights of the
-reduced engine's (j, p) states, built from falling factorials so that no
-count of all m-subsets is ever formed.  Nothing is allowed to round or
+Everything here is integer arithmetic: binomials, the colexicographic
+enumeration of k-subsets, and the exact class weights of the reduced
+engine's (j, p) states, built from falling factorials so that no count
+of all m-subsets is ever formed.  Nothing is allowed to round or
 overflow.  The enumeration is the package's one list of k-subsets: the
 full engine's subsets_a is colex_table(n, m), and the classical scan
 runs over colex_blocks(n, l, rows); numpy is imported inside those two.
@@ -18,36 +18,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
-
-
-def rank_subset(subset, n: int) -> int:
-    """Colexicographic rank of a sorted subset of {0..n-1}.
-
-    rank = sum_i C(subset[i], i+1), which lies in [0, C(n, len(subset))).
-    """
-    prev = -1
-    for c in subset:
-        if not prev < c < n:
-            raise ValueError(f"subset {subset} is not sorted/distinct/in range for n={n}")
-        prev = c
-    return sum(math.comb(c, i + 1) for i, c in enumerate(subset))
-
-
-def unrank_subset(rank: int, m: int, n: int) -> tuple:
-    """Inverse of rank_subset: the m-subset of {0..n-1} with the given colex rank."""
-    total = math.comb(n, m)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range [0, C({n},{m})={total})")
-    out = [0] * m
-    r, k = rank, m
-    while k > 0:
-        n -= 1
-        offset = math.comb(n, k)
-        if r >= offset:
-            r -= offset
-            k -= 1
-            out[k] = n
-    return tuple(out)
 
 
 def colex_table(n: int, k: int):
@@ -129,16 +99,6 @@ def _falling(x: int, k: int) -> int:
     return out
 
 
-def a_side_labels(l: int):
-    """Ordered (j, p) labels of the 2l+1 symmetric states on the m-side."""
-    labels = []
-    for j in range(l):
-        labels.append((j, 0))
-        labels.append((j, 1))
-    labels.append((l, 0))
-    return labels
-
-
 def _weight(n: int, m: int, l: int, j: int, p: int) -> int:
     x = (n - l) - (m - j) if p == 0 else l - j
     return math.comb(l, j) * _falling(m, j) * _falling(n - m, l - j) * x
@@ -158,7 +118,8 @@ def norm_constants(n: int, m: int, l: int) -> tuple:
     """
     if not (1 <= l <= m < n):
         raise ValueError(f"need 1 <= l <= m < n, got n={n}, m={m}, l={l}")
-    weights = {(j, p): _weight(n, m, l, j, p) for j, p in a_side_labels(l)}
+    weights = {(j, p): _weight(n, m, l, j, p)  # the 2l+1 labels, in order
+               for j in range(l + 1) for p in (0, 1) if j < l or p == 0}
     return weights, _falling(n, l) * (n - m)
 
 

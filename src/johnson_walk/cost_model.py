@@ -42,12 +42,17 @@ class ParameterChoice:
     exponent_target: Fraction
 
 
+def _canonical_m(n: int, l: int, variant: str) -> int:
+    q = {SIMPLE: l / (l + 1), RECURSIVE: l / (l + 2), MSS: (l - 1) / l}[variant]
+    return nint(n ** q)
+
+
 def walk_size(n: int, l: int, m: int | None = None) -> int:
     """Walk size m = nint(n^{l/(l+1)}) unless m is given; l <= m < n."""
     if not 1 <= l < n:
         raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
     if m is None:
-        m = nint(n ** (l / (l + 1)))
+        m = _canonical_m(n, l, SIMPLE)
     if not l <= m < n:
         raise ValueError(f"need l <= m < n, got l={l}, m={m}, n={n}")
     return m
@@ -95,10 +100,6 @@ def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:
     return m * (m - 1) // 2 + 2 * m * t1 * t2
 
 
-def mss_walk_size(n: int, l: int) -> int:
-    return nint(n ** ((l - 1) / l))
-
-
 def clique_cost(n: float, m: float, l: int, variant: str) -> float:
     """Leading-order query cost of the subgraph-finding algorithms.
 
@@ -110,18 +111,13 @@ def clique_cost(n: float, m: float, l: int, variant: str) -> float:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if variant == MSS:
-        return clique_cost(n, mss_walk_size(int(n), l), l, RECURSIVE)
+        return clique_cost(n, _canonical_m(int(n), l, MSS), l, RECURSIVE)
     if not l <= m < n:
         raise ValueError(f"need l <= m < n, got n={n}, m={m}, l={l}")
     if variant == SIMPLE:
         return m * m + (n / m) ** (l / 2.0) * math.sqrt(m) * m
     return m * m + (n / m) ** ((l - 1) / 2.0) * (
         m ** ((l - 1) / l) * math.sqrt(n) + m ** 1.5)
-
-
-def _canonical_m(n: int, l: int, variant: str) -> int:
-    q = {SIMPLE: l / (l + 1), RECURSIVE: l / (l + 2), MSS: (l - 1) / l}[variant]
-    return nint(n ** q)
 
 
 @dataclass(frozen=True)

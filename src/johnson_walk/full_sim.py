@@ -39,7 +39,7 @@ _context_cache: dict = {}
 
 
 def memory_cap() -> int:
-    """The byte cap on walk_bytes, from JOHNSON_WALK_MEMCAP or the default."""
+    """The byte cap on a WalkContext, from JOHNSON_WALK_MEMCAP or the default."""
     env = os.environ.get("JOHNSON_WALK_MEMCAP")
     return int(env) if env else DEFAULT_MEMCAP
 
@@ -49,16 +49,9 @@ class MemoryCapError(RuntimeError):
 
 
 def _bytes_per_subset(n: int, m: int) -> int:
+    """A walk's bytes per m-subset: a subsets_a row, then n - m each of int64
+    union ranks, float64 amplitudes and embed_to_full's float64 array."""
     return m * np.min_scalar_type(n).itemsize + 3 * 8 * (n - m)
-
-
-def walk_bytes(n: int, m: int) -> int:
-    """Bytes held for a walk at (n, m), from the sizes alone: subsets_a
-    (m entries per subset in the narrowest dtype that holds n), then
-    union_rank (int64), the float64 state and one more state-sized
-    float64 array, dim_a entries each.  The walk step and FullState.norm
-    make none; reduced_sim.embed_to_full makes the third."""
-    return binomial(n, m) * _bytes_per_subset(n, m)
 
 
 def binomial_upto(n: int, k: int, limit: int) -> int | None:

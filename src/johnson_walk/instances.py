@@ -447,7 +447,13 @@ def instance_from_json(d: dict) -> ProblemInstance:
     seed = _entry(d, "seed", lambda s: s is None or _int_lists(s, 0),
                   "an integer or null") if "seed" in d else None
     check_family_l(family, l)
-    return _build(family, n, l, values, params, seed)
+    inst = _build(family, n, l, values, params, seed)
+    if family == "custom":  # a set the table cannot hold would never match
+        table = set(enumerate(values))  # one (index, value) pair per index
+        _entry(params, "property.params.satisfying", lambda sets: all(
+            len(s) == l == len(table & set(map(tuple, s))) for s in sets),
+            f"a list of sets of {l} distinct [index, value] pairs of the table")
+    return inst
 
 
 def load_instance(path) -> ProblemInstance:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -196,6 +197,14 @@ CLIQUE_FILE = {"n": 4, "l": 3, "mode": "pairwise", "pairs": [1, 1, 1, 0, 0, 0],
                "seed": None}
 
 
+def custom_file(*sets):
+    """A custom instance file at n=6, l=2 listing the given sets."""
+    return {"n": 6, "l": 2, "mode": "item", "values": [3, 1, 4, 1, 5, 9],
+            "property": {"family": "custom",
+                         "params": {"satisfying": list(sets)}},
+            "seed": None}
+
+
 @pytest.mark.parametrize("doc, key", [
     ({}, "'property'"),
     ([], "one JSON object"),
@@ -213,10 +222,17 @@ CLIQUE_FILE = {"n": 4, "l": 3, "mode": "pairwise", "pairs": [1, 1, 1, 0, 0, 0],
     ({**ED_FILE, "seed": True}, "'seed'"),
     ({**CLIQUE_FILE, "pairs": [1, 1, 7, 0, 0, 0]}, "'pairs'"),
     ({**CLIQUE_FILE, "pairs": [1, 1, 1, 0, -1, 0]}, "'pairs'"),
+    (custom_file([[1, 1], [3, 1], [0, 3]]), "'property.params.satisfying'"),
+    (custom_file([[3], [1, 1]]), "'property.params.satisfying'"),
+    (custom_file([[1, 1], [1, 1]]), "'property.params.satisfying'"),
+    (custom_file([[1, 1], [6, 1]]), "'property.params.satisfying'"),
+    (custom_file([[1, 7], [3, 7]]), "'property.params.satisfying'"),
 ], ids=["empty-object", "array", "property-string", "no-values",
         "sum-mod-q-no-q", "custom-no-satisfying", "n-string", "n-float",
         "string-values", "seed-object", "seed-float", "seed-bool",
-        "clique-label-7", "clique-label-negative"])
+        "clique-label-7", "clique-label-negative", "custom-three-pairs",
+        "custom-pair-without-value", "custom-repeated-index",
+        "custom-index-past-n", "custom-value-not-in-table"])
 def test_malformed_instance_file_exit_2(capsys, tmp_path, doc, key):
     """A malformed instance file is one error line naming the bad key."""
     path = tmp_path / "bad.json"
@@ -490,6 +506,35 @@ def test_memcap_exit_3_before_the_draw(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: the walk at ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--engine", "full", "--n", "200", "--l", "5"),
+    ("--engine", "both", "--n", "200", "--l", "5"),
+    ("--instance", "{big}", "--engine", "reduced"),
+    ("--instance", "{big}", "--engine", "full"),
+], ids=["full", "both", "file-reduced", "file-full"])
+def test_scan_cap_exit_2_before_the_draw(capsys, monkeypatch, tmp_path,
+                                         scans, argv):
+    """A run that must scan C(200, 5) = 2.5e9 subsets (about 30 s of scan)
+    exits 2 at once, before any draw or scan, with one line naming C(n, l);
+    --m 199 keeps the walk small."""
+    from johnson_walk import cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the instance was drawn before the scan cap")
+
+    monkeypatch.setattr(cli, "make_family", no_draw)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({**SMQ_FILE, "n": 200, "l": 5,
+                               "values": list(range(200))}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--m", "199",
+                             *(a.format(big=big) for a in argv))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and scans == []
+    assert err == ("error: the marked-set scan stops at C(n, l) = 100000000; "
+                   "C(200, 5) is past it\n")
 
 
 @pytest.mark.parametrize("engine", ["full", "reduced", "both"])

@@ -1,5 +1,5 @@
-"""Exact combinatorics: binomials, colex ranking and enumeration, the
-class weights."""
+"""Exact combinatorics: binomials, the colex enumeration, the class
+weights."""
 import itertools
 import math
 import random
@@ -10,10 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_walk import (
-    a_side_labels, binomial, norm_constants, rank_subset,
-    unrank_subset,
-)
+from johnson_walk import binomial, norm_constants
 from johnson_walk.combinat import colex_blocks, colex_table, symmetric_ratio
 
 
@@ -45,18 +42,8 @@ def test_binomial_matches_math_comb(n, k):
 
 
 def test_rank_examples():
-    assert rank_subset((0, 1), 4) == 0
-    assert rank_subset((2, 3), 4) == 5
-
-
-def test_rank_enumerates_colex_order():
-    ranks = sorted(itertools.combinations(range(6), 3),
-                   key=lambda s: rank_subset(s, 6))
-    # colex: later elements dominate
-    assert ranks[0] == (0, 1, 2)
-    assert ranks[1] == (0, 1, 3)
-    assert ranks[-1] == (3, 4, 5)
-    assert [rank_subset(s, 6) for s in ranks] == list(range(20))
+    """A subset's colex rank is its row of colex_table."""
+    assert colex_table(4, 2)[[0, 5]].tolist() == [[0, 1], [2, 3]]
 
 
 def test_colex_table_and_blocks_match_itertools():
@@ -80,45 +67,17 @@ def test_colex_table_and_blocks_match_itertools():
                 assert all(np.iinfo(b.dtype).max >= n for b in blocks)
 
 
-def test_rank_unrank_bijection():
-    for n, m in [(6, 3), (9, 4), (12, 2)]:
-        for r in range(binomial(n, m)):
-            assert rank_subset(unrank_subset(r, m, n), n) == r
-
-
-@given(st.integers(1, 12).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
-@settings(max_examples=60)
-def test_unrank_rank_roundtrip(nm):
-    n, m_minus = nm
-    m = m_minus + 1
-    for r in range(0, binomial(n, m), max(1, binomial(n, m) // 10)):
-        subset = unrank_subset(r, m, n)
-        assert len(subset) == m
-        assert list(subset) == sorted(set(subset))
-        assert rank_subset(subset, n) == r
-
-
-def test_rank_validates_input():
-    with pytest.raises(ValueError):
-        rank_subset((1, 1), 4)
-    with pytest.raises(ValueError):
-        rank_subset((3, 1), 4)
-    with pytest.raises(ValueError):
-        rank_subset((1, 4), 4)
-    with pytest.raises(ValueError):
-        unrank_subset(20, 3, 6)
-
-
 def test_label_sets():
-    assert a_side_labels(2) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-    assert len(a_side_labels(5)) == 11
+    """The weights' labels, in the order the reduced basis takes them."""
+    assert list(norm_constants(9, 4, 2)[0]) == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+    assert len(norm_constants(20, 9, 5)[0]) == 11
 
 
 def class_counts(n, m, l):
     """The oracle: c_{j,p} and c_total = C(n, m) (n-m) from math.comb."""
     counts = {}
-    for j, p in a_side_labels(l):
+    for j, p in norm_constants(n, m, l)[0]:
         base = math.comb(n - l, m - j) * math.comb(l, j)
         counts[(j, p)] = base * ((n - l) - (m - j) if p == 0 else l - j)
     return counts, math.comb(n, m) * (n - m)
@@ -157,7 +116,7 @@ def test_norm_constants_enumeration_oracle():
             p = 1 if k in marked else 0
             counts[(j, p)] = counts.get((j, p), 0) + 1
     weights, total = norm_constants(n, m, l)
-    for label in a_side_labels(l):
+    for label in weights:
         assert (weights[label] * math.comb(n, m) * (n - m) // total
                 == counts.get(label, 0))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    choose_parameters, clique_cost, mss_walk_size, nint, optimize_m,
+    choose_parameters, clique_cost, nint, optimize_m,
     table1, table1_csv,
 )
 from johnson_walk import cost_model
@@ -106,7 +106,7 @@ def test_clique_cost_formulas():
     # mss ignores the passed m
     assert clique_cost(n, 50, 4, "mss") == clique_cost(n, 99, 4, "mss")
     assert clique_cost(n, 50, 4, "mss") == clique_cost(
-        n, mss_walk_size(n, 4), 4, "recursive")
+        n, nint(n ** (3 / 4)), 4, "recursive")
     with pytest.raises(ValueError):
         clique_cost(n, m, 2, "fancy")
     with pytest.raises(ValueError):
@@ -114,8 +114,9 @@ def test_clique_cost_formulas():
 
 
 def test_mss_walk_size():
-    assert mss_walk_size(10 ** 6, 3) == nint(10 ** 4)
-    assert mss_walk_size(10 ** 6, 5) == nint(10 ** (24 / 5))
+    """mss's own walk size, nint(n^((l-1)/l))."""
+    assert optimize_m(10 ** 6, 3, "mss").m_canonical == nint(10 ** 4)
+    assert optimize_m(10 ** 6, 5, "mss").m_canonical == nint(10 ** (24 / 5))
 
 
 def test_table1_exact_rationals():

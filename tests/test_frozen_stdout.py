@@ -1,10 +1,13 @@
-"""`simulate` stdout, frozen byte for byte: the sha256 of each command's
-output, for one small two-engine draw per family, an unplanted draw, two
-custom instance files (one marked set, two) and four scans of
-C(n, l) = 5·10^5 and 1.6·10^5 (three) subsets.  All but the zero-sum-xor
-and sum-mod-q hashes are what the per-subset scan printed before the
-marked-set scan was vectorized; those two families draw from their
-default range of about C(n, l) values."""
+"""CLI stdout, frozen byte for byte: the sha256 of each command's output.
+
+`simulate` is frozen for one small two-engine draw per family, an
+unplanted draw, two custom instance files (one marked set, two) and four
+scans of C(n, l) = 5·10^5 and 1.6·10^5 (three) subsets.  All but the
+zero-sum-xor and sum-mod-q hashes are what the per-subset scan printed
+before the marked-set scan was vectorized; those two families draw from
+their default range of about C(n, l) values.  `verify`, `spectrum`,
+`cost` and `sweep` are frozen once each, as they printed before `verify`
+checked the full engine's index tables in place of the rank/unrank pair."""
 import hashlib
 import json
 
@@ -56,5 +59,26 @@ def test_simulate_stdout_is_frozen(capsys, tmp_path, argv, digest):
         files[name].write_text(json.dumps({**CUSTOM, "property": {
             "family": "custom", "params": {"satisfying": sets}}}))
     assert main(["simulate", *argv.format(**files).split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+OTHER = [
+    ("verify",
+     "6e77de4621472e92bc275109be63c88257e2c69e34cda7a9e181d0b31357db6b"),
+    ("spectrum --n 10000000 --l 2",
+     "af68973b30721c127ba7ee5eaabbfc532438f186025dc0ba0fe45fe8748c08a9"),
+    ("cost --optimize --l 3 --variant recursive",
+     "e64dafeaa92b880475ef63c84e4a1cb1dee5bf503fb7335d5e37bdbe385186f0"),
+    ("cost --table1",
+     "b096561f3c5cb783e5482769e9b30297f9c4be8f0a6fe4eac5fb10798da38d91"),
+    ("sweep --l 2 --n-values 100 1000 10000",
+     "c5c19c3d604f93e154b507bfbb3b01e049158d97f0cf28a5d621a9f70513eb5d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", OTHER, ids=[a for a, _ in OTHER])
+def test_command_stdout_is_frozen(capsys, argv, digest):
+    assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

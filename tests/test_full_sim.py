@@ -14,9 +14,7 @@ from johnson_walk import (
     make_family, prepare_s, run_algorithm, run_reduced,
 )
 from johnson_walk.cli import main
-from johnson_walk.combinat import rank_subset, unrank_subset
-from johnson_walk.full_sim import FullState, _context_cache, \
-    binomial_upto, walk_bytes
+from johnson_walk.full_sim import FullState, _context_cache, binomial_upto
 from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
 
@@ -39,18 +37,23 @@ def test_context_shapes():
     assert sorted(ctx.shift_map) == list(range(ctx.dim_b))
 
 
+def colex(n, k):
+    """The k-subsets of range(n) in colex order, each at its rank: the
+    itertools list sorted by the reversed tuple."""
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
 def reference_index(n, m):
     """Subsets by colex rank, the union ranks and the shift map, one Python
     step per pair."""
-    subsets = [None] * binomial(n, m)
-    for comb in itertools.combinations(range(n), m):
-        subsets[rank_subset(comb, n)] = comb
+    subsets = colex(n, m)
+    rank_b = {b: r for r, b in enumerate(colex(n, m + 1))}
     union, shift = [], []
     for a in subsets:
         for k in range(n):
             if k not in a:
                 b = tuple(sorted(a + (k,)))
-                union.append(rank_subset(b, n))
+                union.append(rank_b[b])
                 shift.append(union[-1] * (m + 1) + b.index(k))
     return subsets, union, shift
 
@@ -113,17 +116,20 @@ def test_union_rank_covers_every_b_subset_m_plus_1_times():
     assert np.all(counts == ctx.m + 1)
 
 
-def test_sampled_union_ranks_match_rank_subset():
+def test_sampled_union_ranks_match_itertools():
     """2,000 fixed-seed (row, slot) pairs at n=20: the subset, its coin and
-    the union's rank against combinat, one pair at a time."""
+    the union's rank against the itertools colex lists, one pair at a
+    time."""
     ctx = WalkContext(20, 7)
+    subsets = colex(20, 7)
+    rank_b = {b: r for r, b in enumerate(colex(20, 8))}
     rng = np.random.default_rng(16)
     for r, slot in zip(rng.integers(ctx.num_a, size=2000),
                        rng.integers(ctx.n - ctx.m, size=2000)):
         a = tuple(int(x) for x in ctx.subsets_a[r])
-        assert a == unrank_subset(int(r), ctx.m, ctx.n)
+        assert a == subsets[r]
         k = [x for x in range(ctx.n) if x not in a][slot]
-        assert ctx.union_rank[r, slot] == rank_subset(sorted(a + (k,)), ctx.n)
+        assert ctx.union_rank[r, slot] == rank_b[tuple(sorted(a + (k,)))]
 
 
 def test_build_makes_no_subset_sized_int64_table():
@@ -140,6 +146,16 @@ def test_build_makes_no_subset_sized_int64_table():
     assert held <= peak <= held + previous, (peak, held, previous)
 
 
+def charge(monkeypatch, n, m):
+    """The bytes a WalkContext charges a walk at (n, m), read from its
+    refusal under a cap of 0 bytes."""
+    with monkeypatch.context() as patch:
+        patch.setenv("JOHNSON_WALK_MEMCAP", "0")
+        with pytest.raises(MemoryCapError, match="needs [0-9]+ bytes") as err:
+            WalkContext(n, m)
+    return int(str(err.value).split(" needs ")[1].split()[0])
+
+
 def test_memory_cap_enforced(monkeypatch):
     """The cap is in bytes: index, float64 state and one step buffer."""
     with pytest.raises(MemoryCapError):
@@ -147,7 +163,7 @@ def test_memory_cap_enforced(monkeypatch):
     # subsets_a 126*4 (uint8), union_rank, state and one more state-sized
     # array 630*8 each
     need = 126 * 4 + 3 * 630 * 8
-    assert walk_bytes(9, 4) == need == 15624
+    assert charge(monkeypatch, 9, 4) == need == 15624
     monkeypatch.setenv("JOHNSON_WALK_MEMCAP", str(need - 1))
     with pytest.raises(MemoryCapError):
         WalkContext(9, 4)
@@ -155,10 +171,11 @@ def test_memory_cap_enforced(monkeypatch):
     WalkContext(9, 4)
 
 
-def test_default_cap_admits_n_27():
+def test_default_cap_admits_n_27(monkeypatch):
     """At the rule's m, the default byte cap admits n=27 and refuses n=28."""
-    assert walk_bytes(27, choose_parameters(27, 2).m) <= DEFAULT_MEMCAP
-    assert walk_bytes(28, choose_parameters(28, 2).m) > DEFAULT_MEMCAP
+    n27, n28 = (charge(monkeypatch, n, choose_parameters(n, 2).m)
+                for n in (27, 28))
+    assert n27 <= DEFAULT_MEMCAP < n28
 
 
 def test_binomial_upto_is_exact_up_to_the_limit():
@@ -173,15 +190,17 @@ def test_binomial_upto_is_exact_up_to_the_limit():
 
 
 @pytest.mark.parametrize("n, m", [(9, 4), (20, 7), (100, 1)])
-def test_walk_bytes_is_what_a_context_holds(n, m):
-    """The charge is every array a WalkContext holds plus two float64
-    arrays of dim_a: the state and the one more state-sized array."""
+def test_walk_bytes_is_what_a_context_holds(monkeypatch, n, m):
+    """The byte cap's charge for a walk is every array a WalkContext holds
+    plus two float64 arrays of dim_a: the state and the one more
+    state-sized array."""
     ctx = WalkContext(n, m)
     held = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
     assert {id(a) for a in held} == {id(ctx.subsets_a), id(ctx.union_rank)}
     assert ctx.subsets_a.flags.f_contiguous
     assert ctx.subsets_a.dtype == np.min_scalar_type(n)
-    assert walk_bytes(n, m) == sum(a.nbytes for a in held) + 2 * 8 * ctx.dim_a
+    assert charge(monkeypatch, n, m) == \
+        sum(a.nbytes for a in held) + 2 * 8 * ctx.dim_a
 
 
 def test_context_cache_keeps_the_last_context():
@@ -331,8 +350,8 @@ def test_coin2_makes_no_state_sized_temporary():
     """At n=18, m=7, on the engine's own (slot-major) state, the peak
     during one coin 2 stays below half the state's bytes, and so does the
     peak during one whole walk step, one phase flip and FullState.norm;
-    embed_to_full makes one state-sized array, the third that walk_bytes
-    charges for."""
+    embed_to_full makes one state-sized array, the third that the byte
+    cap charges for."""
     inst = make_family("element-distinctness", n=18, seed=1)
     marked = find_marked(inst)[0]
     state = prepare_s(inst, 7)
@@ -354,7 +373,7 @@ def test_coin2_makes_no_state_sized_temporary():
 
 def test_simulate_both_holds_only_the_charged_arrays(capsys):
     """Past the cached context, simulate --engine both at n=18 holds the
-    state and embed_to_full's array, the two float64 arrays walk_bytes
+    state and embed_to_full's array, the two float64 arrays the byte cap
     charges, and little else: the deviation is taken in place."""
     ctx = get_context(18, choose_parameters(18, 2).m)
     peak = traced_peak(lambda: main(["simulate", "--engine", "both",
@@ -424,12 +443,12 @@ def test_run_equals_reference_loop(family, n, l):
 
 def dense_walk_step(n, m):
     """S C2 S C1 as one dense matrix over the pairs, a-pairs first, each
-    side in (colex rank, coin) order; built from itertools and
-    rank_subset, not from the WalkContext."""
+    side in (colex rank, coin) order; built from itertools alone, not
+    from the WalkContext."""
     def side(size, coins_of):
         pairs = [(sub, k) for sub in itertools.combinations(range(n), size)
                  for k in coins_of(sub)]
-        return sorted(pairs, key=lambda p: (rank_subset(p[0], n), p[1]))
+        return sorted(pairs, key=lambda p: (p[0][::-1], p[1]))
 
     pairs = side(m, lambda a: [k for k in range(n) if k not in a]) \
         + side(m + 1, lambda b: b)

@@ -20,10 +20,9 @@ CLI = "from johnson_walk.cli import main; sys.exit(main(sys.argv[1:]))"
 # Every public name of the package.
 EXPORTS = """
 RunReport
-a_side_labels binomial norm_constants
-rank_subset unrank_subset
+binomial norm_constants
 MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult ParameterChoice
-choose_parameters clique_cost mss_walk_size nint optimize_m oracle_queries
+choose_parameters clique_cost nint optimize_m oracle_queries
 table1 table1_csv
 DEFAULT_MEMCAP FullState MemoryCapError WalkContext apply_coin1 apply_coin2
 apply_phase_flip apply_shift apply_walk_step get_context memory_cap
@@ -112,7 +111,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 63
+    assert len(EXPORTS) == len(set(EXPORTS)) == 59
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

@@ -13,7 +13,6 @@ from johnson_walk import (
     norm_constants, prepare_s, reduced_s, run_algorithm, run_reduced,
 )
 from johnson_walk.algorithm import run_walk
-from johnson_walk.combinat import rank_subset
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
     get_context
 from johnson_walk.instances import MarkedSet
@@ -232,6 +231,12 @@ def test_embed_refuses_a_context_of_another_walk():
                       get_context(9, 3))
 
 
+def colex(n, k):
+    """The k-subsets of range(n) in colex order, each at its rank: the
+    itertools list sorted by the reversed tuple."""
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
 def reference_embed_a(state, basis, marked):
     """a-side amplitudes of embed_to_full, one Python step per (A, k) pair."""
     n, m, l = basis.n, basis.m, basis.l
@@ -242,12 +247,12 @@ def reference_embed_a(state, basis, marked):
         if c:
             weights[(j, p)] = float(state[idx]) / math.sqrt(c)
     amps = np.zeros((math.comb(basis.n, basis.m), basis.n - basis.m))
-    for a in itertools.combinations(range(basis.n), basis.m):
+    for r, a in enumerate(colex(basis.n, basis.m)):
         j = len(set(a) & set(marked.indices))
         coins = [k for k in range(basis.n) if k not in a]
         for slot, k in enumerate(coins):
             p = 1 if k in marked.indices else 0
-            amps[rank_subset(a, basis.n), slot] = weights.get((j, p), 0.0)
+            amps[r, slot] = weights.get((j, p), 0.0)
     return amps
 
 
@@ -270,17 +275,17 @@ def test_subset_queries_match_reference_on_every_row(n, m):
     the subsets alone, against one Python step per row: marked sets that
     hold element 0 and element n-1, and several marked sets at once."""
     ctx = WalkContext(n, m)
-    rows = [None] * ctx.num_a
-    for a in itertools.combinations(range(n), m):
-        rows[rank_subset(a, n)] = a
+    rows = colex(n, m)
+    rank_b = {b: r for r, b in enumerate(colex(n, m + 1))}
     coins = [[k for k in range(n) if k not in a] for a in rows]
     rng = np.random.default_rng(n * m)
     values = rng.permutation(3 * n)[:n]
     assert np.array_equal(ctx.at_coins(values),
                           [[values[k] for k in row] for row in coins])
-    unions = [sorted(a + (k,)) for a, row in zip(rows, coins) for k in row]
+    unions = [tuple(sorted(a + (k,))) for a, row in zip(rows, coins)
+              for k in row]
     assert np.array_equal(ctx.shift_map, [
-        rank_subset(b, n) * (m + 1) + b.index(k)
+        rank_b[b] * (m + 1) + b.index(k)
         for b, k in zip(unions, (k for row in coins for k in row))])
     for sets in ([(0, n - 1)], [(0,), (n - 1,)],
                  [(0, 1, n - 1), (2, n - 2)],

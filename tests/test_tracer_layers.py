@@ -38,6 +38,15 @@ def test_every_traced_layer_resolves():
         assert callable(target), f"{name}: {module_name}.{attr} is missing"
 
 
+def test_traced_verify_checks_are_the_checks():
+    """The tracer wraps each verify check by name, in ALL_CHECKS' order: an
+    added, removed or renamed check must show here, not in a traced run."""
+    from johnson_walk import verify
+
+    assert load_tracer().VERIFY_CHECKS == tuple(
+        check.__name__ for check in verify.ALL_CHECKS)
+
+
 @pytest.mark.parametrize("argv, layer", [
     (("cost", "--optimize", "--l", "3", "--variant", "recursive"),
      "cost_model.optimize_m"),

@@ -1,9 +1,10 @@
-"""The verify invariant suite, and a mutation it must catch."""
+"""The verify invariant suite, and the mutations it must catch."""
+import math
 import random
 
 import numpy as np
 
-from johnson_walk import reduced_sim
+from johnson_walk import full_sim, reduced_sim, verify
 from johnson_walk.verify import check_full_reduced_agreement, gaussian, \
     haar_orthogonal, run_all
 
@@ -37,6 +38,52 @@ def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
     failed = [r.name for r in run_all() if not r.passed]
     assert failed == ["walk-fixes-start-state", "full-reduced-agreement",
                       "large-n-final-overlap"]
+
+
+def failed_checks(monkeypatch):
+    """The names of the checks that fail, on contexts built afresh: a
+    context cached before a mutation would hide it."""
+    monkeypatch.setattr(full_sim, "_context_cache", {})
+    return [r.name for r in run_all() if not r.passed]
+
+
+def test_swapped_subset_rows_fail_the_index_check(monkeypatch):
+    """Swap the first two rows of the colex table a WalkContext takes its
+    subsets from: their ranks no longer match their rows, and the full
+    engine flips the wrong rows."""
+    table = full_sim.colex_table
+
+    def swapped(n, k):
+        out = table(n, k)
+        out[[0, 1]] = out[[1, 0]]
+        return out
+
+    monkeypatch.setattr(full_sim, "colex_table", swapped)
+    assert failed_checks(monkeypatch) == ["rank-unrank-bijection",
+                                          "full-reduced-agreement"]
+
+
+def test_swapped_union_ranks_fail_the_index_check(monkeypatch):
+    """Swap the first and last entries of union_rank's first column: coin 2
+    is still a reflection, but S is no longer a bijection."""
+    init = full_sim.WalkContext.__init__
+
+    def swapped(self, n, m):
+        init(self, n, m)
+        self.union_rank[[0, -1], 0] = self.union_rank[[-1, 0], 0]
+
+    monkeypatch.setattr(full_sim.WalkContext, "__init__", swapped)
+    assert failed_checks(monkeypatch) == ["rank-unrank-bijection",
+                                          "reflection-involution-suite"]
+
+
+def test_unlimited_count_fails_the_pascal_check(monkeypatch):
+    """binomial_upto without its limit: the count past it is no longer
+    refused, and only the Pascal check sees it at desk scale."""
+    for module in (full_sim, verify):
+        monkeypatch.setattr(module, "binomial_upto",
+                            lambda n, k, limit: math.comb(n, k))
+    assert failed_checks(monkeypatch) == ["binomial-pascal-oracle"]
 
 
 def test_haar_orthogonal():
