@@ -178,8 +178,9 @@ def make_family(family: str, **params) -> ProblemInstance:
     All generators but custom's take an explicit seed and a planted flag,
     and draw exactly one marked subset if planted, else none: the
     distinctness families by construction, the others by _scrub_accidental.
-    zero-sum-xor and sum-mod-q draw from about C(n, l) values by default,
-    so that about one chance solution is expected and a few passes clear it.
+    Each draws from one range set by (n, l) alone, with no override:
+    zero-sum-xor and sum-mod-q from about C(n, l) values, so that about one
+    chance solution is expected, and l-clique at _clique_edge_prob(n, l).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -199,6 +200,14 @@ def check_family_l(family: str, l: int) -> None:
         raise ValueError(f"{family} is an l{rule} family")
 
 
+def _seeded(n, l, seed):
+    """A generator's random source, once 1 <= l < n holds: past it no draw
+    is an instance, and a scrub of the one n-subset might never end."""
+    if not 1 <= l < n:
+        raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
+    return random.Random(seed)
+
+
 def _gen_element_distinctness(n, l=2, seed=0, planted=True):
     return _gen_l_distinctness(n, l=2, seed=seed, planted=planted,
                                family="element-distinctness")
@@ -207,9 +216,7 @@ def _gen_element_distinctness(n, l=2, seed=0, planted=True):
 def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
     """Injective values hold no l >= 2 equal ones; the plant copies one
     value to l - 1 other places, which makes those l the only equal ones."""
-    if not 1 <= l < n:
-        raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
-    rng = random.Random(seed)
+    rng = _seeded(n, l, seed)
     vals = rng.sample(range(4 * n), n)
     if planted:
         where = rng.sample(range(n), l)
@@ -218,12 +225,9 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
     return _build(family, n, l, vals, {"planted": planted}, seed)
 
 
-def _gen_zero_sum_xor(n, l=3, m_bits=None, seed=0, planted=True):
-    if m_bits is None:
-        m_bits = (binomial(n, l) - 1).bit_length()
-    if m_bits < 1:
-        raise ValueError("m_bits must be positive")
-    rng = random.Random(seed)
+def _gen_zero_sum_xor(n, l=3, seed=0, planted=True):
+    rng = _seeded(n, l, seed)
+    m_bits = (binomial(n, l) - 1).bit_length()
     vals = [rng.getrandbits(m_bits) for _ in range(n)]
     keep = ()
     if planted:
@@ -242,7 +246,9 @@ def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
     dozen elements, near-certain to occur somewhere; whole-table
     rejection would then practically never terminate.  Point repairs
     converge because each redraw breaks one solution and creates new
-    ones only with the background density.  A planted solution is
+    ones only with the background density, which each family's range (or
+    edge probability) sets from (n, l) alone, with no override, at a few
+    chance solutions a table.  A planted solution is
     passed in `keep`: it is never counted as accidental and its values
     are never touched.  A pass runs the family's test over the blocks
     find_marked scans, then redraws each hit's last slot (element, or
@@ -273,12 +279,9 @@ def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
         f"could not scrub accidental solutions in {_MAX_SCRUB_PASSES} passes")
 
 
-def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
-    if q is None:
-        q = binomial(n, l)
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    rng = random.Random(seed)
+def _gen_sum_mod_q(n, l=3, seed=0, planted=True):
+    rng = _seeded(n, l, seed)
+    q = binomial(n, l)
     vals = [rng.randrange(q) for _ in range(n)]
     keep = ()
     if planted:
@@ -290,7 +293,7 @@ def _gen_sum_mod_q(n, l=3, q=None, seed=0, planted=True):
 
 
 def _gen_consecutive(n, l=3, seed=0, planted=True):
-    rng = random.Random(seed)
+    rng = _seeded(n, l, seed)
     hi = 8 * n  # sparse values keep accidental runs rare
     vals = rng.sample(range(hi), n)
     keep = ()
@@ -311,29 +314,22 @@ def _clique_edge_prob(n, l):
     return min(0.25, (3.5 / binomial(n, l)) ** (1.0 / binomial(l, 2)))
 
 
-def _gen_clique(n, l=3, seed=0, planted=True, clique=None, edge_prob=None):
-    if not 2 <= l < n:
-        raise ValueError(f"need 2 <= l < n, got l={l}, n={n}")
-    rng = random.Random(seed)
-    if edge_prob is None:
-        edge_prob = _clique_edge_prob(n, l)
-    if clique is not None:
-        clique = tuple(sorted(clique))
-        if len(clique) != l:
-            raise ValueError(f"planted clique must have {l} vertices")
+def _gen_clique(n, l=3, seed=0, planted=True):
+    rng = _seeded(n, l, seed)
+    edge_prob = _clique_edge_prob(n, l)
 
     def edge():
         return 1 if rng.random() < edge_prob else 0
     vals = [edge() for _ in range(binomial(n, 2))]
     keep = ()
     if planted:
-        keep = clique if clique is not None else tuple(sorted(rng.sample(range(n), l)))
+        keep = tuple(sorted(rng.sample(range(n), l)))
         for a, b in itertools.combinations(keep, 2):
             vals[pair_index(a, b)] = 1
     _scrub_accidental(vals, n, l, _test_clique, edge, keep, PAIRWISE)
     return _build("l-clique", n, l, vals,
-                  {"edge_prob": edge_prob, "planted": planted,
-                   "clique": list(clique) if clique else None}, seed)
+                  {"edge_prob": edge_prob, "planted": planted, "clique": None},
+                  seed)
 
 
 def _gen_custom(n, l, values, mode=ITEM, satisfying=None, predicate=None, seed=None):

@@ -31,7 +31,6 @@ class UnitaryEigen:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix."""
     phases: np.ndarray                 # sorted ascending in (-pi, pi]
     vectors: np.ndarray                # columns, aligned with phases
-    reconstruction_residual: float = 0.0
 
     def eigenspace_weight(self, phase: float, target: np.ndarray) -> float:
         """|target|^2 in the eigenspace at e^{i phase}, eigenvalues within
@@ -60,11 +59,7 @@ def eigendecompose_unitary(u: np.ndarray) -> UnitaryEigen:
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = np.linalg.qr(vectors[:, order])[0]
-
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    residual = float(np.max(np.abs(recon - u)))
-    return UnitaryEigen(phases=phases, vectors=vectors,
-                        reconstruction_residual=residual)
+    return UnitaryEigen(phases=phases, vectors=vectors)
 
 
 # --- walk spectrum ------------------------------------------------------

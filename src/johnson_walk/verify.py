@@ -124,9 +124,10 @@ def check_reflections() -> CheckResult:
     """S^2 = C1^2 = C2^2 = P^2 = 1, norms kept, on random real states."""
     rng = random.Random(0)
     ctx = get_context(7, 3)
+    cases = reflection_cases(ctx, MarkedSet((1, 4))).values()
     worst = 0.0
     for _ in range(50):
-        for shape, op, undo in reflection_cases(ctx, MarkedSet((1, 4))).values():
+        for shape, op, undo in cases:
             ref = gaussian(rng, *shape)
             ref /= np.linalg.norm(ref)
             once = op(ref.copy())

@@ -175,7 +175,7 @@ def test_planted_families_are_unique(family, params):
     ("zero-sum-xor", {"n": 16, "l": 3}),
     ("sum-mod-q", {"n": 12, "l": 3}),
     ("consecutive", {"n": 12, "l": 3}),
-    ("l-clique", {"n": 7, "l": 3, "edge_prob": 0.15}),
+    ("l-clique", {"n": 7, "l": 3}),
 ])
 def test_unplanted_families_have_no_solution(family, params):
     inst = make_family(family, seed=5, planted=False, **params)
@@ -183,7 +183,7 @@ def test_unplanted_families_have_no_solution(family, params):
 
 
 def test_zero_sum_example():
-    inst = make_family("zero-sum-xor", n=8, l=3, m_bits=4, seed=7, planted=True)
+    inst = make_family("zero-sum-xor", n=8, l=3, seed=7, planted=True)
     res = find_marked(inst)
     assert len(res) == 1
     a, b, c = (inst.values[i] for i in res[0].indices)
@@ -191,11 +191,10 @@ def test_zero_sum_example():
 
 
 def test_clique_planted_triangle():
-    inst = make_family("l-clique", n=5, l=3, clique=(0, 1, 2), seed=0,
-                       planted=True, edge_prob=0.0)
+    inst = make_family("l-clique", n=5, l=3, seed=0, planted=True)
     assert inst.mode == PAIRWISE
-    assert find_marked(inst)[0].indices == (0, 1, 2)
-    for a, b in ((0, 1), (0, 2), (1, 2)):
+    (marked,) = find_marked(inst)
+    for a, b in itertools.combinations(marked.indices, 2):
         assert inst.values[pair_index(a, b)] == 1
 
 
@@ -246,7 +245,7 @@ def test_custom_family_callable_form():
 
 
 def test_json_round_trip(tmp_path):
-    inst = make_family("sum-mod-q", n=10, l=3, q=17, seed=4, planted=True)
+    inst = make_family("sum-mod-q", n=10, l=3, seed=4, planted=True)
     d = instance_to_json(inst)
     back = instance_from_json(json.loads(json.dumps(d)))
     assert back.values == inst.values
@@ -308,9 +307,28 @@ def test_element_distinctness_refuses_l_other_than_2(l):
     make_family("element-distinctness", n=9, l=2, seed=0)
 
 
+@pytest.mark.parametrize("knob", ["m_bits", "q", "edge_prob", "clique"])
+def test_generators_take_no_range_or_plant_knob(knob):
+    """Each family draws from the one range (n, l) sets, its plant at
+    random: no generator takes a range, an edge probability or a plant."""
+    for family in FAMILIES:
+        with pytest.raises(TypeError, match=f"unexpected keyword .*{knob}"):
+            make_family(family, n=9, seed=0, **{knob: 3})
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "custom"])
+def test_families_refuse_l_at_or_past_n(family):
+    """l = n and l = n + 1 are refused, planted and not, before any draw
+    (at l = n the one n-subset could hold a solution no redraw clears)."""
+    for n, planted in itertools.product((2, 3, 5, 9), (True, False)):
+        for l in (n, n + 1):
+            with pytest.raises(ValueError):
+                make_family(family, n=n, l=l, seed=0, planted=planted)
+
+
 # sha256 (first 32 hex digits) of the instance JSON, each drawn with the
 # default range of about C(n, l) values (m_bits = bit length of
-# C(n, l) - 1, q = C(n, l)); an explicit range of that size draws the same
+# C(n, l) - 1, q = C(n, l))
 FROZEN_DRAWS = {
     ("zero-sum-xor", 12, 4, 0, True): "50b1f1a2d30b67238123837db4794704",
     ("zero-sum-xor", 12, 4, 9, True): "eafb3e6f04a718043de60fcad8e2e4dc",
