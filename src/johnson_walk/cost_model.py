@@ -39,7 +39,6 @@ class ParameterChoice:
     t1: int
     t2: int
     total_queries: int
-    exponent_target: Fraction
 
 
 def _canonical_m(n: int, l: int, variant: str) -> int:
@@ -85,8 +84,7 @@ def choose_parameters(n: int, l: int, m: int | None = None,
     t1 = walk_steps(m, l) if t1 is None else t1
     t2 = rotation_count(n, m, l) if t2 is None else t2
     return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2,
-                           total_queries=oracle_queries(m, t1, t2),
-                           exponent_target=Fraction(l, l + 1))
+                           total_queries=oracle_queries(m, t1, t2))
 
 
 def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:

@@ -57,8 +57,11 @@ def _bytes_per_subset(n: int, m: int) -> int:
 def binomial_upto(n: int, k: int, limit: int) -> int | None:
     """C(n, k) if it is at most limit, else None.  C(n, i) grows with i
     up to n/2, so the product C(n, i) = C(n, i-1) (n-i+1)/i stops at the
-    first i past the limit and never forms a count far above it."""
-    count = 1
+    first i past the limit and never forms a count far above it.  As with
+    math.comb, C(n, k) is 0 for k > n, and a negative n or k is refused."""
+    if n < 0 or k < 0:
+        raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
+    count = int(k <= n)
     for i in range(1, min(k, n - k) + 1):
         if count > limit:
             break
@@ -179,9 +182,6 @@ class FullState:
     ctx: WalkContext
     amps: np.ndarray
     query_count: int = 0
-
-    def copy(self) -> "FullState":
-        return FullState(self.ctx, self.amps.copy(order="K"), self.query_count)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

@@ -208,11 +208,6 @@ def _seeded(n, l, seed):
     return random.Random(seed)
 
 
-def _gen_element_distinctness(n, l=2, seed=0, planted=True):
-    return _gen_l_distinctness(n, l=2, seed=seed, planted=planted,
-                               family="element-distinctness")
-
-
 def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
     """Injective values hold no l >= 2 equal ones; the plant copies one
     value to l - 1 other places, which makes those l the only equal ones."""
@@ -332,18 +327,10 @@ def _gen_clique(n, l=3, seed=0, planted=True):
                   seed)
 
 
-def _gen_custom(n, l, values, mode=ITEM, satisfying=None, predicate=None, seed=None):
-    """Explicit property: either a list of satisfying l-subsets of
-    (index, value) tuples, or a raw test in ProblemInstance.predicate's
-    calling convention (not serializable)."""
-    if (satisfying is None) == (predicate is None):
-        raise ValueError("custom family needs exactly one of satisfying/predicate")
-    if predicate is not None:
-        return ProblemInstance(n=n, l=l, mode=mode, values=tuple(values),
-                               family_tag="custom", property_params={},
-                               predicate=predicate, seed=seed)
-    if mode != ITEM:
-        raise ValueError("list-form custom properties are item-mode only")
+def _gen_custom(n, l, values, satisfying, seed=None):
+    """Explicit item-mode property: a list of satisfying l-subsets of
+    (index, value) tuples, the form that round-trips through JSON.  A raw
+    test is a ProblemInstance built with that predicate (not serializable)."""
     return _build("custom", n, l, values, {"satisfying": [
         sorted([list(p) for p in s]) for s in satisfying]}, seed)
 
@@ -366,8 +353,9 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "element-distinctness": Family(_gen_element_distinctness, ITEM,
-                                   lambda params: _test_all_equal, 2, 2),
+    "element-distinctness": Family(
+        partial(_gen_l_distinctness, family="element-distinctness"), ITEM,
+        lambda params: _test_all_equal, 2, 2),
     "l-distinctness": Family(_gen_l_distinctness, ITEM,
                              lambda params: _test_all_equal, 2),
     "zero-sum-xor": Family(_gen_zero_sum_xor, ITEM,
@@ -379,7 +367,7 @@ FAMILIES = {
     "consecutive": Family(_gen_consecutive, ITEM,
                           lambda params: _test_consecutive, 2),
     "l-clique": Family(_gen_clique, PAIRWISE, lambda params: _test_clique, 3),
-    # a custom property stored in JSON is the list form, item-mode only
+    # a custom property is the list form, item-mode only, as stored in JSON
     "custom": Family(_gen_custom, ITEM,
                      lambda params: _test_explicit(params["satisfying"]),
                      params=(("satisfying", lambda s: _int_lists(s, 3),

@@ -51,11 +51,6 @@ def dumps_report(obj) -> str:
     return text
 
 
-def csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
 def csv_line(values) -> str:
-    return ",".join(csv_cell(v) for v in values)
+    return ",".join(format_float(v) if isinstance(v, float) else str(v)
+                    for v in values)

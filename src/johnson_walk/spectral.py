@@ -18,6 +18,7 @@ from .reduced_sim import ReducedBasis, build_walk_matrix, coin1_matrix, \
     coin2_matrix, reduced_s
 
 TWO_PI = 2.0 * math.pi
+_POLE_WEIGHT_CUT = 1e-12  # a pole of U with |<w|u>|^2 at most this is inactive
 
 
 def _wrap_phase(theta: float) -> float:
@@ -127,16 +128,12 @@ class DeltaDecomposition:
     n: int
     m: int
     l: int
-    c_diag: np.ndarray = field(repr=False)
-    delta1: np.ndarray = field(repr=False)
-    delta2: np.ndarray = field(repr=False)
     norm_delta1: float
     norm_delta2: float
     scaled_norm_delta1: float   # ||Delta1|| * sqrt(n - m)
     scaled_norm_delta2: float   # ||Delta2|| * sqrt(m + 1)
     delta2c_eigs_real: np.ndarray   # eigenvalues of Delta2 C, sorted
     delta2c_eigs_imag: np.ndarray
-    delta2c: np.ndarray = field(repr=False)
     delta2c_expected: np.ndarray = field(repr=False)
 
     @property
@@ -153,8 +150,7 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     -2 beta j +- 2i r, and 0 if (0, 0) exists.
     """
     basis = ReducedBasis(n, m, l)
-    c_diag = np.array([(-1.0) ** p for _, p in basis.labels])
-    c = np.diag(c_diag)
+    c = np.diag([(-1.0) ** p for _, p in basis.labels])
     delta1 = coin1_matrix(basis) - c
     delta2 = coin2_matrix(basis) - c
     delta2c = delta2 @ c
@@ -171,12 +167,11 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     n1 = float(np.linalg.norm(delta1, 2))
     n2 = float(np.linalg.norm(delta2, 2))
     return DeltaDecomposition(
-        n=n, m=m, l=l, c_diag=c_diag, delta1=delta1, delta2=delta2,
-        norm_delta1=n1, norm_delta2=n2,
+        n=n, m=m, l=l, norm_delta1=n1, norm_delta2=n2,
         scaled_norm_delta1=n1 * math.sqrt(n - m),
         scaled_norm_delta2=n2 * math.sqrt(m + 1),
         delta2c_eigs_real=eigs.real, delta2c_eigs_imag=eigs.imag,
-        delta2c=delta2c, delta2c_expected=expected,
+        delta2c_expected=expected,
     )
 
 
@@ -233,7 +228,7 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     brackets exactly one root per gap.  Eigenvectors of U orthogonal to
     w pass through with their phase unchanged.
     """
-    weight_tol, bisect_tol = 1e-12, 1e-13
+    bisect_tol = 1e-13
     w = np.asarray(w, dtype=complex)
     w = w / np.linalg.norm(w)
     amp = eigen.vectors.conj().T @ w          # <u_j|w>
@@ -257,7 +252,7 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     poles = np.array(poles)
     pole_weight = np.array(pole_weight)
 
-    active = pole_weight > weight_tol
+    active = pole_weight > _POLE_WEIGHT_CUT
     act_poles, act_weight = poles[active], pole_weight[active]
 
     # pass-through: inactive poles keep all members; active degenerate
@@ -322,7 +317,9 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
 
     t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
     at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.  A size whose
-    float W^t1 is not unitary to 1e-10 (l = 2: n >= 10^18) is refused.
+    float W^t1 is not unitary to 1e-10 (l = 2: n >= 10^18) is refused, and
+    so is one whose pole at phase 0, of weight <w|s>^2, falls under
+    _POLE_WEIGHT_CUT: the pair found without it would be a wrong one.
     """
     basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
@@ -344,6 +341,11 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     if len(spectrum.thetas) < 2:
         raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "
                          f"|w> lies in one eigenspace of W^t1 (t1={t1})")
+    if not np.any(np.abs(spectrum.pole_phases) < 1e-10):  # |s>'s pole was cut
+        raise ValueError(
+            f"--n {n} is too large: the root finder's {_POLE_WEIGHT_CUT:g} "
+            f"pole-weight cut drops the eigenvalue 1 of W^t1 (t1={t1}), whose "
+            f"eigenvector |s> has <w|s>^2 = {ws * ws:.3g}")
     order = np.argsort(np.abs(spectrum.thetas))
     plus, minus = order[:2] if spectrum.thetas[order[0]] > 0 else order[1::-1]
     theta_plus, theta_minus = spectrum.thetas[plus], spectrum.thetas[minus]

@@ -25,14 +25,7 @@ from johnson_walk import (
 )
 from johnson_walk.full_sim import get_context
 from johnson_walk.verify import reflection_cases
-
-
-def flip_w(state, basis):
-    """P on the reduced labels: negate (l, 0), the one label with the
-    marked set inside."""
-    out = state.copy()
-    out[basis.index(basis.l, 0)] *= -1.0
-    return out
+from reference import flip_w
 
 
 def verdict(num, ok, detail):

@@ -174,6 +174,29 @@ def test_spectrum_refusals_name_the_cause(capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def test_spectrum_large_n_grid_right_pair_or_one_line_2(capsys):
+    """l = 1..8, n = 10^10..10^24 by half decades: a report whose rotation
+    pair is the right one, to error_scale with a 1e-8 floor for float
+    rounding at l=1, or one error line and exit 2.  Where <w|s>^2 falls to
+    the root finder's pole-weight cut before the orthogonality check
+    refuses (l=4 at 10^15 among them), the refusal names the cut."""
+    for l in range(1, 9):
+        for k in range(20, 49):
+            n = 10 ** (k // 2) if k % 2 == 0 else math.isqrt(10 ** k)
+            code, out, err = run_cli(capsys, "spectrum", "--n", str(n),
+                                     "--l", str(l))
+            if code == 0:
+                rot = json.loads(out)["rotation"]
+                assert rot["eigvec_fidelity"] >= 0.99, (l, n)
+                assert abs(rot["ratio_plus"] - 1.0) <= max(
+                    rot["error_scale"], 1e-8), (l, n)
+            else:
+                assert code == 2 and out == "", (l, n)
+                assert err.startswith("error: ") and err.count("\n") == 1
+            if (l, n) == (4, 10 ** 15):
+                assert "1e-12 pole-weight cut" in err
+
+
 def test_spectrum_past_n_minus_m_below_l(capsys):
     """n=9, l=4 walks at m=6: the classes (0, 0) and (0, 1) are empty, and
     the closed form holds on the six labels left, theta_3 = pi included."""

@@ -29,7 +29,6 @@ def test_choose_parameters_n9():
     assert p.t1 == 2         # nint((pi/2) sqrt(2)) = nint(2.221)
     assert p.t2 == 2         # nint((pi/4) (9/4)) = nint(1.767)
     assert p.total_queries == 12
-    assert p.exponent_target == Fraction(2, 3)
 
 
 def test_choose_parameters_n1e6():
@@ -41,7 +40,6 @@ def test_choose_parameters_n1e6():
 def test_choose_parameters_l1():
     p = choose_parameters(10 ** 6, 1)
     assert p.m == 1000       # sqrt(n) scaling
-    assert p.exponent_target == Fraction(1, 2)
 
 
 def test_choose_parameters_rejects_tiny_n():

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    DEFAULT_MEMCAP, MarkedSet, MemoryCapError, ReducedBasis, WalkContext,
-    apply_coin1, apply_coin2, apply_phase_flip, apply_shift, apply_walk_step,
-    binomial, choose_parameters, embed_to_full, find_marked, get_context,
-    make_family, prepare_s, run_algorithm, run_reduced,
+    DEFAULT_MEMCAP, MarkedSet, MemoryCapError, ProblemInstance, ReducedBasis,
+    WalkContext, apply_coin1, apply_coin2, apply_phase_flip, apply_shift,
+    apply_walk_step, binomial, choose_parameters, embed_to_full, find_marked,
+    get_context, make_family, prepare_s, run_algorithm, run_reduced,
 )
 from johnson_walk.cli import main
 from johnson_walk.full_sim import FullState, _context_cache, binomial_upto
 from johnson_walk.instances import ITEM
 from johnson_walk.serialize import dumps_report
+from reference import colex
 
 
 def zero_state(ctx):
@@ -35,12 +36,6 @@ def test_context_shapes():
     assert ctx.dim_a == ctx.dim_b == 630
     # shift is a bijection between the sides
     assert sorted(ctx.shift_map) == list(range(ctx.dim_b))
-
-
-def colex(n, k):
-    """The k-subsets of range(n) in colex order, each at its rank: the
-    itertools list sorted by the reversed tuple."""
-    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
 
 
 def reference_index(n, m):
@@ -180,13 +175,20 @@ def test_default_cap_admits_n_27(monkeypatch):
 
 def test_binomial_upto_is_exact_up_to_the_limit():
     """The count is C(n, k) when it fits under the limit, and None (past
-    the limit) otherwise, at the limit and one either side of it."""
+    the limit) otherwise, at the limit and one either side of it; it is 0
+    past k = n, and a negative n or k is refused, as math.comb does."""
     for n in range(70):
-        for k in range(n + 1):
+        for k in range(n + 3):
             count = math.comb(n, k)
             for limit in (count - 1, count, count + 1):
                 expect = count if count <= limit else None
                 assert binomial_upto(n, k, limit) == expect, (n, k, limit)
+    assert binomial_upto(5, 7, 100) == 0
+    for n, k in ((-1, 0), (5, -1), (-2, -3)):
+        with pytest.raises(ValueError):
+            math.comb(n, k)
+        with pytest.raises(ValueError):
+            binomial_upto(n, k, 100)
 
 
 @pytest.mark.parametrize("n, m", [(9, 4), (20, 7), (100, 1)])
@@ -248,10 +250,10 @@ def test_walk_step_query_cost():
 def test_walk_fixes_start_state():
     inst = make_family("element-distinctness", n=9, seed=1)
     state = prepare_s(inst, 4)
-    ref = state.copy()
+    ref = state.amps.copy()
     for _ in range(3):
         apply_walk_step(state, inst)
-    assert np.max(np.abs(state.amps - ref.amps)) < 1e-12
+    assert np.max(np.abs(state.amps - ref)) < 1e-12
 
 
 def test_reflection_suite():
@@ -384,9 +386,9 @@ def test_simulate_both_holds_only_the_charged_arrays(capsys):
 
 def test_engine_state_stays_slot_major():
     """prepare_s returns a Fortran-ordered state; every kernel updates
-    that buffer in place and leaves it so, FullState.copy keeps the
-    layout, and a whole run's final state is still slot-major.  A silent
-    C-order copy would lose the layout's speed without changing a number."""
+    that buffer in place and leaves it so, and a whole run's final state
+    is still slot-major.  A silent C-order copy would lose the layout's
+    speed without changing a number."""
     inst = make_family("element-distinctness", n=9, seed=1)
     marked = find_marked(inst)[0]
     state = prepare_s(inst, 4)
@@ -401,7 +403,6 @@ def test_engine_state_stays_slot_major():
         f()
         assert state.amps is amps and amps.ctypes.data == address, name
         assert amps.flags.f_contiguous and not amps.flags.c_contiguous, name
-    assert state.copy().amps.flags.f_contiguous
     final = run_algorithm(inst, 4, 2, 2).final_state.amps
     assert final.flags.f_contiguous and not final.flags.c_contiguous
 
@@ -490,9 +491,9 @@ def test_phase_flip_expectation():
     inst = make_family("element-distinctness", n=9, seed=1)
     marked = find_marked(inst)[0]
     state = prepare_s(inst, 4)
-    ref = state.copy()
+    ref = state.amps.copy()
     apply_phase_flip(state, np.flatnonzero(state.ctx.marked_row_mask([marked])))
-    inner = np.vdot(ref.amps, state.amps)
+    inner = np.vdot(ref, state.amps)
     c20, c = math.comb(7, 2) * 5, math.comb(9, 4) * 5
     assert abs(inner - (1.0 - 2.0 * c20 / c)) < 1e-12
 
@@ -609,8 +610,9 @@ def test_permutation_covariance():
         new_vals = [0] * 8
         for i, v in enumerate(inst.values):
             new_vals[perm[i]] = v
-        relabeled = make_family("custom", n=8, l=2, values=new_vals,
-                                predicate=inst.predicate)
+        relabeled = ProblemInstance(n=8, l=2, mode=ITEM, values=new_vals,
+                                    family_tag="custom", property_params={},
+                                    predicate=inst.predicate)
         assert find_marked(relabeled)[0].indices == marked
         got = run_algorithm(relabeled, 3, 2, 2).success_probability
         assert abs(got - base) < 1e-12

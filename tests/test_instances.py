@@ -79,6 +79,14 @@ def reference_scan(inst, predicate=None):
                              for i in subset_slots(s, inst.mode)])]
 
 
+def raw(n, l, values, predicate):
+    """An item-mode instance of a raw test, tagged custom; it has no JSON
+    form."""
+    return ProblemInstance(n=n, l=l, mode=ITEM, values=values,
+                           family_tag="custom", property_params={},
+                           predicate=predicate)
+
+
 def assert_matches_reference(inst, predicate=None):
     hits = reference_scan(inst, predicate)
     res = find_marked(inst)
@@ -237,8 +245,7 @@ def test_custom_family_list_form():
 
 
 def test_custom_family_callable_form():
-    inst = make_family("custom", n=5, l=2, values=(1, 2, 3, 4, 6),
-                       predicate=lambda s, v: v[0] + v[1] == 7)
+    inst = raw(5, 2, (1, 2, 3, 4, 6), lambda s, v: v[0] + v[1] == 7)
     assert len(find_marked(inst)) > 1
     with pytest.raises(ValueError):
         instance_to_json(inst)
@@ -587,14 +594,12 @@ def test_custom_instances_match_the_reference():
         [(0, 5), (1, 5)], [(2, 7), (5, 7)], [(3, 8), (4, 5)],
         [(1, 5), (1, 5)], [(0, 5), (1, 5), (4, 5)]])
     assert len(assert_matches_reference(inst)) == 2
-    inst = make_family("custom", n=6, l=3, values=values,
-                       predicate=lambda subsets, values:
-                       values.sum(axis=0) % 3 == 0)
+    inst = raw(6, 3, values,
+               lambda subsets, values: values.sum(axis=0) % 3 == 0)
     assert len(assert_matches_reference(
         inst, lambda subset, vals: sum(vals) % 3 == 0)) > 1
     # values are taken as given, not cast to integers
-    inst = make_family("custom", n=4, l=2, values=(0.25, 0.75, 2.0, 2.0),
-                       predicate=lambda s, v: v[0] == v[1])
+    inst = raw(4, 2, (0.25, 0.75, 2.0, 2.0), lambda s, v: v[0] == v[1])
     assert assert_matches_reference(
         inst, lambda subset, vals: vals[0] == vals[1])[0].indices == (2, 3)
 
@@ -609,10 +614,8 @@ def test_scan_spans_blocks():
     assert binomial(100, 3) > 4 * _BLOCK
     assert len(assert_matches_reference(inst)) == 1
     rng = random.Random(1)
-    inst = make_family("custom", n=60, l=3,
-                       values=[rng.randrange(1000) for _ in range(60)],
-                       predicate=lambda subsets, values:
-                       values.sum(axis=0) % 50 == 0)
+    inst = raw(60, 3, [rng.randrange(1000) for _ in range(60)],
+               lambda subsets, values: values.sum(axis=0) % 50 == 0)
     res = assert_matches_reference(
         inst, lambda subset, vals: sum(vals) % 50 == 0)
     ranks = list(itertools.combinations(range(60), 3))
@@ -634,7 +637,7 @@ def test_scan_calls_the_test_once_a_block(n, l):
         calls.append(subsets.T.tolist())
         return np.zeros(subsets.shape[1], bool)
 
-    inst = make_family("custom", n=n, l=l, values=[0] * n, predicate=count)
+    inst = raw(n, l, [0] * n, count)
     assert find_marked(inst) == ()
     assert len(calls) == -(-binomial(n, l) // _BLOCK)
     assert max(map(len, calls)) <= _BLOCK

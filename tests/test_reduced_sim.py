@@ -16,6 +16,7 @@ from johnson_walk.algorithm import run_walk
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
     get_context
 from johnson_walk.instances import MarkedSet
+from reference import colex, flip_w
 
 
 # c_{2,0} / c_total at n=9, m=4, l=2: C(7, 2) 5 of the C(9, 4) 5 pairs
@@ -133,14 +134,6 @@ def test_walk_fixes_reduced_s():
         assert np.max(np.abs(w @ s - s)) <= 1e-12
 
 
-def flip_w(state, basis):
-    """P on the labels: negate (l, 0), the one label with the marked set
-    inside."""
-    out = state.copy()
-    out[basis.index(basis.l, 0)] *= -1.0
-    return out
-
-
 def test_phase_flip_reduced():
     b = ReducedBasis(9, 4, 2)
     s = reduced_s(b)
@@ -229,12 +222,6 @@ def test_embed_refuses_a_context_of_another_walk():
     with pytest.raises(ValueError, match="context is for"):
         embed_to_full(reduced_s(basis), basis, MarkedSet((0, 1)),
                       get_context(9, 3))
-
-
-def colex(n, k):
-    """The k-subsets of range(n) in colex order, each at its rank: the
-    itertools list sorted by the reversed tuple."""
-    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
 
 
 def reference_embed_a(state, basis, marked):

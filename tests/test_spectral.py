@@ -185,18 +185,6 @@ def test_extreme_pair_fidelity_bound():
             assert rep.extreme_pair_fidelity >= 1.0 - 25.0 * m / n, (n, l)
 
 
-def test_delta_decomposition_reconstructs():
-    from johnson_walk.reduced_sim import coin1_matrix, coin2_matrix
-
-    for n, m, l in [(9, 4, 2), (200, 53, 3)]:
-        basis = ReducedBasis(n, m, l)
-        rep = delta_decomposition(n, m, l)
-        c = np.diag(rep.c_diag)
-        assert np.array_equal(c @ c, np.eye(basis.dim))
-        assert np.max(np.abs((c + rep.delta1) - coin1_matrix(basis))) == 0.0
-        assert np.max(np.abs((c + rep.delta2) - coin2_matrix(basis))) == 0.0
-
-
 def test_delta_norms_scale():
     """||Delta1|| sqrt(n-m) and ||Delta2|| sqrt(m+1) sit at 2 sqrt(l)."""
     for n, m, l in [(200, 34, 2), (1000, 100, 2), (1000, 178, 3),
