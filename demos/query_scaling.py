@@ -8,7 +8,8 @@ the numeric optimizer.
 import numpy as np
 
 from johnson_walk import (
-    ReducedBasis, choose_parameters, optimize_m, run_reduced, table1,
+    ReducedBasis, choose_parameters, optimize_m, oracle_queries, run_reduced,
+    table1,
 )
 
 for l in (1, 2, 3):
@@ -17,7 +18,7 @@ for l in (1, 2, 3):
     for n in ns:
         p = choose_parameters(n, l)
         rep = run_reduced(ReducedBasis(n, p.m, l), p.t1, p.t2)
-        rows.append((n, p.total_queries, rep.overlap_w))
+        rows.append((n, oracle_queries(p.m, p.t1, p.t2), rep.overlap_w))
     slope = np.polyfit(np.log([r[0] for r in rows]),
                        np.log([r[1] for r in rows]), 1)[0]
     print(f"l={l}: target exponent {l/(l+1):.4f}, fitted {slope:.4f}")

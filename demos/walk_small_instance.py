@@ -10,7 +10,8 @@ import numpy as np
 
 from johnson_walk import (
     ReducedBasis, build_walk_matrix, choose_parameters, embed_to_full,
-    make_family, norm_constants, reduced_s, run_algorithm, run_reduced,
+    make_family, norm_constants, oracle_queries, reduced_s, run_algorithm,
+    run_reduced,
 )
 
 inst = make_family("element-distinctness", n=9, seed=1)
@@ -20,7 +21,7 @@ print("marked pair:", marked.indices, "(unique)")
 
 params = choose_parameters(9, 2)
 print(f"\nparameters: m={params.m}, t1={params.t1}, t2={params.t2}, "
-      f"budget={params.total_queries} queries")
+      f"budget={oracle_queries(params.m, params.t1, params.t2)} queries")
 
 weights, total = norm_constants(9, params.m, 2)
 baseline = weights[(2, 0)] / total

@@ -18,10 +18,10 @@ import importlib
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in {
     "algorithm": "RunReport",
-    "combinat": "binomial norm_constants",
+    "combinat": "norm_constants",
     "cost_model": "MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult "
                   "ParameterChoice choose_parameters clique_cost "
-                  "nint optimize_m oracle_queries table1 table1_csv",
+                  "nint optimize_m oracle_queries table1",
     "full_sim": "DEFAULT_MEMCAP FullState MemoryCapError WalkContext "
                 "apply_coin1 apply_coin2 apply_phase_flip apply_shift "
                 "apply_walk_step get_context memory_cap prepare_s "

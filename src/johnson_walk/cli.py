@@ -15,7 +15,7 @@ import json
 import sys
 
 from .cost_model import SIMPLE, VARIANTS, choose_parameters, optimize_m, \
-    table1_csv, walk_size
+    table1, walk_size
 from .instances import FAMILIES, GenerationError, check_family_l, \
     load_instance, make_family
 from .serialize import csv_line, dumps_report
@@ -160,23 +160,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """The reduced engine at each n: only it reaches the sizes where the
+    fitted slope means anything."""
     import numpy as np
 
-    from .full_sim import get_context, run_algorithm
     from .reduced_sim import ReducedBasis, run_reduced
 
-    header = "n,m,t1,t2,queries,overlap_w,success"
-    lines = [header]
-    ns = sorted(set(args.n_values or []))
+    lines = ["n,m,t1,t2,queries,overlap_w,success"]
     points = []
-    for n in ns:
+    for n in sorted(set(args.n_values or [])):
         p = choose_parameters(n, args.l)
-        if args.engine == "full":
-            get_context(n, p.m)  # the byte cap first: exit 3 before the scan
-            inst = make_family("l-distinctness", n=n, l=args.l, seed=args.seed)
-            rep = run_algorithm(inst, p.m, p.t1, p.t2)
-        else:
-            rep = run_reduced(ReducedBasis(n, p.m, args.l), p.t1, p.t2)
+        rep = run_reduced(ReducedBasis(n, p.m, args.l), p.t1, p.t2)
         lines.append(csv_line([n, p.m, p.t1, p.t2, rep.query_count,
                                rep.overlap_w, rep.success_probability]))
         points.append((n, rep.query_count))
@@ -184,7 +178,7 @@ def cmd_sweep(args) -> int:
         logs_n = np.log([n for n, _ in points])
         logs_q = np.log([q for _, q in points])
         slope = float(np.polyfit(logs_n, logs_q, 1)[0])
-        lines.append(f"# slope,{slope:.17g}")
+        lines.append(csv_line(["# slope", slope]))
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -195,7 +189,10 @@ def cmd_cost(args) -> int:
             raise ConfigError("--table1 covers l = 2..7 and takes no --l or --n")
         if args.variant is not None:
             raise ConfigError("--table1 lists every variant and takes no --variant")
-        _emit(table1_csv().rstrip("\n"), args.output)
+        lines = ["L,simple,recursive,mss,best"]
+        lines += [csv_line([r.l, r.simple_exponent, r.recursive_exponent,
+                            r.mss_exponent, r.best]) for r in table1()]
+        _emit("\n".join(lines), args.output)
         return 0
     res = optimize_m(10 ** 6 if args.n is None else args.n,
                      2 if args.l is None else args.l, args.variant or SIMPLE)
@@ -251,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="query scaling over a range of n")
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--n-values", type=int, nargs="*", default=None)
-    p.add_argument("--engine", choices=("full", "reduced"), default="reduced")
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_sweep)
 

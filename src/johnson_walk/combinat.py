@@ -1,23 +1,16 @@
 """Exact combinatorics underlying the subset-walk state space.
 
-Everything here is integer arithmetic: binomials, the colexicographic
-enumeration of k-subsets, and the exact class weights of the reduced
-engine's (j, p) states, built from falling factorials so that no count
-of all m-subsets is ever formed.  Nothing is allowed to round or
-overflow.  The enumeration is the package's one list of k-subsets: the
-full engine's subsets_a is colex_table(n, m), and the classical scan
-runs over colex_blocks(n, l, rows); numpy is imported inside those two.
+Everything here is integer arithmetic: the colexicographic enumeration
+of k-subsets, and the exact class weights of the reduced engine's (j, p)
+states, built from falling factorials so that no count of all m-subsets
+is ever formed.  Nothing is allowed to round or overflow.  The
+enumeration is the package's one list of k-subsets: the full engine's
+subsets_a is colex_table(n, m), and the classical scan runs over
+colex_blocks(n, l, rows); numpy is imported inside those two.
 """
 from __future__ import annotations
 
 import math
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    return math.comb(n, k)
 
 
 def colex_table(n: int, k: int):

@@ -38,7 +38,6 @@ class ParameterChoice:
     m: int
     t1: int
     t2: int
-    total_queries: int
 
 
 def _canonical_m(n: int, l: int, variant: str) -> int:
@@ -83,8 +82,7 @@ def choose_parameters(n: int, l: int, m: int | None = None,
     m = walk_size(n, l, m)
     t1 = walk_steps(m, l) if t1 is None else t1
     t2 = rotation_count(n, m, l) if t2 is None else t2
-    return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2,
-                           total_queries=oracle_queries(m, t1, t2))
+    return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2)
 
 
 def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:
@@ -103,13 +101,11 @@ def clique_cost(n: float, m: float, l: int, variant: str) -> float:
 
     simple:    m^2 + (n/m)^{l/2} sqrt(m) m
     recursive: m^2 + (n/m)^{(l-1)/2} (m^{(l-1)/l} sqrt(n) + m^{3/2})
-    mss:       the recursive formula at its own m = nint(n^{(l-1)/l})
-               (the passed m is ignored)
+    mss:       the recursive formula; the variant is its choice
+               m = nint(n^{(l-1)/l}), which the caller passes
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if variant == MSS:
-        return clique_cost(n, _canonical_m(int(n), l, MSS), l, RECURSIVE)
     if not l <= m < n:
         raise ValueError(f"need l <= m < n, got n={n}, m={m}, l={l}")
     if variant == SIMPLE:
@@ -216,11 +212,3 @@ def table1():
                                   recursive_exponent=recursive,
                                   mss_exponent=mss, best=best))
     return rows
-
-
-def table1_csv() -> str:
-    lines = ["L,simple,recursive,mss,best"]
-    for row in table1():
-        lines.append(f"{row.l},{row.simple_exponent},{row.recursive_exponent},"
-                     f"{row.mss_exponent},{row.best}")
-    return "\n".join(lines) + "\n"

@@ -22,13 +22,14 @@ step is checked against.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
-from .combinat import binomial, colex_table
+from .combinat import colex_table
 from .instances import ITEM, ProblemInstance
 
 # Bytes; admits n <= 27 at the parameter rule's m for l=2 (2.07e9 B at
@@ -106,7 +107,7 @@ class WalkContext:
                 f"(set JOHNSON_WALK_MEMCAP to override)")
         self.n, self.m = n, m
         self.num_a = num_a
-        self.num_b = binomial(n, m + 1)
+        self.num_b = math.comb(n, m + 1)
         self.dim_a = self.num_a * (n - m)
         self.dim_b = self.num_b * (m + 1)  # equals dim_a: shift is a bijection
 
@@ -116,12 +117,12 @@ class WalkContext:
         row = np.arange(self.num_a, dtype=np.int64)
         for k in range(1, m + 1):
             for c in range(width + k - 1, k - 2, -1):
-                lo, hi, below = binomial(c, k), binomial(c + 1, k), c - k + 1
-                np.add(union[:hi - lo, :below], binomial(c, k + 1),
+                lo, hi, below = math.comb(c, k), math.comb(c + 1, k), c - k + 1
+                np.add(union[:hi - lo, :below], math.comb(c, k + 1),
                        out=union[lo:hi, :below])
             for c in range(k, width + k):
-                lo = binomial(c, k)
-                np.add(row[:lo], binomial(c, k + 1), out=union[:lo, c - k])
+                lo = math.comb(c, k)
+                np.add(row[:lo], math.comb(c, k + 1), out=union[:lo, c - k])
         self.subsets_a, self.union_rank = colex_table(n, m), union
 
     @property
@@ -197,7 +198,7 @@ def prepare_s(instance: ProblemInstance, m: int) -> FullState:
     ctx = get_context(instance.n, m)
     amps = np.full((ctx.num_a, ctx.n - ctx.m), 1.0 / np.sqrt(ctx.dim_a),
                    order="F")
-    return FullState(ctx, amps, m if instance.mode == ITEM else binomial(m, 2))
+    return FullState(ctx, amps, m if instance.mode == ITEM else math.comb(m, 2))
 
 
 def apply_coin1(state: FullState) -> FullState:

@@ -22,7 +22,7 @@ from functools import cached_property, partial, reduce
 from operator import xor
 from typing import Callable, NamedTuple
 
-from .combinat import binomial, colex_blocks
+from .combinat import colex_blocks
 
 ITEM = "item"
 PAIRWISE = "pairwise"
@@ -82,7 +82,7 @@ class ProblemInstance:
     def __post_init__(self):
         if not 1 <= self.l < self.n:
             raise ValueError(f"need 1 <= l < n, got l={self.l}, n={self.n}")
-        expected = self.n if self.mode == ITEM else binomial(self.n, 2)
+        expected = self.n if self.mode == ITEM else math.comb(self.n, 2)
         if len(self.values) != expected:
             raise ValueError(
                 f"value table has {len(self.values)} entries, expected {expected}")
@@ -222,7 +222,7 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
 
 def _gen_zero_sum_xor(n, l=3, seed=0, planted=True):
     rng = _seeded(n, l, seed)
-    m_bits = (binomial(n, l) - 1).bit_length()
+    m_bits = (math.comb(n, l) - 1).bit_length()
     vals = [rng.getrandbits(m_bits) for _ in range(n)]
     keep = ()
     if planted:
@@ -276,7 +276,7 @@ def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
 
 def _gen_sum_mod_q(n, l=3, seed=0, planted=True):
     rng = _seeded(n, l, seed)
-    q = binomial(n, l)
+    q = math.comb(n, l)
     vals = [rng.randrange(q) for _ in range(n)]
     keep = ()
     if planted:
@@ -306,7 +306,7 @@ def _clique_edge_prob(n, l):
     """0.25, lowered where a G(n, 0.25) graph would hold more than 3.5
     l-cliques by chance (l=3 from n=13 on), so that the scrub has few
     edges to redraw: C(n, l) p^C(l, 2) = 3.5."""
-    return min(0.25, (3.5 / binomial(n, l)) ** (1.0 / binomial(l, 2)))
+    return min(0.25, (3.5 / math.comb(n, l)) ** (1.0 / math.comb(l, 2)))
 
 
 def _gen_clique(n, l=3, seed=0, planted=True):
@@ -315,7 +315,7 @@ def _gen_clique(n, l=3, seed=0, planted=True):
 
     def edge():
         return 1 if rng.random() < edge_prob else 0
-    vals = [edge() for _ in range(binomial(n, 2))]
+    vals = [edge() for _ in range(math.comb(n, 2))]
     keep = ()
     if planted:
         keep = tuple(sorted(rng.sample(range(n), l)))

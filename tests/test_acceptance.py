@@ -19,7 +19,7 @@ from johnson_walk import (
     MarkedSet, ReducedBasis, algorithm_rotation, apply_phase_flip,
     apply_walk_step, build_walk_matrix,
     choose_parameters, circular_phase_gap, eigendecompose_unitary,
-    embed_to_full, find_marked, make_family, prepare_s,
+    embed_to_full, find_marked, make_family, oracle_queries, prepare_s,
     reduced_s, run_algorithm, run_reduced, table1,
     up_eigenphases, optimize_m, walk_spectrum,
 )
@@ -119,7 +119,8 @@ def test_criterion_5_query_accounting():
     ns = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
     slopes = {}
     for l, target in ((2, 2.0 / 3.0), (3, 0.75)):
-        qs = [choose_parameters(n, l).total_queries for n in ns]
+        params = [choose_parameters(n, l) for n in ns]
+        qs = [oracle_queries(p.m, p.t1, p.t2) for p in params]
         slopes[l] = float(np.polyfit(np.log(ns), np.log(qs), 1)[0])
     ok = exact and abs(slopes[2] - 2.0 / 3.0) <= 0.02 \
         and abs(slopes[3] - 0.75) <= 0.02

@@ -167,6 +167,7 @@ def test_spectrum_theta_l_at_pi(capsys):
     (("--n", "1000000000000000000", "--l", "2"),
      "--n 1000000000000000000 is too large: the float W^t1 (t1=1110721) "
      "drifts past the 1e-10 orthogonality check at this size"),
+    ((), "--n is required"),
 ])
 def test_spectrum_refusals_name_the_cause(capsys, argv, message):
     code, out, err = run_cli(capsys, "spectrum", *argv)
@@ -285,6 +286,29 @@ def test_reduced_refuses_several_marked_sets(capsys, tmp_path, engine):
     code, out, _ = run_cli(capsys, *argv, "--engine", "full")
     assert code == 0
     assert "unguaranteed" in json.loads(out)["full"]["flags"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "either --instance or --n is required"),
+    (("--engine", "full", "--n", "9", "--t1", "-1"),
+     "t1, t2 must be nonnegative"),
+], ids=["no-size", "negative-t1"])
+def test_simulate_refusals_name_the_cause(capsys, argv, message):
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--engine", "full"), ("--engine", "reduced"), ("--seed", "1"),
+])
+def test_sweep_takes_no_engine_or_seed(capsys, argv):
+    """sweep runs the reduced engine only, on no drawn instance."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n-values", "100", "1000", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_simulate_large_reduced_takes_the_family_oracle(capsys):
@@ -514,7 +538,6 @@ def test_memcap_exit_3(capsys):
 @pytest.mark.parametrize("argv", [
     ("simulate", "--engine", "full", "--n", "5000"),
     ("simulate", "--engine", "both", "--n", "1000000"),
-    ("sweep", "--engine", "full", "--n-values", "3000"),
 ])
 def test_memcap_exit_3_before_the_draw(capsys, monkeypatch, argv):
     """The byte cap is checked before the generator's scan over C(n, l)
@@ -577,12 +600,10 @@ def test_simulate_scans_once(capsys, scans, engine):
 def test_memcap_exit_3_without_the_count(capsys, monkeypatch):
     """Far past the cap, the refusal forms no C(n, m): at n=10^8 that count
     alone took over a minute."""
-    from johnson_walk import full_sim
-
     def no_count(*args):
         raise AssertionError("C(n, m) was formed")
 
-    monkeypatch.setattr(full_sim, "binomial", no_count)
+    monkeypatch.setattr(math, "comb", no_count)
     code, out, err = run_cli(capsys, "simulate", "--engine", "full",
                              "--n", "100000000")
     assert code == 3 and out == ""

@@ -1,5 +1,4 @@
-"""Exact combinatorics: binomials, the colex enumeration, the class
-weights."""
+"""Exact combinatorics: the colex enumeration and the class weights."""
 import itertools
 import math
 import random
@@ -10,35 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_walk import binomial, norm_constants
+from johnson_walk import norm_constants
 from johnson_walk.combinat import colex_blocks, colex_table, symmetric_ratio
-
-
-def test_binomial_examples():
-    assert binomial(9, 4) == 126
-    assert binomial(7, 0) == 1
-    assert binomial(3, 5) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-    with pytest.raises(ValueError):
-        binomial(4, -2)
-
-
-def test_binomial_pascal_oracle():
-    """Additively built Pascal triangle up to n=64, exact equality."""
-    row = [1]
-    for n in range(65):
-        for k, expect in enumerate(row):
-            assert binomial(n, k) == expect
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-
-
-@given(st.integers(0, 64), st.integers(0, 80))
-def test_binomial_matches_math_comb(n, k):
-    assert binomial(n, k) == math.comb(n, k)
 
 
 def test_rank_examples():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from johnson_walk import (
-    choose_parameters, clique_cost, nint, optimize_m,
-    table1, table1_csv,
+    choose_parameters, clique_cost, nint, optimize_m, oracle_queries, table1,
 )
 from johnson_walk import cost_model
+from johnson_walk.cli import main
 from johnson_walk.cost_model import _canonical_m, _cost_step, rotation_count, \
     walk_size, walk_steps
 
@@ -28,7 +28,7 @@ def test_choose_parameters_n9():
     assert p.m == 4          # nint(9^{2/3}) = nint(4.327)
     assert p.t1 == 2         # nint((pi/2) sqrt(2)) = nint(2.221)
     assert p.t2 == 2         # nint((pi/4) (9/4)) = nint(1.767)
-    assert p.total_queries == 12
+    assert oracle_queries(p.m, p.t1, p.t2) == 12
 
 
 def test_choose_parameters_n1e6():
@@ -51,8 +51,9 @@ def test_choose_parameters_rejects_tiny_n():
 
 def test_subset_query_count():
     p = choose_parameters(9, 2)
-    assert p.total_queries == p.m + 2 * p.t1 * p.t2 == 12
-    assert choose_parameters(9, 2, t2=0).total_queries == 4
+    assert oracle_queries(p.m, p.t1, p.t2) == p.m + 2 * p.t1 * p.t2 == 12
+    p = choose_parameters(9, 2, t2=0)
+    assert oracle_queries(p.m, p.t1, p.t2) == 4
 
 
 def test_choose_parameters_keeps_given_values():
@@ -68,9 +69,10 @@ def test_choose_parameters_keeps_given_values():
     assert (p.m, p.t1, p.t2) == (rule.m, 7, rule.t2)
     p = choose_parameters(n, l, t2=0)
     assert (p.m, p.t1, p.t2) == (rule.m, rule.t1, 0)
-    assert p.total_queries == rule.m
+    assert oracle_queries(p.m, p.t1, p.t2) == rule.m
     p = choose_parameters(n, l, m=500, t1=3, t2=4)
-    assert (p.m, p.t1, p.t2, p.total_queries) == (500, 3, 4, 500 + 2 * 3 * 4)
+    assert (p.m, p.t1, p.t2, oracle_queries(p.m, p.t1, p.t2)) == (
+        500, 3, 4, 500 + 2 * 3 * 4)
 
 
 def test_choose_parameters_rejects_bad_walk_size():
@@ -90,7 +92,8 @@ def test_rotation_count_overflow_is_a_value_error():
 @pytest.mark.parametrize("l,target", [(1, 0.5), (2, 2 / 3), (3, 0.75)])
 def test_query_scaling_slopes(l, target):
     ns = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
-    qs = [choose_parameters(n, l).total_queries for n in ns]
+    params = [choose_parameters(n, l) for n in ns]
+    qs = [oracle_queries(p.m, p.t1, p.t2) for p in params]
     slope = np.polyfit(np.log(ns), np.log(qs), 1)[0]
     assert abs(slope - target) <= 0.02
 
@@ -101,10 +104,10 @@ def test_clique_cost_formulas():
         m * m + (n / m) ** 1.0 * math.sqrt(m) * m)
     assert clique_cost(n, m, 3, "recursive") == pytest.approx(
         m * m + (n / m) ** 1.0 * (m ** (2 / 3) * math.sqrt(n) + m ** 1.5))
-    # mss ignores the passed m
-    assert clique_cost(n, 50, 4, "mss") == clique_cost(n, 99, 4, "mss")
-    assert clique_cost(n, 50, 4, "mss") == clique_cost(
-        n, nint(n ** (3 / 4)), 4, "recursive")
+    # mss is the recursive formula at the m it is given
+    for m_mss in (50, 99, nint(n ** (3 / 4))):
+        assert clique_cost(n, m_mss, 4, "mss") == clique_cost(
+            n, m_mss, 4, "recursive")
     with pytest.raises(ValueError):
         clique_cost(n, m, 2, "fancy")
     with pytest.raises(ValueError):
@@ -144,8 +147,9 @@ def test_table1_crossovers():
     assert rows[5].mss_exponent == Fraction(8, 5) < Fraction(23, 14)
 
 
-def test_table1_csv_shape():
-    lines = table1_csv().strip().split("\n")
+def test_table1_csv_shape(capsys):
+    assert main(["cost", "--table1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "L,simple,recursive,mss,best"
     assert len(lines) == 7
     assert lines[1].startswith("2,4/3,1,1,")

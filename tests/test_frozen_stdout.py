@@ -6,8 +6,11 @@ scans of C(n, l) = 5·10^5 and 1.6·10^5 (three) subsets.  All but the
 zero-sum-xor and sum-mod-q hashes are what the per-subset scan printed
 before the marked-set scan was vectorized; those two families draw from
 their default range of about C(n, l) values.  `verify`, `spectrum`,
-`cost` and `sweep` are frozen once each, as they printed before `verify`
-checked the full engine's index tables in place of the rank/unrank pair."""
+`cost --optimize --l 3`, `cost --table1` and `sweep --l 2` are frozen as
+they printed before `verify` checked the full engine's index tables in
+place of the rank/unrank pair; `cost --optimize --l 4 --variant mss` and
+`sweep --l 3` as they printed while `sweep` still had a full-engine path
+and `clique_cost`'s mss branch chose its own m."""
 import hashlib
 import json
 
@@ -70,10 +73,14 @@ OTHER = [
      "af68973b30721c127ba7ee5eaabbfc532438f186025dc0ba0fe45fe8748c08a9"),
     ("cost --optimize --l 3 --variant recursive",
      "e64dafeaa92b880475ef63c84e4a1cb1dee5bf503fb7335d5e37bdbe385186f0"),
+    ("cost --optimize --l 4 --variant mss",
+     "ef12157999b25906933a09b8c0dc8ac0e244b84dde0a7ec3c7dccd9d1b88dfdc"),
     ("cost --table1",
      "b096561f3c5cb783e5482769e9b30297f9c4be8f0a6fe4eac5fb10798da38d91"),
     ("sweep --l 2 --n-values 100 1000 10000",
      "c5c19c3d604f93e154b507bfbb3b01e049158d97f0cf28a5d621a9f70513eb5d"),
+    ("sweep --l 3 --n-values 100 1000 10000",
+     "25d4a7ddf96de7ba815c57e93f27efb6139cca3fc15d82f8541325533cb79b62"),
 ]
 
 

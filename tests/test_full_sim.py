@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from johnson_walk import (
     DEFAULT_MEMCAP, MarkedSet, MemoryCapError, ProblemInstance, ReducedBasis,
     WalkContext, apply_coin1, apply_coin2, apply_phase_flip, apply_shift,
-    apply_walk_step, binomial, choose_parameters, embed_to_full, find_marked,
+    apply_walk_step, choose_parameters, embed_to_full, find_marked,
     get_context, make_family, prepare_s, run_algorithm, run_reduced,
 )
 from johnson_walk.cli import main
@@ -31,8 +32,8 @@ def random_unit(shape, rng):
 
 def test_context_shapes():
     ctx = WalkContext(9, 4)
-    assert ctx.num_a == binomial(9, 4)
-    assert ctx.num_b == binomial(9, 5)
+    assert ctx.num_a == math.comb(9, 4)
+    assert ctx.num_b == math.comb(9, 5)
     assert ctx.dim_a == ctx.dim_b == 630
     # shift is a bijection between the sides
     assert sorted(ctx.shift_map) == list(range(ctx.dim_b))
@@ -134,7 +135,7 @@ def test_build_makes_no_subset_sized_int64_table():
     n, m = 20, 7
     ctx = WalkContext(n, m)
     held = ctx.subsets_a.nbytes + ctx.union_rank.nbytes
-    previous = binomial(n - 1, m - 1) * (
+    previous = math.comb(n - 1, m - 1) * (
         (m - 1) * ctx.subsets_a.itemsize + 8 * (n - m))
     assert previous < 8 * ctx.num_a * m
     peak = traced_peak(lambda: WalkContext(n, m))
@@ -227,6 +228,23 @@ def test_prepare_s_uniform():
     assert state.amps.dtype == np.float64
     assert np.allclose(state.amps, 1.0 / math.sqrt(12.0))
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_family("nope", n=9), "unknown family 'nope'"),
+    (lambda: WalkContext(5, 5), "need 1 <= m < n, got n=5, m=5"),
+    (lambda: prepare_s(make_family("l-distinctness", n=9, l=3, seed=0), 2),
+     "need l <= m < n, got l=3, m=2, n=9"),
+    (lambda: ProblemInstance(n=3, l=3, mode=ITEM, values=(1, 2, 3),
+                             family_tag="x", property_params={},
+                             predicate=len),
+     "need 1 <= l < n, got l=3, n=3"),
+], ids=["unknown-family", "context-m-at-n", "prepare-m-below-l",
+        "instance-l-at-n"])
+def test_sizes_and_names_refused(call, message):
+    """Each refusal is a ValueError that names the cause."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_prepare_query_cost():
@@ -464,7 +482,7 @@ def dense_walk_step(n, m):
         if len(sub) == m:
             j = at[(tuple(sorted(sub + (k,))), k)]
             shift[i, j] = shift[j, i] = 1.0
-    return shift @ c2 @ shift @ c1, binomial(n, m) * (n - m)
+    return shift @ c2 @ shift @ c1, math.comb(n, m) * (n - m)
 
 
 def test_walk_step_matches_dense_matrix():

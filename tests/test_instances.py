@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
 from johnson_walk import (
-    ITEM, PAIRWISE, MarkedSet, ProblemInstance, binomial, find_marked,
+    ITEM, PAIRWISE, MarkedSet, ProblemInstance, find_marked,
     instance_from_json, instance_to_json, load_instance, make_family,
     pair_index,
 )
@@ -293,7 +294,7 @@ def test_clique_edge_prob_keeps_one_plant_likely():
             inst = make_family("l-clique", n=n, l=3, seed=1, planted=planted)
             assert len(find_marked(inst)) == planted
             p = inst.property_params["edge_prob"]
-            assert binomial(n, 3) * p ** 3 == pytest.approx(3.5)
+            assert math.comb(n, 3) * p ** 3 == pytest.approx(3.5)
 
 
 @pytest.mark.parametrize("family, min_l", [
@@ -387,8 +388,8 @@ SCRUBBED_DRAWS = {
 def default_ranges(family, n, l):
     """(key, wide): the default range, about C(n, l) values."""
     if family == "zero-sum-xor":
-        return "m_bits", (binomial(n, l) - 1).bit_length()
-    return "q", binomial(n, l)
+        return "m_bits", (math.comb(n, l) - 1).bit_length()
+    return "q", math.comb(n, l)
 
 
 def assert_draws(table, default_range=False):
@@ -487,7 +488,7 @@ def test_default_range_needs_few_scrub_passes(monkeypatch, family):
 
     monkeypatch.setattr(instances, "_hits", counted)
     for n, l in itertools.product((4, 9, 16, 24, 40, 64, 100), range(1, 6)):
-        if l >= n or binomial(n, l) > 2 * 10 ** 5:
+        if l >= n or math.comb(n, l) > 2 * 10 ** 5:
             continue
         key, wide = default_ranges(family, n, l)
         for seed, planted in itertools.product(range(3), (True, False)):
@@ -537,7 +538,7 @@ def test_scrub_matches_the_subset_loop():
         is_hit = FAMILIES[family].predicate(params)
         one_hit = REFERENCE[family](params)
         for n, l, seed in itertools.product((8, 10), (3, 4, 5), range(2)):
-            size = n if mode == ITEM else binomial(n, 2)
+            size = n if mode == ITEM else math.comb(n, 2)
             for planted in (False, True):
                 rng = random.Random(seed)
                 vals = [rng.randrange(r) for _ in range(size)]
@@ -611,7 +612,7 @@ def test_scan_spans_blocks():
     from johnson_walk.instances import _BLOCK
 
     inst = make_family("l-clique", n=100, l=3, seed=0)
-    assert binomial(100, 3) > 4 * _BLOCK
+    assert math.comb(100, 3) > 4 * _BLOCK
     assert len(assert_matches_reference(inst)) == 1
     rng = random.Random(1)
     inst = raw(60, 3, [rng.randrange(1000) for _ in range(60)],
@@ -639,10 +640,10 @@ def test_scan_calls_the_test_once_a_block(n, l):
 
     inst = raw(n, l, [0] * n, count)
     assert find_marked(inst) == ()
-    assert len(calls) == -(-binomial(n, l) // _BLOCK)
+    assert len(calls) == -(-math.comb(n, l) // _BLOCK)
     assert max(map(len, calls)) <= _BLOCK
     seen = [tuple(s) for call in calls for s in call]
-    assert len(seen) == binomial(n, l)
+    assert len(seen) == math.comb(n, l)
     assert set(seen) == set(itertools.combinations(range(n), l))
 
 

@@ -20,10 +20,9 @@ CLI = "from johnson_walk.cli import main; sys.exit(main(sys.argv[1:]))"
 # Every public name of the package.
 EXPORTS = """
 RunReport
-binomial norm_constants
+norm_constants
 MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult ParameterChoice
-choose_parameters clique_cost nint optimize_m oracle_queries
-table1 table1_csv
+choose_parameters clique_cost nint optimize_m oracle_queries table1
 DEFAULT_MEMCAP FullState MemoryCapError WalkContext apply_coin1 apply_coin2
 apply_phase_flip apply_shift apply_walk_step get_context memory_cap
 prepare_s run_algorithm
@@ -111,7 +110,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 59
+    assert len(EXPORTS) == len(set(EXPORTS)) == 57
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

@@ -1,5 +1,6 @@
 """Spectral machinery: eigensolver, walk spectrum, cotangent condition."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import scipy.linalg
 import scipy.stats
 
 from johnson_walk import (
-    ReducedBasis, algorithm_rotation, build_walk_matrix, choose_parameters,
-    circular_phase_gap, delta_decomposition, eigendecompose_unitary,
-    up_eigenphases, walk_spectrum,
+    ReducedBasis, UnitaryEigen, algorithm_rotation, build_walk_matrix,
+    choose_parameters, circular_phase_gap, delta_decomposition,
+    eigendecompose_unitary, up_eigenphases, walk_spectrum,
 )
 from johnson_walk.cost_model import walk_size, walk_steps
 from johnson_walk.reduced_sim import reduced_s
+from johnson_walk.verify import gaussian, haar_orthogonal
 
 
 def random_orthogonal(d, rng):
@@ -233,6 +235,28 @@ def test_up_random_matches_direct():
         direct = np.angle(np.linalg.eigvals(up))
         assert len(sp.all_phases) == d
         assert circular_phase_gap(sp.all_phases, direct) <= 1e-9
+
+
+def test_up_merges_the_pole_at_both_ends():
+    """A doubled eigenvalue -1 whose phases sit at both ends of the sorted
+    list, -pi + 1e-13 and pi - 1e-13, is one pole: one root for it, and
+    one copy that passes through at +-pi.  Left as two poles, the gap
+    that wraps round between them is too narrow to bracket."""
+    rng = random.Random(11)
+    phases = np.array([-math.pi + 1e-13, -1.9, -0.4, 0.7, 2.3,
+                       math.pi - 1e-13])
+    vectors = haar_orthogonal(len(phases), rng)
+    w = gaussian(rng, len(phases))
+    w /= np.linalg.norm(w)
+    sp = up_eigenphases(UnitaryEigen(phases=phases, vectors=vectors), w)
+    at_pi = np.abs(np.exp(1j * sp.pole_phases) + 1.0) <= 1e-12
+    assert len(sp.pole_phases) == 5 and np.count_nonzero(at_pi) == 1
+    assert len(sp.passthrough) == 1
+    assert abs(np.exp(1j * sp.passthrough[0]) + 1.0) <= 1e-12
+    u = (vectors * np.exp(1j * phases)) @ vectors.T
+    direct = np.angle(np.linalg.eigvals(u @ (np.eye(6) - 2.0 * np.outer(w, w))))
+    assert len(sp.all_phases) == 6
+    assert circular_phase_gap(sp.all_phases, direct) <= 1e-9
 
 
 def test_up_cot_residual_and_r_sum():
