@@ -96,6 +96,15 @@ def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:
     return m * (m - 1) // 2 + 2 * m * t1 * t2
 
 
+def _cost_terms(n: float, m: float, l: int, variant: str) -> tuple:
+    """clique_cost = m^2 + outer * sum(a) as (outer, [(a, q), ...]), where
+    q is the exponent of m in the term outer * a."""
+    if variant == SIMPLE:
+        return (n / m) ** (l / 2.0) * math.sqrt(m), [(m, 1.5 - l / 2.0)]
+    k, r = (l - 1) / 2.0, (l - 1) / l
+    return (n / m) ** k, [(m ** r * math.sqrt(n), r - k), (m ** 1.5, 1.5 - k)]
+
+
 def clique_cost(n: float, m: float, l: int, variant: str) -> float:
     """Leading-order query cost of the subgraph-finding algorithms.
 
@@ -108,10 +117,8 @@ def clique_cost(n: float, m: float, l: int, variant: str) -> float:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if not l <= m < n:
         raise ValueError(f"need l <= m < n, got n={n}, m={m}, l={l}")
-    if variant == SIMPLE:
-        return m * m + (n / m) ** (l / 2.0) * math.sqrt(m) * m
-    return m * m + (n / m) ** ((l - 1) / 2.0) * (
-        m ** ((l - 1) / l) * math.sqrt(n) + m ** 1.5)
+    outer, terms = _cost_terms(n, m, l, variant)
+    return m * m + outer * sum(a for a, _ in terms)
 
 
 @dataclass(frozen=True)
@@ -130,15 +137,9 @@ def _cost_step(n: int, m: int, l: int, variant: str) -> float:
     moves by 2m+1 and each term T(m) = c m^q of clique_cost by
     T(m) expm1(q log1p(1/m)).  Near the minimum the difference of two costs
     would be smaller than their rounding from n ~ 2e8 on."""
-    if variant == SIMPLE:
-        terms = [((n / m) ** (l / 2.0) * math.sqrt(m) * m, 1.5 - l / 2.0)]
-    else:
-        outer = (n / m) ** ((l - 1) / 2.0)
-        terms = [(outer * m ** ((l - 1) / l) * math.sqrt(n),
-                  (l - 1) / l - (l - 1) / 2.0),
-                 (outer * m ** 1.5, 1.5 - (l - 1) / 2.0)]
+    outer, terms = _cost_terms(n, m, l, variant)
     step = math.log1p(1.0 / m)
-    return 2 * m + 1 + sum(t * math.expm1(q * step) for t, q in terms)
+    return 2 * m + 1 + sum(outer * a * math.expm1(q * step) for a, q in terms)
 
 
 def _minimize_bracketed(n: int, l: int, variant: str) -> tuple:

@@ -179,7 +179,9 @@ def get_context(n: int, m: int) -> WalkContext:
 
 @dataclass
 class FullState:
-    """Amplitudes over the a-pairs plus the oracle-query counter."""
+    """A run's record: the a-pair amplitudes the kernels act on, and the
+    query count that prepare_s and apply_walk_step charge by hand, since
+    query-accounting-exact checks it against oracle_queries' closed form."""
     ctx: WalkContext
     amps: np.ndarray
     query_count: int = 0
@@ -189,10 +191,8 @@ class FullState:
 
 
 def prepare_s(instance: ProblemInstance, m: int) -> FullState:
-    """Uniform superposition over all legal (A, k) pairs on the m-side.
-
-    Costs m oracle queries in item mode, C(m, 2) in pairwise mode.
-    """
+    """Uniform superposition over the a-pairs (A, k); loading A costs m
+    oracle queries in item mode, C(m, 2) in pairwise mode."""
     if not instance.l <= m < instance.n:
         raise ValueError(f"need l <= m < n, got l={instance.l}, m={m}, n={instance.n}")
     ctx = get_context(instance.n, m)
@@ -201,12 +201,11 @@ def prepare_s(instance: ProblemInstance, m: int) -> FullState:
     return FullState(ctx, amps, m if instance.mode == ITEM else math.comb(m, 2))
 
 
-def apply_coin1(state: FullState) -> FullState:
+def apply_coin1(amps: np.ndarray) -> np.ndarray:
     """Grover diffusion over the coins k outside each m-subset: each row
     loses twice its mean, in place; the row sums are one matvec."""
-    x = state.amps
-    x -= (x @ np.full(x.shape[1], 2.0 / x.shape[1]))[:, None]
-    return state
+    amps -= (amps @ np.full(amps.shape[1], 2.0 / amps.shape[1]))[:, None]
+    return amps
 
 
 def apply_coin2(ctx: WalkContext, amps: np.ndarray) -> np.ndarray:
@@ -243,17 +242,17 @@ def apply_shift(ctx: WalkContext, amps: np.ndarray,
 
 def apply_walk_step(state: FullState, instance: ProblemInstance) -> FullState:
     """One walk step S C2 S C1, in place; +2 queries (item) or +2m (pairwise)."""
-    apply_coin1(state)
+    apply_coin1(state.amps)
     apply_coin2(state.ctx, state.amps)
     state.query_count += 2 if instance.mode == ITEM else 2 * state.ctx.m
     return state
 
 
-def apply_phase_flip(state: FullState, rows) -> FullState:
+def apply_phase_flip(amps: np.ndarray, rows) -> np.ndarray:
     """P: negate the given a-side subset rows in place; zero queries.  The
     rows are integer ranks, found once per run from marked_row_mask."""
-    state.amps[rows] *= -1.0
-    return state
+    amps[rows] *= -1.0
+    return amps
 
 
 def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunReport:
@@ -268,7 +267,12 @@ def run_algorithm(instance: ProblemInstance, m: int, t1: int, t2: int) -> RunRep
     found = instance.marked_sets
     state = prepare_s(instance, m)
     rows = np.flatnonzero(state.ctx.marked_row_mask(found))
-    state = run_walk(state, t1, t2, flip=lambda s: apply_phase_flip(s, rows),
+
+    def flip(s):
+        apply_phase_flip(s.amps, rows)
+        return s
+
+    state = run_walk(state, t1, t2, flip,
                      step=lambda s: apply_walk_step(s, instance))
 
     block = state.amps[rows]

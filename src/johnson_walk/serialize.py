@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 
 
@@ -20,10 +21,10 @@ def dumps_report(obj) -> str:
     """JSON text with fixed key order and 17-digit floats.
 
     A dataclass renders as its fields in order, less those declared
-    repr=False; arrays render as lists of floats.
-    json.dumps always formats floats with repr, so floats are swapped for
-    string placeholders and substituted back after encoding.  numpy is
-    looked up, not imported: no array exists if it was never loaded.
+    repr=False; arrays render as lists of floats.  json.dumps always
+    formats floats with repr, so floats are swapped for string
+    placeholders and substituted back in one pass after encoding.  numpy
+    is looked up, not imported: no array exists if it was never loaded.
     """
     slots: list[str] = []
     np = sys.modules.get("numpy")
@@ -46,9 +47,7 @@ def dumps_report(obj) -> str:
         return node
 
     text = json.dumps(render(obj), indent=2)
-    for i, rendered in enumerate(slots):
-        text = text.replace(f'"--f17-slot-{i}--"', rendered)
-    return text
+    return re.sub(r'"--f17-slot-(\d+)--"', lambda s: slots[int(s[1])], text)
 
 
 def csv_line(values) -> str:

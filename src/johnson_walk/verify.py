@@ -10,13 +10,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .combinat import norm_constants
 from .cost_model import choose_parameters, optimize_m, oracle_queries, table1
-from .full_sim import FullState, WalkContext, apply_coin1, apply_coin2, \
+from .full_sim import WalkContext, apply_coin1, apply_coin2, \
     apply_phase_flip, apply_shift, binomial_upto, get_context, run_algorithm
 from .instances import MarkedSet, make_family
 from .reduced_sim import ReducedBasis, build_walk_matrix, embed_to_full, \
@@ -37,16 +38,13 @@ def reflection_cases(ctx, marked) -> dict:
     P and C2 (as S C2 S) on real a-states, S out and back from either side.
     Each is real and linear, so real probes cover S^2 = C1^2 = (S C2 S)^2 =
     P^2 = 1 on the whole pair space.  An op may change its input."""
-    def on_a(op):
-        return lambda x: op(FullState(ctx, x)).amps
-
     rows = np.flatnonzero(ctx.marked_row_mask([marked]))
-    c1, flip = on_a(apply_coin1), on_a(lambda s: apply_phase_flip(s, rows))
-    c2 = partial(apply_coin2, ctx)
+    c2, flip = partial(apply_coin2, ctx), partial(apply_phase_flip, rows=rows)
     out, back = partial(apply_shift, ctx), partial(apply_shift, ctx, back=True)
     a, b = (ctx.num_a, ctx.n - ctx.m), (ctx.num_b, ctx.m + 1)
-    return {"C1": (a, c1, c1), "P": (a, flip, flip), "C2": (a, c2, c2),
-            "S from a": (a, out, back), "S from b": (b, back, out)}
+    return {"C1": (a, apply_coin1, apply_coin1), "P": (a, flip, flip),
+            "C2": (a, c2, c2), "S from a": (a, out, back),
+            "S from b": (b, back, out)}
 
 
 def check_binomial_pascal() -> CheckResult:
@@ -254,8 +252,6 @@ def check_rotation_pair() -> CheckResult:
 
 
 def check_cost_table() -> CheckResult:
-    from fractions import Fraction
-
     expect = {2: (Fraction(4, 3), Fraction(1)), 3: (Fraction(3, 2), Fraction(13, 10)),
               4: (Fraction(8, 5), Fraction(3, 2)), 5: (Fraction(5, 3), Fraction(23, 14)),
               6: (Fraction(12, 7), Fraction(7, 4)), 7: (Fraction(7, 4), Fraction(33, 18))}
@@ -266,14 +262,13 @@ def check_cost_table() -> CheckResult:
 
 
 def check_optimizer_fits() -> CheckResult:
-    from fractions import Fraction
-
+    """The fitted exponents at n=10^6 against table1's rows for l = 2, 3, 5."""
     worst = 0.0
-    for l in (2, 3, 5):
-        for variant, target in (("simple", Fraction(2 * l, l + 1)),
-                                ("recursive", Fraction(5 * l - 2, 2 * l + 4)),
-                                ("mss", Fraction(2 * (l - 1), l))):
-            res = optimize_m(10 ** 6, l, variant)
+    for row in (row for row in table1() if row.l in (2, 3, 5)):
+        for variant, target in (("simple", row.simple_exponent),
+                                ("recursive", row.recursive_exponent),
+                                ("mss", row.mss_exponent)):
+            res = optimize_m(10 ** 6, row.l, variant)
             worst = max(worst, abs(res.fitted_exponent - float(target)))
     return CheckResult("optimizer-exponent-fits", worst <= 0.02,
                        f"worst deviation {worst:.4f}")

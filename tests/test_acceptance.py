@@ -50,7 +50,7 @@ def test_criterion_1_full_reduced_equivalence():
             apply_walk_step(full, inst)
             red = w @ red
         else:
-            apply_phase_flip(full, rows)
+            apply_phase_flip(full.amps, rows)
             red = flip_w(red, basis)
         emb = embed_to_full(red, basis, marked, full.ctx)
         worst = max(worst, float(np.max(np.abs(emb - full.amps))))

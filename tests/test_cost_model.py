@@ -1,4 +1,5 @@
 """Parameter choices, query counts, and the clique cost exponents."""
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -266,3 +267,20 @@ def test_optimizer_evaluates_integers_in_the_bracket(monkeypatch, variant):
 def test_optimizer_rejects_bad_variant():
     with pytest.raises(ValueError):
         optimize_m(10 ** 6, 3, "other")
+
+
+def test_optimizer_table_is_frozen():
+    """m_star, cost and fitted_exponent of optimize_m, to the bit, over
+    n = 10^k and 3*10^k for k = 3..20, l = 2..7 and every variant: 648
+    points, from before the step and the cost read one term builder."""
+    rows = []
+    for k in range(3, 21):
+        for n in (10 ** k, 3 * 10 ** k):
+            for l in range(2, 8):
+                for variant in ("simple", "recursive", "mss"):
+                    r = optimize_m(n, l, variant)
+                    rows.append(f"{n},{l},{variant},{r.m_star},"
+                                f"{r.cost.hex()},{r.fitted_exponent.hex()}")
+    assert len(rows) == 648
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
+        "dcc201652e9fbf72d824888d7aefa75388b55a7533535a2aaa4c3bf0b64aeda5"

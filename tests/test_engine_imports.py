@@ -2,8 +2,11 @@
 full engine serves one state form, real and slot-major: it has no
 complex branch.  The package lists subsets one way, combinat's colex
 recursion: no itertools.combinations over a range and no np.fromiter.
-An instance's marked sets are scanned one way, its marked_sets."""
+An instance's marked sets are scanned one way, its marked_sets.  The
+full engine's reflections take the amplitude array, and only prepare_s
+builds a FullState."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,26 @@ def test_one_scan_path():
             if "find_marked" in names:
                 found.append(f"{path.name}: {ast.unparse(node)}")
     assert found == [], found
+
+
+def test_reflections_take_the_array():
+    """apply_coin1, apply_coin2, apply_phase_flip and apply_shift act on
+    an amplitude array named amps, and none has a FullState parameter; no
+    module builds a FullState but prepare_s, so no caller wraps an array
+    in a throwaway state to reach a kernel."""
+    from johnson_walk import full_sim
+
+    for name in ("apply_coin1", "apply_coin2", "apply_phase_flip",
+                 "apply_shift"):
+        params = inspect.signature(getattr(full_sim, name)).parameters
+        assert params["amps"].annotation == "np.ndarray", name
+        assert not any("FullState" in str(p.annotation)
+                       for p in params.values()), name
+    builders = []
+    for path in sorted(PKG.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            builders += [(path.name, getattr(top, "name", None))
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and ast.unparse(node.func).endswith("FullState")]
+    assert builders == [("full_sim.py", "prepare_s")], builders

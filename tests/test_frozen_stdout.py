@@ -10,7 +10,9 @@ their default range of about C(n, l) values.  `verify`, `spectrum`,
 they printed before `verify` checked the full engine's index tables in
 place of the rank/unrank pair; `cost --optimize --l 4 --variant mss` and
 `sweep --l 3` as they printed while `sweep` still had a full-engine path
-and `clique_cost`'s mss branch chose its own m."""
+and `clique_cost`'s mss branch chose its own m; `cost --optimize --l 2`
+(the simple variant) and `--n 10^12 --l 5 --variant recursive` as they
+printed while the optimizer's step restated the cost's terms."""
 import hashlib
 import json
 
@@ -73,6 +75,10 @@ OTHER = [
      "af68973b30721c127ba7ee5eaabbfc532438f186025dc0ba0fe45fe8748c08a9"),
     ("cost --optimize --l 3 --variant recursive",
      "e64dafeaa92b880475ef63c84e4a1cb1dee5bf503fb7335d5e37bdbe385186f0"),
+    ("cost --optimize --l 2",
+     "98cebe3f48f2b40b1c8ba14535dd26b251ab7ce5ccd3cc8ccabe46942f1ed691"),
+    ("cost --optimize --n 1000000000000 --l 5 --variant recursive",
+     "3ba0562d96c26062cff7051ddea05de678f980e88fc22a8ac72f48ad2fb2be0c"),
     ("cost --optimize --l 4 --variant mss",
      "ef12157999b25906933a09b8c0dc8ac0e244b84dde0a7ec3c7dccd9d1b88dfdc"),
     ("cost --table1",

@@ -193,7 +193,7 @@ def test_stepwise_embedding_agreement():
             apply_walk_step(full, inst)
             red = w @ red
         else:
-            apply_phase_flip(full, rows)
+            apply_phase_flip(full.amps, rows)
             red = flip_w(red, basis)
         emb = embed_to_full(red, basis, marked, full.ctx)
         dev = np.max(np.abs(emb - full.amps))
