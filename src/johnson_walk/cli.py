@@ -148,7 +148,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("--n is required")
     n, l = args.n, args.l
     m = walk_size(n, l, args.m)
-    rotation = algorithm_rotation(n, m, l)  # first: it refuses a tiny <w|s>
+    rotation = algorithm_rotation(n, m, l)  # first: it refuses a too-large n
     out = {
         "command": "spectrum",
         "walk_spectrum": walk_spectrum(n, m, l),
@@ -270,16 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc):
     """The exit code of an error that is the input's fault, else None.
     ConfigError and JSONDecodeError are ValueErrors; an OverflowError is a
-    size past float range, which main names.  The engines' errors are
-    looked up, not imported: a module never loaded raised none."""
-    def raised(module, name):
-        module = sys.modules.get(f"{__package__}.{module}")
-        return module is not None and isinstance(exc, getattr(module, name))
-
-    if raised("full_sim", "MemoryCapError"):
+    size past float range, which main names.  The full engine's
+    MemoryCapError is looked up, not imported: a module never loaded
+    raised none."""
+    full_sim = sys.modules.get(f"{__package__}.full_sim")
+    if full_sim is not None and isinstance(exc, full_sim.MemoryCapError):
         return EXIT_MEMCAP
-    if isinstance(exc, (ValueError, OSError, OverflowError, GenerationError)) \
-            or raised("spectral", "RootBracketError"):
+    if isinstance(exc, (ValueError, OSError, OverflowError, GenerationError)):
         return EXIT_CONFIG
     return None
 

@@ -1,10 +1,11 @@
 """Eigenstructure of the walk step and of the phase-flipped walk.
 
-Three layers: a dense eigensolver for small unitary/orthogonal
+Four layers: a dense eigensolver for small unitary/orthogonal
 matrices (numpy's eig, its eigenvectors orthonormalized by QR), the
-walk-spectrum and reflection-decomposition reports, and the
-cotangent-condition machinery that locates the eigenphases of
-U * (1 - 2|w><w|) between the poles at the eigenphases of U.
+walk-spectrum and reflection-decomposition reports, the paper's
+cotangent condition, which locates the eigenphases of U (1 - 2|w><w|)
+between the poles at the eigenphases of U, and the algorithm's rotation
+pair, read off one eigensolve of W^t1 P.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .reduced_sim import ReducedBasis, build_walk_matrix, coin1_matrix, \
     coin2_matrix, reduced_s
 
 TWO_PI = 2.0 * math.pi
-_POLE_WEIGHT_CUT = 1e-12  # a pole of U with |<w|u>|^2 at most this is inactive
 
 
 def _wrap_phase(theta: float) -> float:
@@ -252,7 +252,7 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     poles = np.array(poles)
     pole_weight = np.array(pole_weight)
 
-    active = pole_weight > _POLE_WEIGHT_CUT
+    active = pole_weight > 1e-12  # a lighter pole is inactive
     act_poles, act_weight = poles[active], pole_weight[active]
 
     # pass-through: inactive poles keep all members; active degenerate
@@ -313,54 +313,57 @@ class RotationReport:
 
 
 def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
-    """Smallest eigenphase pair of W^t1 P and its rotation-plane vectors.
+    """Smallest eigenphase pair of U = W^t1 P and its rotation-plane vectors.
 
-    t1 = walk_steps(m, l), as in choose_parameters; the pair should sit
-    at +-2<w|s> with eigenvectors near (|w> +- i |s>)/sqrt 2.  A size whose
-    float W^t1 is not unitary to 1e-10 (l = 2: n >= 10^18) is refused, and
-    so is one whose pole at phase 0, of weight <w|s>^2, falls under
-    _POLE_WEIGHT_CUT: the pair found without it would be a wrong one.
+    The pair should sit at +-2<w|s>, with eigenvectors near
+    (|w> +- i |s>)/sqrt 2.  U is W^t1 with its (l, 0) column negated, as in
+    run_reduced.  The pair is the two eigenspaces (phases within 1e-12;
+    1e-8 merges the pair at large n) of least |phase| that hold over 1e-9
+    of |w>, with |w>'s projections as their vectors.  A float W^t1 not
+    unitary to 1e-10 (l = 2: n >= 10^18) is refused.
     """
     basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
-    ws = float(s_vec[basis.index(l, 0)])
+    w_idx = basis.index(l, 0)
+    ws = float(s_vec[w_idx])
     if ws == 0.0:
         raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
     t1 = walk_steps(m, l)
     u = np.linalg.matrix_power(build_walk_matrix(basis), t1)
-    w_vec = np.zeros(basis.dim)
-    w_vec[basis.index(l, 0)] = 1.0
-
+    u[:, w_idx] *= -1.0
     try:
         eigen = eigendecompose_unitary(u)
     except ValueError as exc:  # its one refusal: u is not unitary
         raise ValueError(
             f"--n {n} is too large: the float W^t1 (t1={t1}) drifts past "
             f"the 1e-10 orthogonality check at this size ({exc})") from None
-    spectrum = up_eigenphases(eigen, w_vec)
-    if len(spectrum.thetas) < 2:
-        raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "
-                         f"|w> lies in one eigenspace of W^t1 (t1={t1})")
-    if not np.any(np.abs(spectrum.pole_phases) < 1e-10):  # |s>'s pole was cut
-        raise ValueError(
-            f"--n {n} is too large: the root finder's {_POLE_WEIGHT_CUT:g} "
-            f"pole-weight cut drops the eigenvalue 1 of W^t1 (t1={t1}), whose "
-            f"eigenvector |s> has <w|s>^2 = {ws * ws:.3g}")
-    order = np.argsort(np.abs(spectrum.thetas))
-    plus, minus = order[:2] if spectrum.thetas[order[0]] > 0 else order[1::-1]
-    theta_plus, theta_minus = spectrum.thetas[plus], spectrum.thetas[minus]
 
-    # each root's eigenvector is sum_j <u_j|theta> |u_j>
+    phases = eigen.phases
+    roots = []  # (phase, |w>'s unit projection) per eigenspace holding |w>
+    for group in np.split(np.arange(len(phases)),
+                          np.flatnonzero(np.diff(phases) > 1e-12) + 1):
+        q = eigen.vectors[:, group]
+        weight = float(np.sum(np.abs(q[w_idx]) ** 2))
+        if weight > 1e-9:
+            roots.append((float(phases[group[0]]),
+                          q @ q[w_idx].conj() / math.sqrt(weight)))
+    roots.sort(key=lambda root: abs(root[0]))
+    if len(roots) < 2 or roots[0][0] * roots[1][0] >= 0:
+        raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "
+                         f"no two eigenspaces holding |w> straddle phase 0")
+    (theta_plus, v_plus), (theta_minus, v_minus) = \
+        roots[:2] if roots[0][0] > 0 else roots[1::-1]
+
+    w_vec = np.eye(basis.dim)[w_idx]
     fidelity = min(float(abs(np.vdot(
-        (w_vec + sign * 1j * s_vec) / math.sqrt(2.0),
-        eigen.vectors @ spectrum.overlaps[:, root])) ** 2)
-        for root, sign in ((plus, 1.0), (minus, -1.0)))
+        (w_vec + sign * 1j * s_vec) / math.sqrt(2.0), vec)) ** 2)
+        for vec, sign in ((v_plus, 1.0), (v_minus, -1.0)))
     return RotationReport(
         n=n, m=m, l=l, t1=t1,
-        theta_plus=float(theta_plus), theta_minus=float(theta_minus),
+        theta_plus=theta_plus, theta_minus=theta_minus,
         w_s_overlap=ws,
-        ratio_plus=float(abs(theta_plus) / (2.0 * ws)),
-        ratio_minus=float(abs(theta_minus) / (2.0 * ws)),
+        ratio_plus=abs(theta_plus) / (2.0 * ws),
+        ratio_minus=abs(theta_minus) / (2.0 * ws),
         eigvec_fidelity=fidelity,
         error_scale=1.0 / m + m / n,
     )

@@ -177,10 +177,11 @@ def test_spectrum_refusals_name_the_cause(capsys, argv, message):
 
 def test_spectrum_large_n_grid_right_pair_or_one_line_2(capsys):
     """l = 1..8, n = 10^10..10^24 by half decades: a report whose rotation
-    pair is the right one, to error_scale with a 1e-8 floor for float
-    rounding at l=1, or one error line and exit 2.  Where <w|s>^2 falls to
-    the root finder's pole-weight cut before the orthogonality check
-    refuses (l=4 at 10^15 among them), the refusal names the cut."""
+    pair is the right one, to error_scale with a 1e-10 floor for float
+    rounding at l=1, or one error line and exit 2.  Five points whose
+    <w|s>^2 falls under the cotangent root finder's 1e-12 pole-weight cut,
+    but whose float W^t1 is still unitary to 1e-10, are answered."""
+    answered = set()
     for l in range(1, 9):
         for k in range(20, 49):
             n = 10 ** (k // 2) if k % 2 == 0 else math.isqrt(10 ** k)
@@ -190,12 +191,14 @@ def test_spectrum_large_n_grid_right_pair_or_one_line_2(capsys):
                 rot = json.loads(out)["rotation"]
                 assert rot["eigvec_fidelity"] >= 0.99, (l, n)
                 assert abs(rot["ratio_plus"] - 1.0) <= max(
-                    rot["error_scale"], 1e-8), (l, n)
+                    rot["error_scale"], 1e-10), (l, n)
+                answered.add((l, n))
             else:
                 assert code == 2 and out == "", (l, n)
                 assert err.startswith("error: ") and err.count("\n") == 1
-            if (l, n) == (4, 10 ** 15):
-                assert "1e-12 pole-weight cut" in err
+    assert {(2, math.isqrt(10 ** 37)), (4, 10 ** 15),
+            (5, math.isqrt(10 ** 29)), (8, math.isqrt(10 ** 27)),
+            (8, 10 ** 14)} <= answered
 
 
 def test_spectrum_past_n_minus_m_below_l(capsys):
@@ -434,17 +437,6 @@ def test_simulate_generation_failure_exit_2(capsys, monkeypatch, family):
     assert code == 2
     assert out == ""
     assert err.startswith("error: could not ") and err.count("\n") == 1
-
-
-def test_spectrum_root_bracket_failure_exit_2(capsys, monkeypatch):
-    """A cotangent sum with no sign change in a pole gap: one line, exit 2."""
-    from johnson_walk import spectral
-
-    monkeypatch.setattr(spectral, "_cot_sum", lambda theta, poles, weights: 0.0)
-    code, out, err = run_cli(capsys, "spectrum", "--n", "9", "--l", "2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: no sign change") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, family", [

@@ -72,7 +72,7 @@ OTHER = [
     ("verify",
      "6e77de4621472e92bc275109be63c88257e2c69e34cda7a9e181d0b31357db6b"),
     ("spectrum --n 10000000 --l 2",
-     "af68973b30721c127ba7ee5eaabbfc532438f186025dc0ba0fe45fe8748c08a9"),
+     "0ca18064d3385a8fc936eda7207def1012062d28d3ca8c72b473c65067cebfad"),
     ("cost --optimize --l 3 --variant recursive",
      "e64dafeaa92b880475ef63c84e4a1cb1dee5bf503fb7335d5e37bdbe385186f0"),
     ("cost --optimize --l 2",

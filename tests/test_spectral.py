@@ -327,16 +327,20 @@ ROTATION_GRID = [(n, l) for n in (9, 10, 12, 16, 20, 50, 100) + tuple(
     10 ** k for k in range(3, 9)) for l in (1, 2, 3, 4)]
 
 
-def direct_rotation_fidelity(n, m, l, theta_plus, theta_minus):
-    """The theta+- fidelity from a dense eig of U P built here, U = W^t1:
-    eigenvalues within 1e-8 of e^{i theta} are one eigenspace, its vectors
-    orthonormalized by QR.  No code is shared with the root finder."""
+def rotation_inputs(n, m, l):
+    """W^t1, |w> and |s> in the reduced basis, t1 = walk_steps(m, l)."""
     basis = ReducedBasis(n, m, l)
     u = np.linalg.matrix_power(build_walk_matrix(basis), walk_steps(m, l))
     w = np.zeros(basis.dim)
     w[basis.index(l, 0)] = 1.0
-    s = reduced_s(basis)
-    values, vectors = np.linalg.eig(u @ (np.eye(basis.dim)
+    return u, w, reduced_s(basis)
+
+
+def direct_rotation_fidelity(u, w, s, theta_plus, theta_minus):
+    """The theta+- fidelity from a dense eig of U P built here, U = W^t1:
+    eigenvalues within 1e-8 of e^{i theta} are one eigenspace, its vectors
+    orthonormalized by QR.  No code is shared with spectral."""
+    values, vectors = np.linalg.eig(u @ (np.eye(len(w))
                                          - 2.0 * np.outer(w, w)))
 
     def weight(theta, target):
@@ -348,18 +352,39 @@ def direct_rotation_fidelity(n, m, l, theta_plus, theta_minus):
                weight(theta_minus, (w - 1j * s) / math.sqrt(2.0)))
 
 
+def rootfinder_rotation(u, w, s):
+    """theta+- and their fidelity by the paper's cotangent condition: the
+    two roots of least |theta| that up_eigenphases finds between the poles
+    of W^t1, each root's vector sum_j <u_j|theta> |u_j>."""
+    eigen = eigendecompose_unitary(u)
+    sp = up_eigenphases(eigen, w)
+    order = np.argsort(np.abs(sp.thetas))[:2]
+    plus, minus = order if sp.thetas[order[0]] > 0 else order[::-1]
+    fidelity = min(float(abs(np.vdot(
+        (w + sign * 1j * s) / math.sqrt(2.0),
+        eigen.vectors @ sp.overlaps[:, root])) ** 2)
+        for root, sign in ((plus, 1.0), (minus, -1.0)))
+    return sp.thetas[plus], sp.thetas[minus], fidelity
+
+
 @pytest.mark.parametrize("n, l", ROTATION_GRID)
 def test_rotation_fidelity_matches_direct_diagonalization(n, l):
-    """algorithm_rotation takes its eigenvectors from the root finder's
-    overlaps; a dense diagonalization of U P gives the same fidelity to
+    """algorithm_rotation takes its pair from one eigensolve of W^t1 P; a
+    dense diagonalization of U P built here gives the same fidelity, and
+    the paper's cotangent root finder the same theta+- and fidelity, to
     1e-12.  spectrum accepts every point, n=9, l=4 (n - m < l) included."""
     m = walk_size(n, l)
     rep = algorithm_rotation(n, m, l)
     walk_spectrum(n, m, l)
     delta_decomposition(n, m, l)
-    direct = direct_rotation_fidelity(n, m, l, rep.theta_plus,
+    u, w, s = rotation_inputs(n, m, l)
+    direct = direct_rotation_fidelity(u, w, s, rep.theta_plus,
                                       rep.theta_minus)
     assert abs(rep.eigvec_fidelity - direct) <= 1e-12
+    theta_plus, theta_minus, fidelity = rootfinder_rotation(u, w, s)
+    assert abs(rep.theta_plus - theta_plus) <= 1e-12
+    assert abs(rep.theta_minus - theta_minus) <= 1e-12
+    assert abs(rep.eigvec_fidelity - fidelity) <= 1e-12
 
 
 def test_rotation_t1_fixture():
@@ -408,8 +433,8 @@ def scalar_bisection(poles, weights, tol=1e-13):
 def test_vector_bisection_matches_scalar_reference(case, monkeypatch):
     """Every gap bisected at once gives bit for bit the roots of one scalar
     bisection per gap, on the draws verify makes and on the rotation's
-    W^t1 P."""
-    from johnson_walk import spectral, verify
+    W^t1 and |w>."""
+    from johnson_walk import verify
 
     found = []
 
@@ -417,13 +442,13 @@ def test_vector_bisection_matches_scalar_reference(case, monkeypatch):
         found.append(up_eigenphases(eigen, w))
         return found[-1]
 
-    monkeypatch.setattr(spectral, "up_eigenphases", recorded)
-    monkeypatch.setattr(verify, "up_eigenphases", recorded)
     if case == "check_up_rootfinder":
+        monkeypatch.setattr(verify, "up_eigenphases", recorded)
         assert verify.check_up_rootfinder().passed
     else:
         n = 9 if case == "rotation n=9" else 10 ** 4
-        algorithm_rotation(n, walk_size(n, 2), 2)
+        u, w, _ = rotation_inputs(n, walk_size(n, 2), 2)
+        recorded(eigendecompose_unitary(u), w)
     assert len(found) == (10 if case == "check_up_rootfinder" else 1)
     for sp in found:
         reference = scalar_bisection(sp.pole_phases, sp.pole_weights)

@@ -50,7 +50,7 @@ def test_traced_verify_checks_are_the_checks():
 @pytest.mark.parametrize("argv, layer", [
     (("cost", "--optimize", "--l", "3", "--variant", "recursive"),
      "cost_model.optimize_m"),
-    (("spectrum", "--n", "10000000", "--l", "2"), "spectral.up_eigenphases"),
+    (("spectrum", "--n", "10000000", "--l", "2"), "spectral.eigendecompose"),
 ], ids=["cost", "spectrum"])
 def test_traced_cli_reaches_lazily_loaded_layers(argv, layer):
     """The CLI loads the engines inside its commands and the package looks
