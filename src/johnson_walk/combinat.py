@@ -105,9 +105,8 @@ def norm_constants(n: int, m: int, l: int) -> tuple:
     l-set; c_total = C(n, m) (n-m) counts them all.  With C(n, m)
     cancelled, weights[(j, p)] = C(l, j) m^(j) (n-m)^(l-j) x and total =
     n^(l) (n-m), in falling factorials k^(i) of at most l terms, with
-    x = (n-l) - (m-j) for p=0 and l-j for p=1.  The weights sum to total
-    and keep the identities the reduced coins rest on: w_{j,0} (l-j) =
-    w_{j,1} (n-m-l+j) for coin 1, w_{j,0} j = w_{j-1,1} (m+1-j) for coin 2.
+    x = (n-l) - (m-j) for p=0 and l-j for p=1.  The weights sum to total;
+    reduced_sim.ReducedBasis is their one reader.
     """
     if not (1 <= l <= m < n):
         raise ValueError(f"need 1 <= l <= m < n, got n={n}, m={m}, l={l}")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost_model import walk_steps
-from .reduced_sim import ReducedBasis, build_walk_matrix, coin1_matrix, \
-    coin2_matrix, reduced_s
+from .reduced_sim import ReducedBasis, _walk_then_flip, build_walk_matrix, \
+    coin1_matrix, coin2_matrix, reduced_s
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,7 +103,7 @@ def walk_spectrum(n: int, m: int, l: int) -> WalkSpectrumReport:
     # extreme pair: eigenspaces at +-theta_l vs (e_{l-1,1} -+ ... ) / sqrt 2
     tgt_plus = np.zeros(basis.dim, dtype=complex)
     tgt_plus[basis.index(l - 1, 1)] = 1.0 / math.sqrt(2.0)
-    tgt_plus[basis.index(l, 0)] = 1j / math.sqrt(2.0)
+    tgt_plus[basis.marked] = 1j / math.sqrt(2.0)
     tgt_minus = tgt_plus.conj()
     weight, top = eigen.eigenspace_weight, theta[-1]
     straight = min(weight(top, tgt_plus), weight(-top, tgt_minus))
@@ -316,24 +316,21 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     """Smallest eigenphase pair of U = W^t1 P and its rotation-plane vectors.
 
     The pair should sit at +-2<w|s>, with eigenvectors near
-    (|w> +- i |s>)/sqrt 2.  U is W^t1 with its (l, 0) column negated, as in
-    run_reduced.  The pair is the two eigenspaces (phases within 1e-12;
-    1e-8 merges the pair at large n) of least |phase| that hold over 1e-9
-    of |w>, with |w>'s projections as their vectors.  A float W^t1 not
-    unitary to 1e-10 (l = 2: n >= 10^18) is refused.
+    (|w> +- i |s>)/sqrt 2.  U is run_reduced's.  The pair is the two
+    eigenspaces (phases within 1e-12; 1e-8 merges the pair at large n) of
+    least |phase| that hold over 1e-9 of |w>, with |w>'s projections as
+    their vectors.  A float W^t1 not unitary to 1e-10 (l = 2: n >= 10^18)
+    is refused.
     """
     basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
-    w_idx = basis.index(l, 0)
-    ws = float(s_vec[w_idx])
+    ws = float(s_vec[basis.marked])
     if ws == 0.0:
         raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
     t1 = walk_steps(m, l)
-    u = np.linalg.matrix_power(build_walk_matrix(basis), t1)
-    u[:, w_idx] *= -1.0
     try:
-        eigen = eigendecompose_unitary(u)
-    except ValueError as exc:  # its one refusal: u is not unitary
+        eigen = eigendecompose_unitary(_walk_then_flip(basis, t1))
+    except ValueError as exc:  # its one refusal: U is not unitary
         raise ValueError(
             f"--n {n} is too large: the float W^t1 (t1={t1}) drifts past "
             f"the 1e-10 orthogonality check at this size ({exc})") from None
@@ -343,10 +340,10 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     for group in np.split(np.arange(len(phases)),
                           np.flatnonzero(np.diff(phases) > 1e-12) + 1):
         q = eigen.vectors[:, group]
-        weight = float(np.sum(np.abs(q[w_idx]) ** 2))
+        weight = float(np.sum(np.abs(q[basis.marked]) ** 2))
         if weight > 1e-9:
             roots.append((float(phases[group[0]]),
-                          q @ q[w_idx].conj() / math.sqrt(weight)))
+                          q @ q[basis.marked].conj() / math.sqrt(weight)))
     roots.sort(key=lambda root: abs(root[0]))
     if len(roots) < 2 or roots[0][0] * roots[1][0] >= 0:
         raise ValueError(f"W^t1 P has no rotation pair at n={n}, m={m}, l={l}: "
@@ -354,7 +351,7 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     (theta_plus, v_plus), (theta_minus, v_minus) = \
         roots[:2] if roots[0][0] > 0 else roots[1::-1]
 
-    w_vec = np.eye(basis.dim)[w_idx]
+    w_vec = np.eye(basis.dim)[basis.marked]
     fidelity = min(float(abs(np.vdot(
         (w_vec + sign * 1j * s_vec) / math.sqrt(2.0), vec)) ** 2)
         for vec, sign in ((v_plus, 1.0), (v_minus, -1.0)))

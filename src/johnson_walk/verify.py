@@ -15,7 +15,6 @@ from functools import partial
 
 import numpy as np
 
-from .combinat import norm_constants
 from .cost_model import choose_parameters, optimize_m, oracle_queries, table1
 from .full_sim import WalkContext, apply_coin1, apply_coin2, \
     apply_phase_flip, apply_shift, binomial_upto, get_context, run_algorithm
@@ -85,22 +84,17 @@ def check_rank_unrank() -> CheckResult:
 
 
 def check_norm_constant_sums() -> CheckResult:
-    """The weights w_{j,p} sum to their total, and cross-multiply to the
-    coins' weights: w_{j,0} (l-j) = w_{j,1} (n-m-l+j) and
-    w_{j,0} j = w_{j-1,1} (m+1-j)."""
+    """The class table the coins read: the weights sum to their total, and
+    within each coin group the counts are in the ratio of the weights."""
     bad = []
-    for n in range(4, 13):
-        for m in range(1, n):
-            for l in range(1, m + 1):
-                w, total = norm_constants(n, m, l)
-                if sum(w.values()) != total:
-                    bad.append((n, m, l, "sum"))
-                for j in range(l):
-                    if w[(j, 0)] * (l - j) != w[(j, 1)] * (n - m - l + j):
-                        bad.append((n, m, l, f"coin1 j={j}"))
-                for j in range(1, l + 1):
-                    if w[(j, 0)] * j != w[(j - 1, 1)] * (m + 1 - j):
-                        bad.append((n, m, l, f"coin2 j={j}"))
+    for n, m in ((n, m) for n in range(4, 13) for m in range(1, n)):
+        for basis in (ReducedBasis(n, m, l) for l in range(1, m + 1)):
+            w = basis.weights
+            if sum(w) != basis.total:
+                bad.append((basis, "sum"))
+            bad += [(basis, group) for group in basis.coin1 + basis.coin2
+                    if any(w[a] * cb != w[b] * ca
+                           for (a, ca), (b, cb) in zip(group, group[1:]))]
     return CheckResult("norm-constant-identities", not bad,
                        f"{len(bad)} failures" if bad else "grid clean")
 

@@ -4,7 +4,8 @@ complex branch.  The package lists subsets one way, combinat's colex
 recursion: no itertools.combinations over a range and no np.fromiter.
 An instance's marked sets are scanned one way, its marked_sets.  The
 full engine's reflections take the amplitude array, and only prepare_s
-builds a FullState."""
+builds a FullState.  The reduced walk's class table is stated once, in
+ReducedBasis, and U = W^t1 P is built in one function."""
 import ast
 import inspect
 from pathlib import Path
@@ -109,3 +110,40 @@ def test_reflections_take_the_array():
                          if isinstance(node, ast.Call)
                          and ast.unparse(node.func).endswith("FullState")]
     assert builders == [("full_sim.py", "prepare_s")], builders
+
+
+def names_marked_label(node) -> bool:
+    """A call of norm_constants, or the label (l, 0) written out: as the
+    tuple (l, 0) or as the arguments of index(l, 0), with l bare or an
+    attribute such as basis.l."""
+    if not isinstance(node, (ast.Call, ast.Tuple)):
+        return False
+    if isinstance(node, ast.Call) and \
+            ast.unparse(node.func).endswith("norm_constants"):
+        return True
+    pair = node.args if isinstance(node, ast.Call) else node.elts
+    return (len(pair) == 2 and isinstance(pair[1], ast.Constant)
+            and pair[1].value == 0
+            and ast.unparse(pair[0]).rpartition(".")[2] == "l")
+
+
+def test_class_table_is_stated_once():
+    """Only ReducedBasis calls norm_constants and names the marked label
+    (l, 0); every other reader takes the weights, the coin groups and the
+    marked index from its table.  U = W^t1 P, a matrix power of
+    build_walk_matrix, is built in one function, which run_reduced and
+    algorithm_rotation both call."""
+    table, powers = [], []
+    for path in sorted(PKG.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                where = (path.name, getattr(top, "name", None))
+                if names_marked_label(node):
+                    table.append(where)
+                if isinstance(node, ast.Call) and node.args \
+                        and ast.unparse(node.func).endswith("matrix_power") \
+                        and ast.unparse(node.args[0]).startswith(
+                            "build_walk_matrix("):
+                    powers.append(where)
+    assert set(table) == {("reduced_sim.py", "ReducedBasis")}, table
+    assert len(powers) == 1, powers

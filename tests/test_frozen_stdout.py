@@ -12,7 +12,10 @@ place of the rank/unrank pair; `cost --optimize --l 4 --variant mss` and
 `sweep --l 3` as they printed while `sweep` still had a full-engine path
 and `clique_cost`'s mss branch chose its own m; `cost --optimize --l 2`
 (the simple variant) and `--n 10^12 --l 5 --variant recursive` as they
-printed while the optimizer's step restated the cost's terms."""
+printed while the optimizer's step restated the cost's terms.  One
+`simulate` and one `spectrum` run at n - m < l, where the reduced walk
+has only 2(n - m) of its 2l+1 classes, are frozen as they printed while
+the coins still built their groups from (n, m, l)."""
 import hashlib
 import json
 
@@ -53,6 +56,8 @@ FROZEN = [
      "6991421314056a0d7b6339c7ecfed676483e4e099e461ec4f5275c18085f571a"),
     ("--family sum-mod-q --n 100 --l 3 --engine reduced",
      "cff5060cfe4811832391cb39cadc030091ecab4beec459f3533f1d5a5bb6e73a"),
+    ("--family l-distinctness --n 7 --l 4 --m 5 --engine both",
+     "b4c44d0decf086843ce3ad344c87edd3337f780b296e24ecd6dcc89b800e53d8"),
 ]
 
 
@@ -73,6 +78,8 @@ OTHER = [
      "6e77de4621472e92bc275109be63c88257e2c69e34cda7a9e181d0b31357db6b"),
     ("spectrum --n 10000000 --l 2",
      "0ca18064d3385a8fc936eda7207def1012062d28d3ca8c72b473c65067cebfad"),
+    ("spectrum --n 12 --l 4 --m 9",
+     "6e7d8ad80c4795a7707b6a7e192f572ddd011fab440720fb09bd0b0c26abf6dc"),
     ("cost --optimize --l 3 --variant recursive",
      "e64dafeaa92b880475ef63c84e4a1cb1dee5bf503fb7335d5e37bdbe385186f0"),
     ("cost --optimize --l 2",

@@ -1,6 +1,7 @@
 """Reduced engine: walk matrix, start state, and full-engine agreement."""
 import itertools
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -37,16 +38,35 @@ def test_basis_labels_and_weights():
 @pytest.mark.parametrize("n, m, l", [(9, 4, 2), (6, 3, 3), (6, 5, 3),
                                      (7, 6, 4), (5, 4, 4)])
 def test_basis_holds_the_nonempty_classes(n, m, l):
-    """The labels, in order, are the (j, p) classes that hold a legal
-    (A, k) pair, found one pair at a time: all 2l+1 at n - m > l, else
-    2(n - m)."""
+    """The class table against one (A, k) pair at a time.  The labels, in
+    order, are the (j, p) classes that hold a legal pair: all 2l+1 at
+    n - m > l, else 2(n - m).  weights / total is each class's share of
+    the C(n, m) (n - m) pairs.  Each coin-1 group is the split, by class,
+    of the coins outside some subset A, and each coin-2 group the split
+    of the m + 1 members of some union, each group once."""
     marked = set(range(l))
-    held = {(len(set(a) & marked), int(k in marked))
-            for a in itertools.combinations(range(n), m)
-            for k in range(n) if k not in a}
+
+    def label(a, k):
+        return len(set(a) & marked), int(k in marked)
+
+    pairs = Counter(label(a, k) for a in itertools.combinations(range(n), m)
+                    for k in range(n) if k not in a)
+    coin1 = {frozenset(Counter(label(a, k) for k in range(n)
+                               if k not in a).items())
+             for a in itertools.combinations(range(n), m)}
+    coin2 = {frozenset(Counter(label(set(b) - {k}, k) for k in b).items())
+             for b in itertools.combinations(range(n), m + 1)}
     basis = ReducedBasis(n, m, l)
-    assert basis.labels == tuple(sorted(held))
+    assert basis.labels == tuple(sorted(pairs))
     assert basis.dim == (2 * l + 1 if n - m > l else 2 * (n - m))
+    pair_count = math.comb(n, m) * (n - m)
+    assert [Fraction(w, basis.total) for w in basis.weights] \
+        == [Fraction(pairs[x], pair_count) for x in basis.labels]
+    for groups, splits in ((basis.coin1, coin1), (basis.coin2, coin2)):
+        assert len(groups) == len(splits)
+        assert {frozenset((basis.labels[i], c) for i, c in group)
+                for group in groups} == splits
+    assert basis.marked == basis.index(l, 0)
 
 
 def test_three_cycle_walk_matrix():
@@ -215,6 +235,22 @@ def test_embed_is_isometry():
         ey = embed_to_full(y, basis, marked, ctx)
         inner_full = np.vdot(ex, ey)
         assert abs(inner_full - float(x @ y)) < 1e-12
+
+
+def test_run_refuses_a_marked_set_of_another_size():
+    """A 3-set on the l = 2 basis: without the refusal the run reported
+    overlap_w 0.795 for a state the subspace does not model."""
+    with pytest.raises(ValueError, match="has 3 elements.*l=2"):
+        run_reduced(ReducedBasis(9, 4, 2), 2, 2, (MarkedSet((0, 1, 2)),))
+
+
+@pytest.mark.parametrize("indices", [(0,), (0, 1, 2)])
+def test_embed_refuses_a_marked_set_of_another_size(indices):
+    basis = ReducedBasis(9, 4, 2)
+    with pytest.raises(ValueError,
+                       match=f"has {len(indices)} elements.*l=2"):
+        embed_to_full(reduced_s(basis), basis, MarkedSet(indices),
+                      get_context(9, 4))
 
 
 def test_embed_refuses_a_context_of_another_walk():

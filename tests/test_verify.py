@@ -40,6 +40,27 @@ def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
                       "large-n-final-overlap"]
 
 
+def test_coin1_count_off_by_one_fails_the_table_check(monkeypatch):
+    """Add one to the first count of the class table's first coin-1 group.
+    Coin 1 is still a reflection, but its counts leave the ratio of the
+    weights: the table check sees it, and so does every check that runs
+    the walk at a small n against the start state, the full engine or
+    the closed-form spectrum; at n = 10^4 and 10^6 the pair and the
+    overlap move too little to fail."""
+    init = reduced_sim.ReducedBasis.__post_init__
+
+    def mutated(self):
+        init(self)
+        (label, count), *rest = self.coin1[0]
+        vars(self)["coin1"] = (((label, count + 1), *rest),) + self.coin1[1:]
+
+    monkeypatch.setattr(reduced_sim.ReducedBasis, "__post_init__", mutated)
+    failed = [r.name for r in run_all() if not r.passed]
+    assert failed == ["norm-constant-identities", "walk-fixes-start-state",
+                      "full-reduced-agreement", "three-cycle-anchor",
+                      "walk-spectrum-closed-form"]
+
+
 def failed_checks(monkeypatch):
     """The names of the checks that fail, on contexts built afresh: a
     context cached before a mutation would hide it."""
