@@ -33,11 +33,25 @@ class UnitaryEigen:
     phases: np.ndarray                 # sorted ascending in (-pi, pi]
     vectors: np.ndarray                # columns, aligned with phases
 
+    def eigenspaces(self) -> list[np.ndarray]:
+        """Column indices of each eigenspace, in phase order: a phase within
+        1e-12 of the one before joins its group, and a last group within
+        1e-12 of the first across +-pi joins it (both are -1).  eig of a
+        normal matrix places one eigenspace's phases within ~1e-15, while
+        distinct phases come within ~1e-10 (theta_j of W at n = 10^24): a
+        1e-8 window merges those, and the +-theta pair of W^t1 P at large n."""
+        phases = self.phases
+        groups = np.split(np.arange(len(phases)),
+                          np.flatnonzero(np.diff(phases) > 1e-12) + 1)
+        if len(groups) > 1 and phases[0] + TWO_PI - phases[-1] <= 1e-12:
+            groups[0] = np.concatenate([groups[0], groups.pop()])
+        return groups
+
     def eigenspace_weight(self, phase: float, target: np.ndarray) -> float:
-        """|target|^2 in the eigenspace at e^{i phase}, eigenvalues within
-        1e-8 of it: one eigenvector's |overlap|^2 if the phase is simple."""
-        near = np.abs(np.exp(1j * self.phases) - np.exp(1j * phase)) <= 1e-8
-        return float(np.sum(np.abs(self.vectors[:, near].conj().T @ target) ** 2))
+        """|target|^2 in the eigenspace of the eigenvalue nearest e^{i phase}."""
+        near = np.argmin(np.abs(np.exp(1j * self.phases) - np.exp(1j * phase)))
+        q = self.vectors[:, next(g for g in self.eigenspaces() if near in g)]
+        return float(np.sum(np.abs(q.conj().T @ target) ** 2))
 
 
 def eigendecompose_unitary(u: np.ndarray) -> UnitaryEigen:
@@ -225,8 +239,9 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
 
     Between consecutive eigenphases of U that overlap w, the weighted
     cotangent sum falls monotonically from +inf to -inf, so bisection
-    brackets exactly one root per gap.  Eigenvectors of U orthogonal to
-    w pass through with their phase unchanged.
+    brackets exactly one root per gap.  Each eigenspace of U is one pole,
+    at its first phase.  Eigenvectors of U orthogonal to w pass through
+    with their phase unchanged.
     """
     bisect_tol = 1e-13
     w = np.asarray(w, dtype=complex)
@@ -234,23 +249,10 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     amp = eigen.vectors.conj().T @ w          # <u_j|w>
     weight = np.abs(amp) ** 2
 
-    # merge numerically equal phases into distinct poles
-    poles, pole_weight, members = [], [], []
-    for j, phase in enumerate(eigen.phases):
-        if poles and abs(_wrap_phase(phase - poles[-1])) < 1e-10:
-            pole_weight[-1] += weight[j]
-            members[-1].append(j)
-        else:
-            poles.append(float(phase))
-            pole_weight.append(float(weight[j]))
-            members.append([j])
-    # one eigenvalue at -1 can sit at both ends of the sorted phases
-    if len(poles) > 1 and abs(_wrap_phase(poles[0] - poles[-1])) < 1e-10:
-        poles.pop()
-        pole_weight[0] += pole_weight.pop()
-        members[0] += members.pop()
-    poles = np.array(poles)
-    pole_weight = np.array(pole_weight)
+    # one pole per eigenspace, at its first phase
+    groups = eigen.eigenspaces()
+    poles = np.array([eigen.phases[g[0]] for g in groups])
+    pole_weight = np.array([weight[g].sum() for g in groups])
 
     active = pole_weight > 1e-12  # a lighter pole is inactive
     act_poles, act_weight = poles[active], pole_weight[active]
@@ -258,8 +260,8 @@ def up_eigenphases(eigen: UnitaryEigen, w: np.ndarray) -> UPSpectrum:
     # pass-through: inactive poles keep all members; active degenerate
     # poles keep multiplicity - 1 copies (the in-eigenspace directions
     # orthogonal to w are untouched by the flip)
-    passthrough = [pole for pole, mem, act in zip(poles, members, active)
-                   for _ in range(len(mem) - int(act))]
+    passthrough = [pole for pole, g, act in zip(poles, groups, active)
+                   for _ in range(len(g) - int(act))]
 
     # one root per gap between consecutive active poles, the last gap
     # wrapping round to the first pole; every gap is bisected at once
@@ -317,10 +319,9 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
 
     The pair should sit at +-2<w|s>, with eigenvectors near
     (|w> +- i |s>)/sqrt 2.  U is run_reduced's.  The pair is the two
-    eigenspaces (phases within 1e-12; 1e-8 merges the pair at large n) of
-    least |phase| that hold over 1e-9 of |w>, with |w>'s projections as
-    their vectors.  A float W^t1 not unitary to 1e-10 (l = 2: n >= 10^18)
-    is refused.
+    eigenspaces (UnitaryEigen.eigenspaces) of least |phase| that hold over
+    1e-9 of |w>, with |w>'s projections as their vectors.  A float W^t1
+    not unitary to 1e-10 (l = 2: n >= 10^18) is refused.
     """
     basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
@@ -335,14 +336,12 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
             f"--n {n} is too large: the float W^t1 (t1={t1}) drifts past "
             f"the 1e-10 orthogonality check at this size ({exc})") from None
 
-    phases = eigen.phases
     roots = []  # (phase, |w>'s unit projection) per eigenspace holding |w>
-    for group in np.split(np.arange(len(phases)),
-                          np.flatnonzero(np.diff(phases) > 1e-12) + 1):
+    for group in eigen.eigenspaces():
         q = eigen.vectors[:, group]
         weight = float(np.sum(np.abs(q[basis.marked]) ** 2))
         if weight > 1e-9:
-            roots.append((float(phases[group[0]]),
+            roots.append((float(eigen.phases[group[0]]),
                           q @ q[basis.marked].conj() / math.sqrt(weight)))
     roots.sort(key=lambda root: abs(root[0]))
     if len(roots) < 2 or roots[0][0] * roots[1][0] >= 0:

@@ -5,7 +5,8 @@ recursion: no itertools.combinations over a range and no np.fromiter.
 An instance's marked sets are scanned one way, its marked_sets.  The
 full engine's reflections take the amplitude array, and only prepare_s
 builds a FullState.  The reduced walk's class table is stated once, in
-ReducedBasis, and U = W^t1 P is built in one function."""
+ReducedBasis, and U = W^t1 P is built in one function.  spectral groups
+eigenphases into eigenspaces in one place, UnitaryEigen.eigenspaces."""
 import ast
 import inspect
 from pathlib import Path
@@ -147,3 +148,27 @@ def test_class_table_is_stated_once():
                     powers.append(where)
     assert set(table) == {("reduced_sim.py", "ReducedBasis")}, table
     assert len(powers) == 1, powers
+
+
+def groups_phases(node) -> bool:
+    """A call of split or diff, or a comparison of a difference whose text
+    names a phase: the ways to group eigenphases into eigenspaces."""
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).endswith(("split", "diff"))
+    return isinstance(node, ast.Compare) and "phase" in ast.unparse(node) \
+        and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                for sub in ast.walk(node))
+
+
+def test_eigenspaces_are_grouped_once():
+    """Only UnitaryEigen.eigenspaces splits or diffs eigenphases in
+    spectral, or compares their differences with a tolerance;
+    walk_spectrum, up_eigenphases and algorithm_rotation read its groups."""
+    found = []
+    for top in ast.parse((PKG / "spectral.py").read_text()).body:
+        scopes = [(f"{top.name}.{getattr(item, 'name', None)}", item)
+                  for item in top.body] if isinstance(top, ast.ClassDef) \
+            else [(getattr(top, "name", None), top)]
+        found += [name for name, scope in scopes for node in ast.walk(scope)
+                  if groups_phases(node)]
+    assert set(found) == {"UnitaryEigen.eigenspaces"}, found

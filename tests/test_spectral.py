@@ -137,6 +137,27 @@ def test_eigendecompose_complex_unitary():
     assert reconstruction_residual(eig, u) <= 1e-9
 
 
+def test_eigenspaces_group_within_1e12_and_across_pi():
+    """A phase within 1e-12 of the one before joins its group (-1 and
+    -1 + 5e-13), one 3e-12 on starts its own, and the ends -pi + 1e-13 and
+    pi - 1e-13 are one eigenvalue -1, listed in the first group."""
+    phases = np.array([-math.pi + 1e-13, -1.0, -1.0 + 5e-13, -1.0 + 3e-12,
+                       0.5, math.pi - 1e-13])
+    groups = UnitaryEigen(phases=phases, vectors=np.eye(6)).eigenspaces()
+    assert [g.tolist() for g in groups] == [[0, 5], [1, 2], [3], [4]]
+
+
+@pytest.mark.parametrize("d", [2, 5, 8, 13])
+def test_eigenspaces_of_haar_random_unitaries_are_simple(d):
+    """Haar-random orthogonal and unitary matrices have distinct
+    eigenvalues: every eigenspace is one column, in phase order."""
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for u in (haar_orthogonal(d, random.Random(d)), np.linalg.qr(z)[0]):
+        groups = eigendecompose_unitary(u).eigenspaces()
+        assert [g.tolist() for g in groups] == [[j] for j in range(d)]
+
+
 def test_walk_phases_come_in_pairs():
     """+- phase pairing with equal w-overlaps, the flip axis being (l,0)."""
     for n, m, l in [(9, 4, 2), (200, 34, 2), (1000, 178, 3)]:
@@ -185,6 +206,20 @@ def test_extreme_pair_fidelity_bound():
             m = choose_parameters(n, l).m
             rep = walk_spectrum(n, m, l)
             assert rep.extreme_pair_fidelity >= 1.0 - 25.0 * m / n, (n, l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_extreme_pair_fidelity_keeps_its_power_law_to_1e24(l):
+    """At the rule's m, 1 - F of the extreme pair falls as n^(-1/(l+1)):
+    from n = 10^14 to 10^24, each step n -> 100 n scales it by one ratio,
+    100^(-1/(l+1)) (0.2154, 0.3162, 0.3981), to 5%.  The theta_j of W come
+    within ~1e-10 at large n, where a 1e-8 eigenspace window merged them:
+    at n = 10^24 it took every eigenvalue of W as one eigenspace at l = 3
+    and 4, and F read 1 - 4e-16."""
+    loss = [1.0 - walk_spectrum(n, walk_size(n, l), l).extreme_pair_fidelity
+            for n in (10 ** e for e in range(14, 25, 2))]
+    ratios = [b / a for a, b in zip(loss, loss[1:])]
+    assert all(abs(r / ratios[0] - 1.0) <= 0.05 for r in ratios), ratios
 
 
 def test_delta_norms_scale():
