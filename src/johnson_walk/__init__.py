@@ -19,16 +19,16 @@ import importlib
 _MODULE_OF = {name: module for module, names in {
     "algorithm": "RunReport",
     "combinat": "norm_constants",
-    "cost_model": "MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult "
-                  "ParameterChoice choose_parameters clique_cost "
-                  "nint optimize_m oracle_queries table1",
+    "cost_model": "ITEM PAIRWISE MSS RECURSIVE SIMPLE CliqueCostRow "
+                  "OptimizeResult ParameterChoice choose_parameters "
+                  "clique_cost nint optimize_m oracle_queries table1",
     "full_sim": "DEFAULT_MEMCAP FullState MemoryCapError WalkContext "
                 "apply_coin1 apply_coin2 apply_phase_flip apply_shift "
                 "apply_walk_step get_context memory_cap prepare_s "
                 "run_algorithm",
-    "instances": "ITEM PAIRWISE GenerationError MarkedSet "
-                 "ProblemInstance find_marked instance_from_json "
-                 "instance_to_json load_instance make_family pair_index",
+    "instances": "GenerationError MarkedSet ProblemInstance find_marked "
+                 "instance_from_json instance_to_json load_instance "
+                 "make_family pair_index",
     "reduced_sim": "ReducedBasis build_walk_matrix coin1_matrix "
                    "coin2_matrix embed_to_full reduced_s run_reduced",
     "spectral": "DeltaDecomposition RootBracketError RotationReport "

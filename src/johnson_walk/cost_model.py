@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .instances import ITEM
+if TYPE_CHECKING:  # table1 imports it where it builds its rows
+    from fractions import Fraction
 
 SIMPLE = "simple"
 RECURSIVE = "recursive"
@@ -83,6 +84,9 @@ def choose_parameters(n: int, l: int, m: int | None = None,
     t1 = walk_steps(m, l) if t1 is None else t1
     t2 = rotation_count(n, m, l) if t2 is None else t2
     return ParameterChoice(n=n, l=l, m=m, t1=t1, t2=t2)
+
+
+ITEM, PAIRWISE = "item", "pairwise"  # a query reads one element, or one edge
 
 
 def oracle_queries(m: int, t1: int, t2: int, mode: str = ITEM) -> int:
@@ -201,6 +205,8 @@ class CliqueCostRow:
 
 def table1():
     """Exponent table for clique finding, l = 2..7, exact rationals."""
+    from fractions import Fraction
+
     rows = []
     for l in range(2, 8):
         simple = Fraction(2 * l, l + 1)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .algorithm import RunReport, run_walk, scan_flags
 from .combinat import colex_table
-from .instances import ITEM, ProblemInstance
+from .cost_model import ITEM
+from .instances import ProblemInstance
 
 # Bytes; admits n <= 27 at the parameter rule's m for l=2 (2.07e9 B at
 # n=27, m=9; 3.21e9 B at n=28, m=9).

@@ -23,9 +23,7 @@ from operator import xor
 from typing import Callable, NamedTuple
 
 from .combinat import colex_blocks
-
-ITEM = "item"
-PAIRWISE = "pairwise"
+from .cost_model import ITEM, PAIRWISE
 
 _MAX_SCRUB_PASSES = 200
 _BLOCK = 1 << 15  # l-subsets per block of a scan
@@ -69,6 +67,9 @@ class ProblemInstance:
     pairs in itertools.combinations order (pairwise); an integer table
     comes as int64 where a sum of k fits, else as Python ints.  The test
     must be invariant under permutations of a subset's elements.
+
+    property_params holds the keys its Family.params names and no other,
+    {} for most families; seed is the one piece of provenance kept.
     """
     n: int
     l: int
@@ -164,11 +165,11 @@ def _test_explicit(satisfying):
         for col in zip(subsets.T.tolist(), values.T.tolist())]
 
 
-def _build(family, n, l, values, params, seed):
+def _build(family, n, l, values, seed, **params):
     """An instance of a FAMILIES entry: its mode and predicate come from there."""
     fam = FAMILIES[family]
     return ProblemInstance(n=n, l=l, mode=fam.mode, values=tuple(values),
-                           family_tag=family, property_params=dict(params),
+                           family_tag=family, property_params=params,
                            predicate=fam.predicate(params), seed=seed)
 
 
@@ -181,6 +182,7 @@ def make_family(family: str, **params) -> ProblemInstance:
     Each draws from one range set by (n, l) alone, with no override:
     zero-sum-xor and sum-mod-q from about C(n, l) values, so that about one
     chance solution is expected, and l-clique at _clique_edge_prob(n, l).
+    The instance keeps the seed and only what its property reads.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -217,7 +219,7 @@ def _gen_l_distinctness(n, l=2, seed=0, planted=True, family="l-distinctness"):
         where = rng.sample(range(n), l)
         for i in where[1:]:
             vals[i] = vals[where[0]]
-    return _build(family, n, l, vals, {"planted": planted}, seed)
+    return _build(family, n, l, vals, seed)
 
 
 def _gen_zero_sum_xor(n, l=3, seed=0, planted=True):
@@ -230,8 +232,7 @@ def _gen_zero_sum_xor(n, l=3, seed=0, planted=True):
         vals[keep[-1]] = reduce(xor, (vals[i] for i in keep[:-1]), 0)
     _scrub_accidental(vals, n, l, _test_zero_sum_xor,
                       partial(rng.getrandbits, m_bits), keep)
-    return _build("zero-sum-xor", n, l, vals,
-                  {"m_bits": m_bits, "planted": planted}, seed)
+    return _build("zero-sum-xor", n, l, vals, seed)
 
 
 def _scrub_accidental(vals, n, l, test, redraw, keep=(), mode=ITEM):
@@ -284,7 +285,7 @@ def _gen_sum_mod_q(n, l=3, seed=0, planted=True):
         vals[keep[-1]] = (-sum(vals[i] for i in keep[:-1])) % q
     _scrub_accidental(vals, n, l, _test_sum_mod_q(q),
                       partial(rng.randrange, q), keep)
-    return _build("sum-mod-q", n, l, vals, {"q": q, "planted": planted}, seed)
+    return _build("sum-mod-q", n, l, vals, seed, q=q)
 
 
 def _gen_consecutive(n, l=3, seed=0, planted=True):
@@ -299,7 +300,7 @@ def _gen_consecutive(n, l=3, seed=0, planted=True):
             vals[i] = start + off
     _scrub_accidental(vals, n, l, _test_consecutive,
                       partial(rng.randrange, hi), keep)
-    return _build("consecutive", n, l, vals, {"planted": planted}, seed)
+    return _build("consecutive", n, l, vals, seed)
 
 
 def _clique_edge_prob(n, l):
@@ -322,17 +323,15 @@ def _gen_clique(n, l=3, seed=0, planted=True):
         for a, b in itertools.combinations(keep, 2):
             vals[pair_index(a, b)] = 1
     _scrub_accidental(vals, n, l, _test_clique, edge, keep, PAIRWISE)
-    return _build("l-clique", n, l, vals,
-                  {"edge_prob": edge_prob, "planted": planted, "clique": None},
-                  seed)
+    return _build("l-clique", n, l, vals, seed)
 
 
 def _gen_custom(n, l, values, satisfying, seed=None):
     """Explicit item-mode property: a list of satisfying l-subsets of
     (index, value) tuples, the form that round-trips through JSON.  A raw
     test is a ProblemInstance built with that predicate (not serializable)."""
-    return _build("custom", n, l, values, {"satisfying": [
-        sorted([list(p) for p in s]) for s in satisfying]}, seed)
+    return _build("custom", n, l, values, seed, satisfying=[
+        sorted([list(p) for p in s]) for s in satisfying])
 
 
 def _int_lists(value, depth: int) -> bool:
@@ -344,6 +343,8 @@ def _int_lists(value, depth: int) -> bool:
 
 
 class Family(NamedTuple):
+    """A property family; params is the one list of the keys its
+    instances carry in property_params, in memory and in a file."""
     generate: Callable      # keyword parameters -> ProblemInstance
     mode: str               # oracle mode: ITEM or PAIRWISE
     predicate: Callable     # property params, as stored -> vectorized test
@@ -404,9 +405,18 @@ def _entry(obj: dict, path: str, test, what: str):
     return obj[key]
 
 
+def _only(obj: dict, prefix: str, keys) -> None:
+    """A ValueError naming the dotted path of obj's first key not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"instance file key {prefix + key!r} is not read "
+                             f"(read there: {', '.join(keys) or 'none'})")
+
+
 def instance_from_json(d: dict) -> ProblemInstance:
     """Rebuild an instance from its JSON form (values taken verbatim).  Each
-    key is checked first, so a malformed form is a ValueError naming one."""
+    key is checked first, so a malformed form, or one that holds a key
+    nothing reads, is a ValueError naming one."""
     if not isinstance(d, dict):
         raise ValueError("an instance file holds one JSON object")
     prop = _entry(d, "property", lambda p: isinstance(p, dict), "an object")
@@ -414,8 +424,12 @@ def instance_from_json(d: dict) -> ProblemInstance:
                     lambda f: isinstance(f, str) and f in FAMILIES,
                     f"one of {', '.join(FAMILIES)}")
     fam = FAMILIES[family]
+    table = "values" if fam.mode == ITEM else "pairs"
+    _only(d, "", ("n", "l", "mode", table, "property", "seed"))
+    _only(prop, "property.", ("family", "params"))
     params = _entry(prop, "property.params", lambda p: isinstance(p, dict),
                     "an object")
+    _only(params, "property.params.", [name for name, _, _ in fam.params])
     for name, test, what in fam.params:
         _entry(params, f"property.params.{name}", test, what)
     _entry(d, "mode", lambda mode: mode == fam.mode, f"{fam.mode!r} for {family}")
@@ -431,7 +445,7 @@ def instance_from_json(d: dict) -> ProblemInstance:
     seed = _entry(d, "seed", lambda s: s is None or _int_lists(s, 0),
                   "an integer or null") if "seed" in d else None
     check_family_l(family, l)
-    inst = _build(family, n, l, values, params, seed)
+    inst = _build(family, n, l, values, seed, **params)
     if family == "custom":  # a set the table cannot hold would never match
         table = set(enumerate(values))  # one (index, value) pair per index
         _entry(params, "property.params.satisfying", lambda sets: all(

@@ -18,8 +18,7 @@ import numpy as np
 
 from .algorithm import RunReport, scan_flags
 from .combinat import norm_constants
-from .cost_model import oracle_queries
-from .instances import ITEM, MarkedSet
+from .cost_model import ITEM, oracle_queries
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def _walk_then_flip(basis: ReducedBasis, t1: int, flip: bool = True):
     return u
 
 
-def _check_size(basis: ReducedBasis, marked: MarkedSet):
+def _check_size(basis: ReducedBasis, marked):
     if len(marked.indices) != basis.l:
         raise ValueError(f"the marked set has {len(marked.indices)} elements, "
                          f"but the reduced basis is for l={basis.l}")
@@ -138,11 +137,12 @@ def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
                      final_state=state)
 
 
-def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked: MarkedSet,
+def embed_to_full(state: np.ndarray, basis: ReducedBasis, marked,
                   ctx) -> np.ndarray:
     """The full engine's a-side amplitudes of a reduced state, shape
     (num_a, n - m): each (j, p) amplitude spread uniformly over its c_{j,p}
-    legal pairs.  ctx is the full engine's WalkContext at (n, m)."""
+    legal pairs.  marked is the MarkedSet, and ctx the full engine's
+    WalkContext at (n, m)."""
     if (ctx.n, ctx.m) != (basis.n, basis.m):
         raise ValueError(f"context is for (n, m) = ({ctx.n}, {ctx.m}), "
                          f"basis for ({basis.n}, {basis.m})")

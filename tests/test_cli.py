@@ -900,19 +900,21 @@ def test_simulate_key_order(capsys):
 
 
 def test_simulate_reports_the_generator_params(capsys):
-    """params holds what the generator drew, such as sum-mod-q's value
-    range q, which family and seed alone do not fix; past the scan limit
-    no instance is built and params is null."""
+    """params holds what the property reads, sum-mod-q's modulus q =
+    C(n, l), and nothing else; an unplanted draw shows in the scan's
+    no_marked flag.  Past the scan limit no instance is built and params
+    is null."""
     from johnson_walk import make_family
 
     argv = ("simulate", "--family", "sum-mod-q", "--n", "12", "--l", "4",
             "--seed", "0", "--engine", "full")
     rep = json.loads(run_cli(capsys, *argv)[1])
     inst = make_family("sum-mod-q", n=12, l=4, seed=0)
-    assert rep["params"] == inst.property_params == {
-        "q": inst.property_params["q"], "planted": True}
-    rep = json.loads(run_cli(capsys, *argv[:-4], "--no-plant")[1])
-    assert rep["params"]["planted"] is False
+    assert rep["params"] == inst.property_params == {"q": math.comb(12, 4)}
+    assert "no_marked" not in rep["full"]["flags"]
+    rep = json.loads(run_cli(capsys, *argv, "--no-plant")[1])
+    assert rep["params"] == {"q": math.comb(12, 4)}
+    assert "no_marked" in rep["full"]["flags"]
     rep = json.loads(run_cli(capsys, "simulate", "--n", "100000000",
                              "--l", "3")[1])
     assert rep["params"] is None

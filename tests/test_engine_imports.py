@@ -1,4 +1,5 @@
-"""The two engines stand alone: neither module imports the other.  The
+"""The two engines stand alone: neither module imports the other, and
+neither cost_model nor the reduced engine imports instances.  The
 full engine serves one state form, real and slot-major: it has no
 complex branch.  The package lists subsets one way, combinat's colex
 recursion: no itertools.combinations over a range and no np.fromiter.
@@ -37,6 +38,18 @@ def imported_modules(path: Path) -> set:
 def test_engine_does_not_import_the_other(engine, other):
     names = imported_modules(PKG / f"{engine}.py")
     assert other not in names and f"johnson_walk.{other}" not in names, names
+
+
+def test_cost_model_and_reduced_engine_need_no_instances():
+    """cost_model, which defines the oracle modes, imports no sibling
+    module, and the reduced engine does not import instances: neither
+    reads a value table."""
+    siblings = {path.stem for path in PKG.glob("*.py")}
+    names = imported_modules(PKG / "cost_model.py")
+    assert not {name.partition(".")[0] for name in names} & siblings, names
+    assert not any("johnson_walk" in name for name in names), names
+    names = imported_modules(PKG / "reduced_sim.py")
+    assert not {"instances", "johnson_walk.instances"} & names, names
 
 
 def test_full_engine_has_no_complex_branch():

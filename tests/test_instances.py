@@ -1,10 +1,13 @@
 """Problem instances, generators, the scan oracle, and JSON round trips."""
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import random
+import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -273,6 +276,79 @@ def test_json_round_trip_pairwise():
     assert find_marked(back)[0] == find_marked(inst)[0]
 
 
+def drawn(family):
+    """One instance of the family: drawn at n=9, or custom's listed set."""
+    if family == "custom":
+        return make_family("custom", n=6, l=2, values=(3, 1, 4, 1, 5, 9),
+                           satisfying=[[(1, 1), (3, 1)]])
+    return make_family(family, n=9, seed=2,
+                       l=2 if family == "element-distinctness" else 3)
+
+
+def without(d, path):
+    """A copy of the JSON form d less the key at a dotted path."""
+    d = copy.deepcopy(d)
+    *outer, key = path.split(".")
+    reduce(dict.__getitem__, outer, d).pop(key)
+    return d
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_json_holds_only_the_keys_the_loader_reads(family):
+    """At each level instance_to_json writes exactly what instance_from_json
+    reads: the table under values or pairs by mode, and under
+    property.params the keys Family.params names, so a drawn instance's
+    params are {} but sum-mod-q's q.  The form loads back equal, and less
+    any key but the optional seed it is refused with that key named."""
+    inst = drawn(family)
+    fam = FAMILIES[family]
+    d = instance_to_json(inst)
+    table = "values" if fam.mode == ITEM else "pairs"
+    assert set(d) == {"n", "l", "mode", table, "property", "seed"}
+    assert set(d["property"]) == {"family", "params"}
+    params = d["property"]["params"]
+    assert set(params) == {name for name, _, _ in fam.params}
+    if family == "sum-mod-q":
+        assert params == {"q": math.comb(inst.n, inst.l)}
+    elif family != "custom":
+        assert params == {}
+    back = instance_from_json(json.loads(json.dumps(d)))
+    assert back == inst and back.property_params == inst.property_params
+    assert back.marked_sets == inst.marked_sets
+    for path in [*d, "property.family", "property.params",
+                 *(f"property.params.{name}" for name in params)]:
+        if path != "seed":
+            with pytest.raises(ValueError, match=re.escape(repr(path))):
+                instance_from_json(without(d, path))
+
+
+# one key the loader does not read at each level, with its value; the last
+# two are the params older drawn files carried, such as a zero-sum-xor
+# m_bits edited to 999 or an l-clique clique set to [0, 1, 2], which were
+# echoed as the run's params with exit 0
+UNREAD = {"bogus": True, "property.edge": 0.25,
+          "property.params.m_bits": 999, "property.params.clique": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("path", UNREAD)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unread_key_exits_2(capsys, tmp_path, family, path):
+    """One key the loader does not read, at the top level, in property or
+    in property.params, is one error line naming its dotted path."""
+    from johnson_walk.cli import main
+
+    d = instance_to_json(drawn(family))
+    *outer, key = path.split(".")
+    reduce(dict.__getitem__, outer, d)[key] = UNREAD[path]
+    file = tmp_path / "inst.json"
+    file.write_text(json.dumps(d))
+    code = main(["simulate", "--instance", str(file), "--engine", "full"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(path) in err and "not read" in err
+
+
 def test_multiple_classification():
     inst = ProblemInstance(
         n=5, l=2, mode=ITEM, values=(1, 1, 1, 3, 4), family_tag="custom",
@@ -285,15 +361,18 @@ def test_multiple_classification():
 def test_clique_edge_prob_keeps_one_plant_likely():
     """0.25 up to n=12 at l=3; past it the edge probability falls so that
     C(n, 3) p^3 = 3.5 chance triangles are expected, few for the scrub to
-    clear, and n=16 and n=20 draw one planted triangle, or none."""
+    clear, and n=16 and n=20 draw one planted triangle, or none.  The
+    instance stores no edge probability: it follows from (n, l)."""
+    from johnson_walk.instances import _clique_edge_prob
+
     for n in range(6, 13):
-        inst = make_family("l-clique", n=n, l=3, seed=1)
-        assert inst.property_params["edge_prob"] == 0.25
+        assert _clique_edge_prob(n, 3) == 0.25
     for n in (16, 20):
         for planted in (True, False):
             inst = make_family("l-clique", n=n, l=3, seed=1, planted=planted)
             assert len(find_marked(inst)) == planted
-            p = inst.property_params["edge_prob"]
+            assert inst.property_params == {}
+            p = _clique_edge_prob(n, 3)
             assert math.comb(n, 3) * p ** 3 == pytest.approx(3.5)
 
 
@@ -335,27 +414,27 @@ def test_families_refuse_l_at_or_past_n(family):
 
 
 # sha256 (first 32 hex digits) of the instance JSON, each drawn with the
-# default range of about C(n, l) values (m_bits = bit length of
-# C(n, l) - 1, q = C(n, l))
+# default range of about C(n, l) values (values below 2^b, b the bit length
+# of C(n, l) - 1, for zero-sum-xor; q = C(n, l) for sum-mod-q)
 FROZEN_DRAWS = {
-    ("zero-sum-xor", 12, 4, 0, True): "50b1f1a2d30b67238123837db4794704",
-    ("zero-sum-xor", 12, 4, 9, True): "eafb3e6f04a718043de60fcad8e2e4dc",
-    ("zero-sum-xor", 24, 3, 5, True): "e1502e61d59bd109280ec61e2cf9934f",
-    ("zero-sum-xor", 16, 3, 2, False): "d64a5a943e0a51370ffc69539c291d01",
-    ("sum-mod-q", 16, 3, 4, True): "1ce5fccb50a1bbf142c330d8cfb1af78",
+    ("zero-sum-xor", 12, 4, 0, True): "d3242533cb465981dc118554906c4515",
+    ("zero-sum-xor", 12, 4, 9, True): "ed7154c4df003889315729d5c0873127",
+    ("zero-sum-xor", 24, 3, 5, True): "8f4804dfbcc1911b45926b327da4d971",
+    ("zero-sum-xor", 16, 3, 2, False): "9bbfa6ece476d924f0d6c007777d7920",
+    ("sum-mod-q", 16, 3, 4, True): "5734823a76db9eac7fec7a0bebe7f17e",
 }
 
 # The same digests for more draws at the default range, at l = 4 and 5
 WIDENED_DRAWS = {
-    ("zero-sum-xor", 13, 5, 0, False): "b613e9cb7ee678790370ba4c8600f19a",
-    ("zero-sum-xor", 17, 5, 10, True): "12a92190ae2dece497a1a22803df165b",
-    ("zero-sum-xor", 24, 5, 3, True): "d1396ae5615e25fb62533cf7c5b5dac4",
-    ("zero-sum-xor", 24, 5, 11, False): "fababbd17f0f0ac72e0e6de3811df355",
-    ("sum-mod-q", 12, 4, 0, True): "5598cce10d1eadc37aaf900102890cd7",
-    ("sum-mod-q", 24, 4, 10, True): "8c81b3de23b436526e601cbe5364444b",
-    ("sum-mod-q", 24, 4, 2, False): "2c55107b344649b00df31142a01430b5",
-    ("sum-mod-q", 20, 5, 9, True): "e8d0e51bd75b9566613d826a6b278104",
-    ("sum-mod-q", 24, 5, 11, False): "55d0be5a62fad4f7800b85d26df1de93",
+    ("zero-sum-xor", 13, 5, 0, False): "0fc4c7084fa396ea77bd7a2e64cb8a32",
+    ("zero-sum-xor", 17, 5, 10, True): "58591bedc06ff809e9bd974684987fcf",
+    ("zero-sum-xor", 24, 5, 3, True): "5c00b31fd8f9a6fbb8bd3a7918286894",
+    ("zero-sum-xor", 24, 5, 11, False): "5695617a145f5bdaf62fb95c7b86c0a1",
+    ("sum-mod-q", 12, 4, 0, True): "baa72a7e37b7aeb0656fbd90ec0ab977",
+    ("sum-mod-q", 24, 4, 10, True): "a43ee73836c2b129a3b6ffcf5f959a10",
+    ("sum-mod-q", 24, 4, 2, False): "dda05cfb44d1b2c87d7abdd3b49ddb3f",
+    ("sum-mod-q", 20, 5, 9, True): "8a2867b79f00413400c0632f43589993",
+    ("sum-mod-q", 24, 5, 11, False): "b9dcdf780081a79052fbcda2aa240f04",
 }
 
 
@@ -365,39 +444,44 @@ WIDENED_DRAWS = {
 # n=9 seeds 1-3, n=12 draws and consecutive n=9 seed 3 held a chance
 # solution when first drawn; the other draws held none.
 SCRUBBED_DRAWS = {
-    ("l-clique", 9, 3, 0, True): "2fb0d9532eb9af782168ca31e60f9bc1",
-    ("l-clique", 9, 3, 1, True): "8d1cc527c26fb00dfbabe235ebe7e83c",
-    ("l-clique", 9, 3, 2, True): "86a562e40b3a67dccef35032817b19bd",
-    ("l-clique", 9, 3, 3, True): "390b204582c9dfa9d9cefa493cb60b54",
-    ("l-clique", 9, 3, 1, False): "d7c007abc30f838aeb248c7648e9d9e3",
-    ("l-clique", 12, 3, 2, False): "f93a604c44e502d27c9b2e4925386738",
-    ("l-clique", 12, 3, 0, True): "d79b7b4b0d03947f076d231c68bac9e7",
-    ("l-clique", 16, 4, 0, True): "5f2e2962396e6ae01c5c581b09d38e1c",
-    ("consecutive", 9, 3, 3, True): "853a33108bcf5b5aaa032b4e70ec7521",
-    ("consecutive", 9, 3, 0, True): "b351aa722b99f11c4c854dbf5212f2dc",
-    ("consecutive", 12, 3, 1, False): "849bc105510851faabe507da78e5757b",
-    ("consecutive", 16, 4, 2, True): "05921151d2a3a34f61608126bacca1d2",
-    ("l-distinctness", 9, 3, 0, True): "0f141e208ff22c43cd3ea00655faf689",
-    ("l-distinctness", 16, 4, 5, False): "6910d328d8980d5da33854677db55e86",
-    ("element-distinctness", 9, 2, 0, True): "74a50cdd55eeadd9e5f2e56c4f65505a",
+    ("l-clique", 9, 3, 0, True): "e0d6b03e9143c56e6b31969766bbdc0f",
+    ("l-clique", 9, 3, 1, True): "3b17acd901d5562d60d354cc7796e47f",
+    ("l-clique", 9, 3, 2, True): "aae2d21cac7660843a3312361c987af6",
+    ("l-clique", 9, 3, 3, True): "c99ecabec3182cb55d0ed23ed2e1423f",
+    ("l-clique", 9, 3, 1, False): "333389118047701067de1b6fbfd7a98a",
+    ("l-clique", 12, 3, 2, False): "4f719921e099fdd374579f04e60b1ea0",
+    ("l-clique", 12, 3, 0, True): "9972999f2bd2ceecdea262dca1087630",
+    ("l-clique", 16, 4, 0, True): "3b33927c55555543cb95ea8352e32dd7",
+    ("consecutive", 9, 3, 3, True): "ea414ad2c84e9add0dbb5b03f6867ef1",
+    ("consecutive", 9, 3, 0, True): "6ad5545ae07adf2ad722f86cf3967d5b",
+    ("consecutive", 12, 3, 1, False): "44e4b09122248edc11546d93c9f1954c",
+    ("consecutive", 16, 4, 2, True): "520e64d8f4ec45acd3db6269deef7c8b",
+    ("l-distinctness", 9, 3, 0, True): "b22f1ab6081a011bcf16990f55297b31",
+    ("l-distinctness", 16, 4, 5, False): "7cadc7785cd0c37bea9d4a60841651b0",
+    ("element-distinctness", 9, 2, 0, True): "d3e4464827fe5b6423eb017963a45701",
     ("element-distinctness", 12, 2, 3, False):
-        "d638cb196ae968e04a8f9a36c6ecbbd6",
+        "2d879b2a631973d2a8bbfe16d8377d58",
 }
 
 
-def default_ranges(family, n, l):
-    """(key, wide): the default range, about C(n, l) values."""
-    if family == "zero-sum-xor":
-        return "m_bits", (math.comb(n, l) - 1).bit_length()
-    return "q", math.comb(n, l)
+def assert_default_range(inst):
+    """The draw is from the default range, about C(n, l) values: a
+    zero-sum-xor table's values are each below 2^((C(n, l) - 1) bit
+    length), and sum-mod-q's q, the one key it stores, is C(n, l)."""
+    wide = math.comb(inst.n, inst.l)
+    if inst.family_tag == "zero-sum-xor":
+        assert inst.property_params == {}
+        assert 0 <= min(inst.values)
+        assert max(inst.values) < 2 ** (wide - 1).bit_length()
+    else:
+        assert inst.property_params == {"q": wide}
 
 
 def assert_draws(table, default_range=False):
     for (family, n, l, seed, planted), digest in table.items():
         inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
         if default_range:
-            key, wide = default_ranges(family, n, l)
-            assert inst.property_params[key] == wide
+            assert_default_range(inst)
         text = json.dumps(instance_to_json(inst), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
 
@@ -459,13 +543,12 @@ def test_scrubbed_families_draw_up_to_l_5(family, l, seeds):
     l = 4 and 5 take two seeds here; all twelve seeds 0..11 build there
     too."""
     for n in range(12, 25):
-        key, wide = default_ranges(family, n, l)
         subsets = np.array(list(itertools.combinations(range(n), l)))
         for seed in seeds:
             for planted in (True, False):
                 inst = make_family(family, n=n, l=l, seed=seed,
                                    planted=planted)
-                assert inst.property_params[key] == wide
+                assert_default_range(inst)
                 assert solutions(inst, subsets) == planted, (n, seed, planted)
                 if n == 12:
                     assert len(find_marked(inst)) == planted
@@ -490,11 +573,10 @@ def test_default_range_needs_few_scrub_passes(monkeypatch, family):
     for n, l in itertools.product((4, 9, 16, 24, 40, 64, 100), range(1, 6)):
         if l >= n or math.comb(n, l) > 2 * 10 ** 5:
             continue
-        key, wide = default_ranges(family, n, l)
         for seed, planted in itertools.product(range(3), (True, False)):
             passes.append(0)
             inst = make_family(family, n=n, l=l, seed=seed, planted=planted)
-            assert inst.property_params[key] == wide
+            assert_default_range(inst)
             assert passes[-1] <= 12, (n, l, seed, planted, passes[-1])
     assert len(passes) == 168
 
@@ -650,7 +732,7 @@ def test_scan_calls_the_test_once_a_block(n, l):
 @pytest.mark.parametrize("scale", [2 ** 70, -2 ** 70, -3 * 2 ** 60],
                          ids=["2^70", "-2^70", "-3*2^60"])
 @pytest.mark.parametrize("family, params", [
-    ("sum-mod-q", {"q": 7}), ("zero-sum-xor", {"m_bits": 72})])
+    ("sum-mod-q", {"q": 7}), ("zero-sum-xor", {})])
 def test_huge_values_classify_exactly(tmp_path, family, params, scale):
     """Instance files of values around +-2^70, past int64, and around
     -3*2^60, where one value fits int64 but a sum of three does not,

@@ -1,6 +1,6 @@
 """What a command imports: `cost` runs without numpy, no command needs
-numpy.random, and the package's public names load their modules on first
-use."""
+numpy.random, `spectrum` and `cost --optimize` need no fractions, and the
+package's public names load their modules on first use."""
 import ast
 import json
 import os
@@ -21,13 +21,14 @@ CLI = "from johnson_walk.cli import main; sys.exit(main(sys.argv[1:]))"
 EXPORTS = """
 RunReport
 norm_constants
-MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult ParameterChoice
-choose_parameters clique_cost nint optimize_m oracle_queries table1
+ITEM PAIRWISE MSS RECURSIVE SIMPLE CliqueCostRow OptimizeResult
+ParameterChoice choose_parameters clique_cost nint optimize_m oracle_queries
+table1
 DEFAULT_MEMCAP FullState MemoryCapError WalkContext apply_coin1 apply_coin2
 apply_phase_flip apply_shift apply_walk_step get_context memory_cap
 prepare_s run_algorithm
-ITEM PAIRWISE GenerationError MarkedSet ProblemInstance
-find_marked instance_from_json instance_to_json load_instance make_family
+GenerationError MarkedSet ProblemInstance find_marked instance_from_json
+instance_to_json load_instance make_family
 pair_index
 ReducedBasis build_walk_matrix coin1_matrix coin2_matrix embed_to_full
 reduced_s run_reduced
@@ -96,6 +97,20 @@ def test_no_module_names_numpy_random():
                       if name.split(".")[:2] in (["numpy", "random"],
                                                  ["np", "random"])]
     assert found == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "10000000", "--l", "2"),
+    ("cost", "--optimize", "--l", "3", "--variant", "recursive"),
+], ids=["spectrum", "optimize"])
+def test_spectrum_and_optimize_load_no_fractions(argv):
+    """Only cost --table1, whose exponents are exact rationals, needs
+    fractions (and decimal, which it imports)."""
+    proc = run_python("-X", "importtime", "-m", "johnson_walk.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    imported = re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, re.M)
+    assert "johnson_walk.cost_model" in imported
+    assert not {"fractions", "decimal"} & set(imported)
 
 
 def test_package_and_cli_load_no_engine():
