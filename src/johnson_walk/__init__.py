@@ -3,9 +3,8 @@
 Two engines run the same (W^t1 P)^t2, from algorithm: full_sim carries
 the complete state vector over (subset, coin) pairs step by step and is
 the ground truth at small n; reduced_sim works in the symmetric subspace
-of at most 2l+1 dimensions by two float matrix powers, within
-t1*t2*2^-52 of a 45-digit reference (1.7e-11 up to n=10^8, 6.4e-8 at
-10^12), and refuses a run whose bound passes 1e-6.  spectral verifies
+of at most 2l+1 dimensions by two float matrix powers, and refuses a run
+past the error bound run_reduced states.  spectral verifies
 the eigenstructure both engines rely on, cost_model picks parameters
 and fits query-complexity exponents, and instances supplies the problem
 generators and the classical brute-force scan.
@@ -29,8 +28,8 @@ _MODULE_OF = {name: module for module, names in {
     "instances": "GenerationError MarkedSet ProblemInstance find_marked "
                  "instance_from_json instance_to_json load_instance "
                  "make_family pair_index",
-    "reduced_sim": "ReducedBasis build_walk_matrix coin1_matrix "
-                   "coin2_matrix embed_to_full reduced_s run_reduced",
+    "reduced_sim": "ReducedBasis build_walk_matrix coin_deltas "
+                   "embed_to_full reduced_s run_reduced",
     "spectral": "DeltaDecomposition RootBracketError RotationReport "
                 "UnitaryEigen UPSpectrum WalkSpectrumReport algorithm_rotation "
                 "circular_phase_gap delta_decomposition eigendecompose_unitary "

@@ -3,11 +3,10 @@
 The walk and the phase flip preserve the span of the symmetric states
 labeled (j, p): j marked elements in the subset, the coin inside (p=1)
 or outside (p=0) the marked set, one label per class that holds pairs
-(2l+1 when n-m > l, else 2(n-m)).  Each coin is a Grover diffusion on
-groups of labels, weighted by class size; the second is built as S C2 S.
-W is real orthogonal and tiny, so a run is two matrix powers, within
-t1*t2*2^-52 of a 45-digit reference (1.7e-11 up to n=10^8, 6.4e-8 at
-10^12); past that bound's 1e-6 a run is refused.
+(2l+1 when n-m > l, else 2(n-m)).  Each coin, C + Delta with C =
+diag((-1)^p), is a Grover diffusion on groups of labels weighted by class
+size (the second as S C2 S).  W = I + E is orthogonal and tiny, so a run
+is two matrix powers, the first in I + E form, within run_reduced's bound.
 """
 from __future__ import annotations
 
@@ -18,14 +17,15 @@ import numpy as np
 
 from .algorithm import RunReport, scan_flags
 from .combinat import norm_constants
-from .cost_model import ITEM, oracle_queries
+from .cost_model import ITEM, oracle_queries, walk_steps
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
     """The class table at (n, m, l), the one statement of the (j, p) form:
     labels, the nonempty classes, and dim, their number; weights, their
-    exact weights over total; coin1 and coin2, each coin's groups of
+    exact weights over total; signs, each label's c = (-1)^p, the diagonal
+    of C, the +-1 part of both coins; coin1 and coin2, each coin's groups of
     (label index, count), the counts small integers in the ratio of the
     weights (coin 1 splits the coins outside a subset, coin 2 the members
     of a union); marked, the index of (l, 0)."""
@@ -45,6 +45,7 @@ class ReducedBasis:
 
         vars(self).update(  # frozen: set once, here
             labels=labels, dim=len(labels), total=total,
+            signs=tuple(1 - 2 * p for _, p in labels),
             weights=tuple(weights[x] for x in labels),
             marked=labels.index((l, 0)),
             coin1=groups(*[(((j, 0), n - m - (l - j)), ((j, 1), l - j))
@@ -57,35 +58,26 @@ class ReducedBasis:
         return self.labels.index((j, p))
 
 
-def _diffusion(dim: int, groups) -> np.ndarray:
-    """2vv^T - I on each group of (index, count) pairs, where v holds the
-    square roots of the counts over the group's total."""
-    out = np.zeros((dim, dim))
-    for group in groups:
-        t = sum(count for _, count in group)
-        for a, wa in group:
-            # +-(1 - 2x) with x the smaller integer share: within an ulp
-            diag = 1.0 - 2.0 * (min(wa, t - wa) / t)
-            out[a, a] = diag if 2 * wa >= t else -diag
-            for b, wb in group:
-                if b != a:
-                    out[a, b] = 2.0 * math.sqrt(wa * wb) / t
-    return out
-
-
-def coin1_matrix(basis: ReducedBasis) -> np.ndarray:
-    """C1, the diffusion over the coins outside the subset."""
-    return _diffusion(basis.dim, basis.coin1)
-
-
-def coin2_matrix(basis: ReducedBasis) -> np.ndarray:
-    """S C2 S, the diffusion over the elements of the union A + coin."""
-    return _diffusion(basis.dim, basis.coin2)
+def coin_deltas(basis: ReducedBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta1, Delta2), each coin less C: C1 = C + Delta1 diffuses the coins
+    outside the subset, S C2 S = C + Delta2 the members of the union A +
+    coin.  A coin is 2vv^T - I on each group, v the square roots of the
+    counts over their total t: Delta's diagonal is one rounding of
+    (2 count - (1 + c) t) / t, off it 2 sqrt(count_a count_b) / t."""
+    deltas = np.zeros((2, basis.dim, basis.dim))
+    for delta, groups in zip(deltas, (basis.coin1, basis.coin2)):
+        for group in groups:
+            t = sum(count for _, count in group)
+            for a, wa in group:
+                for b, wb in group:
+                    delta[a, b] = (2 * wa - (1 + basis.signs[a]) * t) / t \
+                        if a == b else 2.0 * math.sqrt(wa * wb) / t
+    return deltas[0], deltas[1]
 
 
 def build_walk_matrix(basis: ReducedBasis) -> np.ndarray:
     """One walk step (S C2 S) C1 as a real orthogonal matrix on the labels."""
-    return coin2_matrix(basis) @ coin1_matrix(basis)
+    return _walk_then_flip(basis, 1, False)
 
 
 def reduced_s(basis: ReducedBasis) -> np.ndarray:
@@ -94,8 +86,20 @@ def reduced_s(basis: ReducedBasis) -> np.ndarray:
 
 
 def _walk_then_flip(basis: ReducedBasis, t1: int, flip: bool = True):
-    """U = W^t1 P: W^t1 with its marked column negated unless P = 1."""
-    u = np.linalg.matrix_power(build_walk_matrix(basis), t1)
+    """U = W^t1 P.  W = (C + Delta2)(C + Delta1) = I + E, E = C Delta1 +
+    Delta2 C + Delta2 Delta1 as C^2 = I, is powered by squaring in I + E
+    form, (I + a)(I + b) = I + (a + b + ab), so no product rounds E's low
+    digits against I; I is added once, then column (l, 0) negated if P."""
+    (delta1, delta2), c = coin_deltas(basis), np.array(basis.signs, float)
+    e = c[:, None] * delta1 + delta2 * c + delta2 @ delta1
+    acc = np.zeros_like(e)
+    while t1:
+        if t1 & 1:
+            acc += e + acc @ e
+        t1 >>= 1
+        if t1:
+            e = 2.0 * e + e @ e
+    u = np.eye(basis.dim) + acc
     u[:, basis.marked] *= -1.0 if flip else 1.0
     return u
 
@@ -111,24 +115,31 @@ def run_reduced(basis: ReducedBasis, t1: int, t2: int, found=None,
     """Apply (W^t1 P)^t2 to the start state as U^t2 s.  found is the
     instance's marked_sets (None: no scan, one l-set assumed).  The
     subspace models one marked l-set, so several, or one of another size,
-    are refused, as is a run past the error bound; with none, P = 1.  The
-    query count is modeled: the full algorithm's in the given oracle mode."""
+    are refused; with none, P = 1.  overlap_w is |<w|U^t2 s>|^2 over the
+    squared norm, so at most 1.  The query count is modeled: the full
+    algorithm's in the given oracle mode.  The error bound, 4 (t2 + 64)
+    max(1, t1 / the rule's t1) 2^-52, is over 4 times the worst overlap_w
+    error against a 45-digit reference (n to 10^24, l to 6, t1 to 1000
+    times the rule's); a run whose bound passes 1e-6 is refused."""
     if found is not None and len(found) > 1:
         raise ValueError(
             f"the scan found {len(found)} marked sets, but the reduced engine "
             f"models exactly one; use the full engine (--engine full)")
     if found:
         _check_size(basis, found[0])
-    if t1 < 0 or t2 < 0:  # matrix_power would invert W
+    if t1 < 0 or t2 < 0:  # the powers take no inverse
         raise ValueError("t1, t2 must be nonnegative")
-    if t1 * t2 > 1e-6 * 2 ** 52:
+    rule = walk_steps(basis.m, basis.l)
+    bound = 4 * (t2 + 64) * max(1.0, t1 / rule) * 2.0 ** -52
+    if bound > 1e-6:
         raise ValueError(f"the reduced engine refuses n={basis.n}, l={basis.l}: "
-                         f"its t1*t2 = {t1 * t2} float walk steps put the error "
-                         f"bound t1*t2*2^-52 past 1e-06")
+                         f"its error bound 4*(t2+64)*max(1, t1/{rule})*2^-52 "
+                         f"= {bound:.3e} at t1={t1}, t2={t2} passes 1e-06")
     marked = found is None or len(found) == 1
     u = _walk_then_flip(basis, t1, marked)
     state = np.linalg.matrix_power(u, t2) @ reduced_s(basis)
-    overlap_w = float(state[basis.marked] ** 2) if marked else 0.0
+    squares = state ** 2
+    overlap_w = float(squares[basis.marked] / squares.sum()) if marked else 0.0
     return RunReport(n=basis.n, m=basis.m, l=basis.l, t1=t1, t2=t2,
                      mode=mode, engine="reduced",
                      success_probability=overlap_w, overlap_w=overlap_w,

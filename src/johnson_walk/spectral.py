@@ -16,7 +16,7 @@ import numpy as np
 
 from .cost_model import walk_steps
 from .reduced_sim import ReducedBasis, _walk_then_flip, build_walk_matrix, \
-    coin1_matrix, coin2_matrix, reduced_s
+    coin_deltas, reduced_s
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,10 +164,7 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     -2 beta j +- 2i r, and 0 if (0, 0) exists.
     """
     basis = ReducedBasis(n, m, l)
-    c = np.diag([(-1.0) ** p for _, p in basis.labels])
-    delta1 = coin1_matrix(basis) - c
-    delta2 = coin2_matrix(basis) - c
-    delta2c = delta2 @ c
+    delta1, delta2 = coin_deltas(basis)
 
     bj = 1.0 / (m + 1) * np.array([j for j in range(1, l + 1)
                                    if (j, 0) in basis.labels])  # beta j
@@ -176,10 +173,9 @@ def delta_decomposition(n: int, m: int, l: int) -> DeltaDecomposition:
     # sorted by real, then imaginary part
     expected = np.sort(np.concatenate([zero, -2.0 * bj + 2j * r,
                                        -2.0 * bj - 2j * r]), kind="stable")
-    eigs = np.sort(np.linalg.eigvals(delta2c), kind="stable")
-
-    n1 = float(np.linalg.norm(delta1, 2))
-    n2 = float(np.linalg.norm(delta2, 2))
+    eigs = np.sort(np.linalg.eigvals(delta2 * np.array(basis.signs, float)),
+                   kind="stable")
+    n1, n2 = (float(np.linalg.norm(d, 2)) for d in (delta1, delta2))
     return DeltaDecomposition(
         n=n, m=m, l=l, norm_delta1=n1, norm_delta2=n2,
         scaled_norm_delta1=n1 * math.sqrt(n - m),
@@ -320,8 +316,7 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     The pair should sit at +-2<w|s>, with eigenvectors near
     (|w> +- i |s>)/sqrt 2.  U is run_reduced's.  The pair is the two
     eigenspaces (UnitaryEigen.eigenspaces) of least |phase| that hold over
-    1e-9 of |w>, with |w>'s projections as their vectors.  A float W^t1
-    not unitary to 1e-10 (l = 2: n >= 10^18) is refused.
+    1e-9 of |w>, with |w>'s projections as their vectors.
     """
     basis = ReducedBasis(n, m, l)
     s_vec = reduced_s(basis)
@@ -329,12 +324,7 @@ def algorithm_rotation(n: int, m: int, l: int) -> RotationReport:
     if ws == 0.0:
         raise ValueError(f"<w|s>^2 underflows a float at n={n}, m={m}, l={l}")
     t1 = walk_steps(m, l)
-    try:
-        eigen = eigendecompose_unitary(_walk_then_flip(basis, t1))
-    except ValueError as exc:  # its one refusal: U is not unitary
-        raise ValueError(
-            f"--n {n} is too large: the float W^t1 (t1={t1}) drifts past "
-            f"the 1e-10 orthogonality check at this size ({exc})") from None
+    eigen = eigendecompose_unitary(_walk_then_flip(basis, t1))
 
     roots = []  # (phase, |w>'s unit projection) per eigenspace holding |w>
     for group in eigen.eigenspaces():

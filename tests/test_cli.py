@@ -54,23 +54,34 @@ def test_simulate_large_reduced(capsys):
     assert "assumed_unique" in rep["reduced"]["flags"]
 
 
-@pytest.mark.parametrize("argv, n, l, steps", [
-    (("simulate", "--n", str(10 ** 20)), 10 ** 20, 2, 5155509 * 3645495),
-    (("simulate", "--n", "100000000", "--l", "3", "--t1", "4503599628",
-      "--t2", "1"), 10 ** 8, 3, 4503599628),
-    (("sweep", "--n-values", "1000", str(10 ** 16)), 10 ** 16, 2,
-     239298 * 169209),
+@pytest.mark.parametrize("argv, n, l, rule, t1, t2, bound", [
+    (("simulate", "--n", str(10 ** 28)), 10 ** 28, 2, 2392975281,
+     2392975281, 1692089049, "1.503e-06"),
+    (("simulate", "--n", "100000000", "--l", "3", "--t1", "15710634085",
+      "--t2", "1"), 10 ** 8, 3, 907, 15710634085, 1, "1.000e-06"),
+    (("sweep", "--n-values", "1000", str(10 ** 28)), 10 ** 28, 2,
+     2392975281, 2392975281, 1692089049, "1.503e-06"),
 ], ids=["rule", "given-t1-t2", "sweep"])
-def test_reduced_past_the_error_bound_exit_2(capsys, argv, n, l, steps):
-    """At n=10^20 the rule's t1*t2 = 1.9e13 steps bound the float error
-    only by 0.0042, past 1e-6: one line, before any walk.  Given t1 and
-    t2 are held to the bound too (4503599628 steps is the first past it),
-    and so is each point of a sweep."""
+def test_reduced_past_the_error_bound_exit_2(capsys, argv, n, l, rule, t1,
+                                             t2, bound):
+    """At n=10^28 the rule's t2 = 1.7e9 rotations bound the float error
+    only by 1.5e-6, past 1e-6: one line, before any walk.  Given t1 and
+    t2 are held to the bound too (15710634085, 1.7e7 times the rule's t1,
+    is the first t1 past it at t2 = 1), and so is each point of a sweep."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == (f"error: the reduced engine refuses n={n}, l={l}: its "
-                   f"t1*t2 = {steps} float walk steps put the error bound "
-                   f"t1*t2*2^-52 past 1e-06\n")
+                   f"error bound 4*(t2+64)*max(1, t1/{rule})*2^-52 = {bound} "
+                   f"at t1={t1}, t2={t2} passes 1e-06\n")
+
+
+def test_reduced_at_the_error_bound_runs(capsys):
+    """One step of t1 short of the refusal, the run is admitted."""
+    code, out, _ = run_cli(capsys, "simulate", "--n", "100000000", "--l", "3",
+                           "--t1", "15710634084", "--t2", "1",
+                           "--engine", "reduced")
+    assert code == 0
+    assert json.loads(out)["reduced"]["overlap_w"] <= 1.0
 
 
 def test_simulate_explicit_overrides(capsys):
@@ -164,9 +175,9 @@ def test_spectrum_theta_l_at_pi(capsys):
      "W^t1 P has no rotation pair at n=4, m=3, l=2"),
     (("--n", "3", "--m", "2", "--l", "1"),
      "W^t1 P has no rotation pair at n=3, m=2, l=1"),
-    (("--n", "1000000000000000000", "--l", "2"),
-     "--n 1000000000000000000 is too large: the float W^t1 (t1=1110721) "
-     "drifts past the 1e-10 orthogonality check at this size"),
+    (("--n", str(10 ** 40), "--l", "2"),
+     f"W^t1 P has no rotation pair at n={10 ** 40}, "
+     f"m=464158883361276304094658560, l=2"),
     ((), "--n is required"),
 ])
 def test_spectrum_refusals_name_the_cause(capsys, argv, message):
@@ -176,29 +187,26 @@ def test_spectrum_refusals_name_the_cause(capsys, argv, message):
 
 
 def test_spectrum_large_n_grid_right_pair_or_one_line_2(capsys):
-    """l = 1..8, n = 10^10..10^24 by half decades: a report whose rotation
-    pair is the right one, to error_scale with a 1e-10 floor for float
-    rounding at l=1, or one error line and exit 2.  Five points whose
-    <w|s>^2 falls under the cotangent root finder's 1e-12 pole-weight cut,
-    but whose float W^t1 is still unitary to 1e-10, are answered."""
-    answered = set()
+    """l = 1..8, n = 10^10..10^24 by half decades: every one of the 232
+    points answers, and its rotation pair is the right one, to error_scale
+    with a 2e-11 floor for float rounding at l=1 (at 10^23, |ratio_plus -
+    1| is 1.06e-11 against an error_scale of 6.3e-12; every point but
+    l=1 from 10^22.5 is within half its error_scale).  Before W^t1 was
+    powered in I + E form, its float drift failed the eigensolver's
+    orthogonality check at 129 of them."""
+    answered = 0
     for l in range(1, 9):
         for k in range(20, 49):
             n = 10 ** (k // 2) if k % 2 == 0 else math.isqrt(10 ** k)
             code, out, err = run_cli(capsys, "spectrum", "--n", str(n),
                                      "--l", str(l))
-            if code == 0:
-                rot = json.loads(out)["rotation"]
-                assert rot["eigvec_fidelity"] >= 0.99, (l, n)
-                assert abs(rot["ratio_plus"] - 1.0) <= max(
-                    rot["error_scale"], 1e-10), (l, n)
-                answered.add((l, n))
-            else:
-                assert code == 2 and out == "", (l, n)
-                assert err.startswith("error: ") and err.count("\n") == 1
-    assert {(2, math.isqrt(10 ** 37)), (4, 10 ** 15),
-            (5, math.isqrt(10 ** 29)), (8, math.isqrt(10 ** 27)),
-            (8, 10 ** 14)} <= answered
+            assert code == 0 and err == "", (l, n, err)
+            rot = json.loads(out)["rotation"]
+            assert rot["eigvec_fidelity"] >= 0.99, (l, n)
+            assert abs(rot["ratio_plus"] - 1.0) <= max(
+                rot["error_scale"], 2e-11), (l, n)
+            answered += 1
+    assert answered == 232
 
 
 def test_spectrum_past_n_minus_m_below_l(capsys):

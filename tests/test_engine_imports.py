@@ -6,7 +6,8 @@ recursion: no itertools.combinations over a range and no np.fromiter.
 An instance's marked sets are scanned one way, its marked_sets.  The
 full engine's reflections take the amplitude array, and only prepare_s
 builds a FullState.  The reduced walk's class table is stated once, in
-ReducedBasis, and U = W^t1 P is built in one function.  spectral groups
+ReducedBasis, C's signs with it, and W^t1 is powered in one function, in
+I + E form.  spectral groups
 eigenphases into eigenspaces in one place, UnitaryEigen.eigenspaces."""
 import ast
 import inspect
@@ -141,26 +142,59 @@ def names_marked_label(node) -> bool:
             and ast.unparse(pair[0]).rpartition(".")[2] == "l")
 
 
+def states_sign(node) -> bool:
+    """The sign (-1)^p of a label, written as a power of -1 or as 1 - 2p."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    text = ast.unparse(node.left).replace("(", "").replace(")", "")
+    return (isinstance(node.op, ast.Pow) and text in ("-1", "-1.0")) or (
+        isinstance(node.op, ast.Sub) and text == "1"
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Mult)
+        and ast.unparse(node.right.left) == "2")
+
+
+def powers_e(top) -> bool:
+    """A function that reads the coins' Deltas and repeats a matrix product
+    in a loop: a power of W = I + E taken in I + E form."""
+    return "coin_deltas(" in ast.unparse(top) and any(
+        isinstance(loop, (ast.For, ast.While)) and any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)
+            for sub in ast.walk(loop))
+        for loop in ast.walk(top))
+
+
 def test_class_table_is_stated_once():
-    """Only ReducedBasis calls norm_constants and names the marked label
-    (l, 0); every other reader takes the weights, the coin groups and the
-    marked index from its table.  U = W^t1 P, a matrix power of
-    build_walk_matrix, is built in one function, which run_reduced and
-    algorithm_rotation both call."""
-    table, powers = [], []
+    """Only ReducedBasis calls norm_constants, names the marked label
+    (l, 0) and states C's signs (-1)^p; every other reader takes the
+    weights, the signs, the coin groups and the marked index from its
+    table.  No matrix_power of build_walk_matrix appears in src/: W^t1 is
+    powered in I + E form in one function, which run_reduced,
+    algorithm_rotation and build_walk_matrix (t1 = 1, no flip) call."""
+    table, signs, powers, readers = [], [], [], set()
     for path in sorted(PKG.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
+            if powers_e(top):
+                powers.append(where)
             for node in ast.walk(top):
-                where = (path.name, getattr(top, "name", None))
                 if names_marked_label(node):
                     table.append(where)
-                if isinstance(node, ast.Call) and node.args \
+                if states_sign(node):
+                    signs.append(where)
+                if isinstance(node, ast.Call) \
                         and ast.unparse(node.func).endswith("matrix_power") \
-                        and ast.unparse(node.args[0]).startswith(
-                            "build_walk_matrix("):
-                    powers.append(where)
+                        and "build_walk_matrix" in ast.unparse(node):
+                    powers.append(("matrix_power", where))
+                if isinstance(node, ast.Call) \
+                        and ast.unparse(node.func) == "_walk_then_flip":
+                    readers.add(where)
     assert set(table) == {("reduced_sim.py", "ReducedBasis")}, table
-    assert len(powers) == 1, powers
+    assert set(signs) == {("reduced_sim.py", "ReducedBasis")}, signs
+    assert powers == [("reduced_sim.py", "_walk_then_flip")], powers
+    assert readers == {("reduced_sim.py", "run_reduced"),
+                       ("reduced_sim.py", "build_walk_matrix"),
+                       ("spectral.py", "algorithm_rotation")}, readers
 
 
 def groups_phases(node) -> bool:

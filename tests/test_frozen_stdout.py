@@ -18,7 +18,11 @@ and `clique_cost`'s mss branch chose its own m; `cost --optimize --l 2`
 printed while the optimizer's step restated the cost's terms.  One
 `simulate` and one `spectrum` run at n - m < l, where the reduced walk
 has only 2(n - m) of its 2l+1 classes, are frozen as they printed while
-the coins still built their groups from (n, m, l)."""
+the coins still built their groups from (n, m, l).  Every hash that holds
+a reduced-engine or spectral number was re-frozen when each coin came to
+be stated as C + Delta, W^t1 to be powered in I + E form and overlap_w
+to be read over the state's squared norm: the full blocks, the cost
+outputs and the full-only custom run printed the same bytes before."""
 import hashlib
 import json
 
@@ -34,33 +38,33 @@ SETS = [[[1, 1], [3, 1]], [[0, 3], [2, 4]]]
 
 FROZEN = [
     ("--family element-distinctness --n 9 --engine both",
-     "ce8b5c036cb5e06c87f45f0c9ad4591197707700f19cf432611acdb134dce5ff"),
+     "9c36978f299b7056262d27b0ad77bc7fc04c81efad75cd4b036b131242f0895e"),
     ("--family l-distinctness --n 10 --l 3 --engine both",
-     "a84e2bb1118b66b404ae5abf11667858f58f630d203629026cd77a7a869f1b1f"),
+     "a22f705a955eb0234e18804f87419e0beee064ed89dc0ec1b97ffaa1eba9e4ad"),
     ("--family zero-sum-xor --n 10 --l 3 --engine both",
-     "1179b8f1125019d2c047b9ab0e4104e181f183d5fd82518892eac994a1c1663e"),
+     "f0b8dd07297e63dbd33c49ccbfeb4b58e491f0c0468bd474f60361ec7ef729d0"),
     ("--family sum-mod-q --n 10 --l 3 --engine both",
-     "20743a594db9b657b34e1cd7b1e410b753b181d557e42c69aaabeff5d83f6899"),
+     "e06dce5e3b1756a1388b9e85a0a1f62184270bbea662fc5aa4da565e9a1d6091"),
     ("--family consecutive --n 12 --l 3 --engine both",
-     "55e82d8c9aba41a642cf6274bab37ed6fe2067eb8fc300a9c9dd98954eab4e87"),
+     "eec0afe6983dfcf95491ee86e62c651aff8cf674ec9388c04686bbc2e041248d"),
     ("--family l-clique --n 9 --l 3 --engine both",
-     "f4c2d81f18f520043563910ac196f22bad6882c9ddd46b458c0d6cf7f1169773"),
+     "ca1dc37272c05995ed1da6bc294c8c23bc69dadcb255cce7d2b9ab0722ac7075"),
     ("--family sum-mod-q --n 12 --l 3 --no-plant --engine both",
      "212e60111b6bf2ad5c6ae9683614c31d289ac58704f7441e30a956ca64fa28c0"),
     ("--instance {one} --engine both",
-     "a153786bdf706dc8111c37b3e5a7f61244ac293e359e4fd37c6c510063861da1"),
+     "35479e2753fc6fef2362c2d95219f453634fc2f75a05faa5183338d85558586b"),
     ("--instance {two} --engine full",
      "39f627c981e6643abea3b82c97961a5302ae1a8b55c55f8d0228815113b230e9"),
     ("--family l-distinctness --n 1000 --l 2 --engine reduced",
-     "060090e36530469d02cab1e7c750716a3a7abfe720daa1f5881fe696094a8269"),
+     "feef27bc9477f13174281a9441c2f3bbe2117c5b53473b1ae533f2e14f87efa2"),
     ("--family l-clique --n 100 --l 3 --engine reduced",
-     "969acacd5cc4cd85d1cc0c29d18ff463e2420d7a72125e5c1f1039547e7d5a9f"),
+     "8195d40eb7c93705ccfc031dcb3f6481f6e38da1f880d35c8fe1d200b070ebaa"),
     ("--family consecutive --n 100 --l 3 --engine reduced",
-     "d79ea07fac2e0990d3628ebf6643d0e136f9cb389af41f3b7334649c66ae1911"),
+     "5fd25715ed6c444ca0d9ac35ecce85cddfe9c548f8fe1b00bb6701cac5b207fe"),
     ("--family sum-mod-q --n 100 --l 3 --engine reduced",
-     "e3aa55b3b190e8cfdb2d7cbfac13ffe6615f45aa44d424e6981859d5e3d89de8"),
+     "af79ae7b5ff705cc364b3693fac6d2f7bbfe7d6bf64a773986f8a65a410c2850"),
     ("--family l-distinctness --n 7 --l 4 --m 5 --engine both",
-     "38e6875b9a514b732c864d1fdbfcfd5e69b0a1f1dc8d5b3acfd1f6cc249eb356"),
+     "d97599eae6d9bc9375f48122a175fa7f06d36e110dff8bfa3c99021b20351238"),
 ]
 
 
@@ -78,11 +82,11 @@ def test_simulate_stdout_is_frozen(capsys, tmp_path, argv, digest):
 
 OTHER = [
     ("verify",
-     "6e77de4621472e92bc275109be63c88257e2c69e34cda7a9e181d0b31357db6b"),
+     "30b455f264a23b885d652e1c30745a15dcdd8f95d9551758dd9330a58417542a"),
     ("spectrum --n 10000000 --l 2",
-     "0ca18064d3385a8fc936eda7207def1012062d28d3ca8c72b473c65067cebfad"),
+     "338445ea179bb8ae4f632173be60ad244f8bcc8e7659a04d4fa872dd8beed486"),
     ("spectrum --n 12 --l 4 --m 9",
-     "6e7d8ad80c4795a7707b6a7e192f572ddd011fab440720fb09bd0b0c26abf6dc"),
+     "7bf9c85a7aaa263b3c50c7265c7c64043a52d5f8b62b75adaa5a2da6ad16d090"),
     ("cost --optimize --l 3 --variant recursive",
      "e64dafeaa92b880475ef63c84e4a1cb1dee5bf503fb7335d5e37bdbe385186f0"),
     ("cost --optimize --l 2",
@@ -94,9 +98,9 @@ OTHER = [
     ("cost --table1",
      "b096561f3c5cb783e5482769e9b30297f9c4be8f0a6fe4eac5fb10798da38d91"),
     ("sweep --l 2 --n-values 100 1000 10000",
-     "c5c19c3d604f93e154b507bfbb3b01e049158d97f0cf28a5d621a9f70513eb5d"),
+     "96547d7eb18f1f5b37132eec86c1d606cd031b01a546753972f7b05fad75881d"),
     ("sweep --l 3 --n-values 100 1000 10000",
-     "25d4a7ddf96de7ba815c57e93f27efb6139cca3fc15d82f8541325533cb79b62"),
+     "d99011f1c7d09b9806f2e0b2c697cdba09a042ab46acfd0cae48afe9a92631bd"),
 ]
 
 

@@ -30,8 +30,8 @@ prepare_s run_algorithm
 GenerationError MarkedSet ProblemInstance find_marked instance_from_json
 instance_to_json load_instance make_family
 pair_index
-ReducedBasis build_walk_matrix coin1_matrix coin2_matrix embed_to_full
-reduced_s run_reduced
+ReducedBasis build_walk_matrix coin_deltas embed_to_full reduced_s
+run_reduced
 DeltaDecomposition RootBracketError RotationReport UnitaryEigen UPSpectrum
 WalkSpectrumReport algorithm_rotation circular_phase_gap delta_decomposition
 eigendecompose_unitary up_eigenphases walk_spectrum
@@ -125,7 +125,7 @@ def test_package_and_cli_load_no_engine():
 
 
 def test_every_export_resolves():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 57
+    assert len(EXPORTS) == len(set(EXPORTS)) == 56
     namespace = {}
     exec("from johnson_walk import *", namespace)
     for name in EXPORTS:

@@ -10,8 +10,8 @@ import pytest
 
 from johnson_walk import (
     ReducedBasis, WalkContext, build_walk_matrix, choose_parameters,
-    coin1_matrix, coin2_matrix, embed_to_full, find_marked, make_family,
-    norm_constants, prepare_s, reduced_s, run_algorithm, run_reduced,
+    coin_deltas, embed_to_full, find_marked, make_family, norm_constants,
+    prepare_s, reduced_s, run_algorithm, run_reduced,
 )
 from johnson_walk.algorithm import run_walk
 from johnson_walk.full_sim import apply_phase_flip, apply_walk_step, \
@@ -93,17 +93,20 @@ def test_walk_matrix_orthogonal_grid():
 
 
 def test_each_coin_fixes_reduced_s():
-    """C1 s = s and (S C2 S) s = s, each on its own."""
+    """C1 s = s and (S C2 S) s = s, each on its own, with each coin built
+    here as C + Delta, C = diag((-1)^p) from the labels."""
     for n, m, l in ORTHOGONAL_GRID:
         b = ReducedBasis(n, m, l)
         s = reduced_s(b)
-        for coin in (coin1_matrix, coin2_matrix):
-            assert np.max(np.abs(coin(b) @ s - s)) <= 1e-15, (n, m, l, coin)
+        c = np.diag([(-1.0) ** p for _, p in b.labels])
+        for k, delta in enumerate(coin_deltas(b), 1):
+            assert np.max(np.abs((c + delta) @ s - s)) <= 1e-15, (n, m, l, k)
 
 
-def exact_diffusion(labels, groups):
-    """2vv^T - I on each group of ((j, p), weight) pairs, in 40-digit
-    decimals; members outside the labels (empty classes) are skipped."""
+def exact_delta(labels, groups):
+    """2vv^T - I - C on each group of ((j, p), weight) pairs, C =
+    diag((-1)^p), in 40-digit decimals; members outside the labels (empty
+    classes) are skipped."""
     out = [[Decimal(0)] * len(labels) for _ in labels]
     with localcontext() as ctx:
         ctx.prec = 40
@@ -112,9 +115,10 @@ def exact_diffusion(labels, groups):
             idx = [labels.index(label) for label, _ in group]
             weights = [Decimal(w) for _, w in group]
             t = sum(weights)
-            for a, wa in zip(idx, weights):
+            for a, wa, (_, p) in zip(idx, weights, (x for x, _ in group)):
                 for b, wb in zip(idx, weights):
-                    out[a][b] = 2 * (wa * wb).sqrt() / t - (a == b)
+                    out[a][b] = 2 * (wa * wb).sqrt() / t \
+                        - (a == b) * (1 + (-1) ** p)
     return out
 
 
@@ -123,20 +127,23 @@ def exact_diffusion(labels, groups):
     (10 ** 6, 10 ** 4, 3), (10 ** 8, 215443, 2), (10 ** 8, 10 ** 6, 3),
     (10 ** 8, 4641588, 4), (7, 6, 4)])
 def test_coin_entries_within_two_ulp(n, m, l):
-    """Every entry of both coins against its 40-digit value.  Coin 1 pairs
-    (j, 0) and (j, 1) in the ratio n-m-(l-j) : l-j; coin 2, applied as
-    S C2 S, pairs (J, 0) and (J-1, 1) in the ratio m+1-J : J."""
+    """Every entry of Delta1 and Delta2 against its 40-digit value.  Coin
+    1 pairs (j, 0) and (j, 1) in the ratio n-m-(l-j) : l-j; coin 2, applied
+    as S C2 S, pairs (J, 0) and (J-1, 1) in the ratio m+1-J : J.  Delta is
+    what the walk reads, and C + Delta is not held to 2 ulp: at (7, 6, 4)
+    coin 2's diagonal entry -1/7, formed as C + Delta, is 2.3 ulp from
+    its exact value, while Delta's own entry is one rounding."""
     basis = ReducedBasis(n, m, l)
     coin1 = [(((j, 0), n - m - (l - j)), ((j, 1), l - j)) for j in range(l)]
     coin2 = [(((j, 0), m + 1 - j), ((j - 1, 1), j)) for j in range(1, l + 1)]
-    for coin, groups in ((coin1_matrix, coin1 + [(((l, 0), 1),)]),
-                         (coin2_matrix, coin2 + [(((0, 0), 1),)])):
-        exact = exact_diffusion(basis.labels, groups)
-        got = coin(basis)
-        for i, k in np.ndindex(got.shape):
-            ulp = Decimal(math.ulp(float(exact[i][k])))
-            err = abs(Decimal(got[i, k]) - exact[i][k])
-            assert err <= 2 * ulp, (coin.__name__, i, k, got[i, k], exact[i][k])
+    for k, (got, groups) in enumerate(zip(
+            coin_deltas(basis), (coin1 + [(((l, 0), 1),)],
+                                 coin2 + [(((0, 0), 1),)])), 1):
+        exact = exact_delta(basis.labels, groups)
+        for i, j in np.ndindex(got.shape):
+            ulp = Decimal(math.ulp(float(exact[i][j])))
+            err = abs(Decimal(got[i, j]) - exact[i][j])
+            assert err <= 2 * ulp, (k, i, j, got[i, j], exact[i][j])
 
 
 def test_reduced_s_values():

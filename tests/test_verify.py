@@ -22,19 +22,20 @@ def test_full_reduced_agreement_scans_once(scans):
 
 
 def test_c2_sign_error_fails_exactly_the_state_checks(monkeypatch):
-    """Negate every off-diagonal entry of the reduced second coin.
+    """Negate every off-diagonal entry of the reduced second coin, which
+    is Delta2's: S C2 S = C + Delta2 with C diagonal.
 
     The mutated walk matrix stays orthogonal, so the checks that fail are
     the ones that compare the walk against the start state, the full
     engine, or the overlap the algorithm must reach.
     """
-    coin2 = reduced_sim.coin2_matrix
+    deltas = reduced_sim.coin_deltas
 
     def mutated(basis):
-        c2 = coin2(basis)
-        return 2.0 * np.diag(np.diag(c2)) - c2
+        delta1, delta2 = deltas(basis)
+        return delta1, 2.0 * np.diag(np.diag(delta2)) - delta2
 
-    monkeypatch.setattr(reduced_sim, "coin2_matrix", mutated)
+    monkeypatch.setattr(reduced_sim, "coin_deltas", mutated)
     failed = [r.name for r in run_all() if not r.passed]
     assert failed == ["walk-fixes-start-state", "full-reduced-agreement",
                       "large-n-final-overlap"]
